@@ -9,7 +9,16 @@ variation sequences (11,175 pairs) — computed three ways:
 
 All three matrices must be bit-identical.  The >= 2x speedup assertion is
 hardware-gated: it needs at least 4 usable CPUs, so on smaller machines it
-reports the measured ratio and skips.  Run directly for a readable report:
+reports the measured ratio and skips.
+
+A second, single-process workload covers figure 7's Levenshtein baseline:
+60 syscall-name sequences of 150-300 names (1,770 pairs), the per-pair
+`levenshtein_distance` loop against `DistanceEngine(jobs=1)`, which
+batches every pair through `levenshtein_pairwise`.  The matrices must be
+bit-identical and the engine >= 3x faster (CPU-gated like the DTW kernel
+bench: needs >= 2 usable CPUs, otherwise reports and skips).  Run only
+that part with `pytest benchmarks/bench_distance_engine.py -k
+levenshtein`, or run the file directly for a readable report:
 
     PYTHONPATH=src python benchmarks/bench_distance_engine.py
 """
@@ -22,12 +31,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.distances import levenshtein_distance
 from repro.core.distengine import DistanceCache, DistanceEngine
 from repro.core.dtw import dtw_distance
 
 N_REQUESTS = 150
 PENALTY = 0.4
 JOBS = 4
+N_SYSCALL_SEQUENCES = 60
+LEVENSHTEIN_MIN_SPEEDUP = 3.0
 
 
 def usable_cpus() -> int:
@@ -49,6 +61,26 @@ def fig7_style_series(n: int = N_REQUESTS, seed: int = 7):
         walk = np.cumsum(rng.normal(0.0, 0.08, size=length))
         series.append(base + walk + rng.normal(0.0, 0.15, size=length))
     return series
+
+
+def fig7_style_syscalls(n: int = N_SYSCALL_SEQUENCES, seed: int = 7):
+    """Synthetic syscall-name sequences of 150-300 names: each request kind
+    loops over its own call pattern with random substitutions, like fig7's
+    thinned per-request sequences."""
+    rng = np.random.default_rng(seed)
+    names = np.array(
+        ["read", "write", "open", "close", "poll", "futex", "mmap", "munmap",
+         "sendto", "recvfrom", "stat", "lseek", "epoll_wait", "brk"]
+    )
+    patterns = [rng.integers(0, names.size, size=k) for k in (5, 8, 12)]
+    sequences = []
+    for i in range(n):
+        length = int(rng.integers(150, 301))
+        ids = np.resize(patterns[i % len(patterns)], length)
+        noisy = rng.random(length) < 0.15
+        ids[noisy] = rng.integers(0, names.size, size=int(noisy.sum()))
+        sequences.append(names[ids].tolist())
+    return sequences
 
 
 def serial_matrix(items, fn):
@@ -105,6 +137,21 @@ def run_benchmark(cache_path: str):
     }
 
 
+def run_levenshtein_benchmark():
+    items = fig7_style_syscalls()
+    reference, t_serial = timed(lambda: serial_matrix(items, levenshtein_distance))
+    batched, t_batched = timed(
+        lambda: DistanceEngine(jobs=1).matrix(items, levenshtein_distance)
+    )
+    return {
+        "reference": reference,
+        "batched": batched,
+        "t_serial": t_serial,
+        "t_batched": t_batched,
+        "n_pairs": len(items) * (len(items) - 1) // 2,
+    }
+
+
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
     path = tmp_path_factory.mktemp("distcache") / "distances.json"
@@ -138,6 +185,30 @@ class TestDistanceEngineBench:
         assert speedup >= 2.0
 
 
+@pytest.fixture(scope="module")
+def levenshtein_report():
+    return run_levenshtein_benchmark()
+
+
+class TestLevenshteinEngineBench:
+    def test_levenshtein_batched_bit_identical(self, levenshtein_report):
+        r = levenshtein_report
+        assert np.array_equal(r["batched"], r["reference"])
+
+    def test_levenshtein_batched_speedup(self, levenshtein_report):
+        r = levenshtein_report
+        speedup = r["t_serial"] / r["t_batched"]
+        if usable_cpus() < 2:
+            pytest.skip(
+                f"only {usable_cpus()} usable CPU(s); measured speedup "
+                f"{speedup:.2f}x (assertion needs >= 2 CPUs)"
+            )
+        assert speedup >= LEVENSHTEIN_MIN_SPEEDUP, (
+            f"batched levenshtein speedup {speedup:.2f}x below "
+            f"{LEVENSHTEIN_MIN_SPEEDUP:.0f}x"
+        )
+
+
 def main() -> None:
     import tempfile
 
@@ -162,6 +233,21 @@ def main() -> None:
         f"{r['t_serial'] / r['t_cached']:.0f}x vs serial)"
     )
     print(f"  matrices bit-identical: {identical}")
+
+    lev = run_levenshtein_benchmark()
+    print(
+        f"fig7-style levenshtein matrix: {N_SYSCALL_SEQUENCES} syscall "
+        f"sequences, {lev['n_pairs']} pairs"
+    )
+    print(f"  per-pair loop        {lev['t_serial']:8.2f} s")
+    print(
+        f"  engine (batched)     {lev['t_batched']:8.2f} s "
+        f"({lev['t_serial'] / lev['t_batched']:.2f}x vs per-pair)"
+    )
+    print(
+        "  matrices bit-identical: "
+        f"{np.array_equal(lev['batched'], lev['reference'])}"
+    )
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@
   difference of whole-request average metric values;
 * :func:`levenshtein_distance` — Magpie-style software-event differencing:
   string edit distance between two system-call name sequences;
+* :func:`levenshtein_pairwise` — the same distance for a whole pair list
+  in one batched pass (``levenshtein_distance.pairwise``, which the
+  distance engine routes to);
 * :func:`unequal_length_penalty` — the paper's choice of the penalty ``p``:
   the 99-percentile of metric differences between two arbitrary points of
   the application's execution.
@@ -79,6 +82,89 @@ def levenshtein_distance(a: Sequence, b: Sequence) -> int:
         )
         previous = current
     return int(previous[-1])
+
+
+#: Pairs per block of :func:`levenshtein_pairwise`: bounds the working
+#: ``(block, L + 1)`` rows to a few MB at figure 7's sequence lengths.
+LEVENSHTEIN_BLOCK = 2048
+
+
+def _token_matrix(sequences, vocab) -> np.ndarray:
+    """Sequences as rows of vocabulary ids, padded with -1."""
+    width = max((len(s) for s in sequences), default=0)
+    tokens = np.full((len(sequences), width), -1, dtype=np.int32)
+    for row, seq in zip(tokens, sequences):
+        row[: len(seq)] = [vocab.setdefault(t, len(vocab)) for t in seq]
+    return tokens
+
+
+def levenshtein_pairwise(items_a: Sequence, items_b: Sequence, pairs) -> np.ndarray:
+    """``levenshtein_distance(items_a[i], items_b[j])`` for every ``(i, j)``.
+
+    The batched form of :func:`levenshtein_distance`: one token
+    vocabulary for the whole call, and the same row recurrence run over
+    ``(P, L + 1)`` blocks of pairs sorted by first-operand length, so a
+    block drops each pair once its row ``len(a)`` is reached.  A pair's
+    value is read at column ``len(b)``; column ``j`` depends only on
+    columns ``<= j``, so the ``-1`` padding beyond it cannot reach the
+    answer, and empty operands fall out of row/column 0 unchanged.  All
+    arithmetic is integer, so every value equals the per-pair call.
+    """
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    out = np.empty(len(pairs), dtype=np.int64)
+    if not len(pairs):
+        return out
+    # Encode only the operands the pairs reference.
+    used_a, rows_a = np.unique(pairs[:, 0], return_inverse=True)
+    used_b, rows_b = np.unique(pairs[:, 1], return_inverse=True)
+    seqs_a = [items_a[i] for i in used_a]
+    seqs_b = [items_b[j] for j in used_b]
+    vocab: dict = {}
+    tokens_a = _token_matrix(seqs_a, vocab)
+    tokens_b = _token_matrix(seqs_b, vocab)
+    lengths_a = np.array([len(s) for s in seqs_a])[rows_a]
+    lengths_b = np.array([len(s) for s in seqs_b])[rows_b]
+
+    order = np.argsort(lengths_a, kind="stable")
+    for start in range(0, order.size, LEVENSHTEIN_BLOCK):
+        block = order[start : start + LEVENSHTEIN_BLOCK]
+        len_a = lengths_a[block]
+        len_b = lengths_b[block]
+        a = tokens_a[rows_a[block], : len_a[-1]]
+        b = tokens_b[rows_b[block], : len_b.max()]
+        # Rows are held column-shifted, row[j] - j: substitution is then
+        # shifted[j-1] - match, deletion shifted[j] + 1, and the insertion
+        # unroll row[j] = j + min(i, min_{k<=j}(best[k] - k)) a running
+        # minimum from shifted[0] = i.  Two buffers alternate as previous
+        # and current row; pairs [done:] are still running (len_a ascends).
+        previous = np.zeros((block.size, b.shape[1] + 1), dtype=np.int32)
+        current = np.empty_like(previous)
+        match = np.empty(b.shape, dtype=bool)
+        substitution = np.empty(b.shape, dtype=np.int32)
+        done = 0
+        for i in range(a.shape[1] + 1):
+            finished = int(np.searchsorted(len_a, i, side="right"))
+            if finished > done:
+                ends = len_b[done:finished]
+                out[block[done:finished]] = (
+                    previous[np.arange(done, finished), ends] + ends
+                )
+                done = finished
+            if done == block.size:
+                break
+            prev, cur = previous[done:], current[done:]
+            np.equal(b[done:], a[done:, i : i + 1], out=match[done:])
+            np.subtract(prev[:, :-1], match[done:], out=substitution[done:])
+            np.add(prev[:, 1:], 1, out=cur[:, 1:])
+            np.minimum(substitution[done:], cur[:, 1:], out=cur[:, 1:])
+            cur[:, 0] = i + 1
+            np.minimum.accumulate(cur, axis=1, out=cur)
+            previous, current = current, previous
+    return out
+
+
+# Engine routing: DistanceEngine batches any measure carrying ``pairwise``.
+levenshtein_distance.pairwise = levenshtein_pairwise
 
 
 def unequal_length_penalty(

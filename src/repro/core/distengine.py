@@ -8,9 +8,11 @@ distances per application and measure.  This module centralizes that work:
 * :class:`DistanceEngine` computes dense matrices, explicit pair lists,
   and one-to-many sweeps, optionally fanning the pair computations out to
   a :class:`~concurrent.futures.ProcessPoolExecutor` in index chunks;
-  batchable measures (:class:`~repro.core.kernels.PenaltyDtw`) are
-  instead routed through the vectorized one-vs-many kernel in index
-  blocks — no per-pair Python dispatch at all;
+  batchable measures — any callable with a ``pairwise(items_a, items_b,
+  pairs)`` attribute, such as :class:`~repro.core.kernels.PenaltyDtw`
+  and :func:`~repro.core.distances.levenshtein_distance` — instead get
+  all their pairs in one ``pairwise`` call, with no per-pair Python
+  dispatch at all;
 * :class:`DistanceCache` memoizes distances keyed by *content* (a stable
   hash of both operands plus a caller-supplied distance key), optionally
   persisted as JSON under ``results/.cache/`` so repeated experiments and
@@ -20,10 +22,10 @@ Determinism: each matrix cell is one independent distance evaluation, so
 chunked parallel execution performs exactly the same arithmetic as the
 serial loop and the assembled matrix is bit-identical to it (given a
 deterministic distance callable).  There is no cross-pair reduction whose
-order could differ.  The batched kernel path is likewise bit-identical:
-per bank row the vectorized DP performs exactly the serial DP's
-elementwise operations (see :mod:`repro.core.kernels`), and
-``REPRO_DTW_KERNELS=0`` disables the routing to prove it.
+order could differ.  The batched path is likewise bit-identical: the
+batched DTW performs exactly the serial DP's elementwise operations per
+bank row (see :mod:`repro.core.kernels`), and batched Levenshtein is
+integer arithmetic.
 
 Parallel execution uses the ``fork`` start method so non-picklable
 distance callables (the experiments use parameter-capturing lambdas) and
@@ -259,18 +261,18 @@ class DistanceEngine:
         computes the upper triangle and mirrors it.
         """
         n = len(items)
-        matrix = np.zeros((n, n))
         if symmetric:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            rows, cols = np.triu_indices(n, k=1)
         else:
-            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+        pairs = list(zip(rows.tolist(), cols.tolist()))
         values = self._pair_values(
             items, items, pairs, distance, distance_key, ordered=not symmetric
         )
-        for (i, j), d in zip(pairs, values):
-            matrix[i, j] = d
-            if symmetric:
-                matrix[j, i] = d
+        matrix = np.zeros((n, n))
+        matrix[rows, cols] = values
+        if symmetric:
+            matrix[cols, rows] = values
         return matrix
 
     def pair_distances(
@@ -391,29 +393,18 @@ class DistanceEngine:
         pairs: List[Tuple[int, int]],
         distance: Callable,
     ) -> Optional[List[float]]:
-        """Block-batched evaluation for batchable kernels, or None.
+        """All pairs in one call to ``distance.pairwise``, or None.
 
-        Pairs are grouped by their first index; each group becomes one
-        vectorized one-vs-many DP over a padded bank of the second
-        operands.  Bit-identical to the per-pair loop, and fast enough
-        that it is preferred over the process pool whenever available.
+        Any distance callable carrying a ``pairwise(items_a, items_b,
+        pairs)`` attribute is batched this way (penalty-DTW and
+        Levenshtein do); the attribute's contract is values equal to the
+        per-pair calls.  It is fast enough to be preferred over the
+        process pool whenever available.
         """
-        from repro.core.kernels import PenaltyDtw, kernels_enabled
-
-        if not isinstance(distance, PenaltyDtw) or not kernels_enabled():
+        pairwise = getattr(distance, "pairwise", None)
+        if pairwise is None or len(pairs) < 2:
             return None
-        if len(pairs) < 2:
-            return None
-        groups: Dict[int, List[Tuple[int, int]]] = {}
-        for idx, (i, j) in enumerate(pairs):
-            groups.setdefault(i, []).append((idx, j))
-        values: List[float] = [0.0] * len(pairs)
-        for i, entries in groups.items():
-            bank = distance.bank([items_b[j] for _, j in entries])
-            distances = distance.one_to_many(items_a[i], bank)
-            for (idx, _), value in zip(entries, distances):
-                values[idx] = float(value)
-        return values
+        return np.asarray(pairwise(items_a, items_b, pairs), dtype=float).tolist()
 
     def _compute_parallel(
         self,

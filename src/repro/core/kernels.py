@@ -53,16 +53,15 @@ so pruning power is unaffected).  An abandoned candidate reports ``inf``
 nearest-neighbor argmins (including first-minimum tie-breaking) and the
 returned best distances are identical to a naive full scan.
 
-``REPRO_DTW_KERNELS=0`` in the environment disables the batched routing
-inside :class:`~repro.core.distengine.DistanceEngine` (per-pair serial
-calls instead); results are identical either way — the toggle exists so
-CI can assert exactly that.
+:class:`~repro.core.distengine.DistanceEngine` batches every
+:class:`PenaltyDtw` matrix, pair-list and one-to-many request through
+:meth:`PenaltyDtw.pairwise`; the property tests pin those results to the
+per-pair :func:`repro.core.dtw.dtw_distance` calls.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,24 +74,10 @@ __all__ = [
     "argmin_distance",
     "dtw_distance_pruned",
     "dtw_one_to_many",
-    "kernels_enabled",
     "l1_prefix_distances",
     "lb_one_to_many",
     "lb_penalty_dtw",
 ]
-
-#: Environment variable gating the batched kernel routing (default on).
-KERNELS_ENV = "REPRO_DTW_KERNELS"
-
-
-def kernels_enabled() -> bool:
-    """Whether batched kernel routing is enabled (``REPRO_DTW_KERNELS``).
-
-    Read at call time so tests and CI determinism checks can flip it
-    per-invocation; only the *routing* changes, never the results.
-    """
-    return os.environ.get(KERNELS_ENV, "1") != "0"
-
 
 class PaddedBank:
     """A bank of variable-length sequences as one zero-padded 2-D matrix.
@@ -403,10 +388,10 @@ class PenaltyDtw:
     A drop-in distance callable (``kernel(x, y)`` equals
     :func:`repro.core.dtw.dtw_distance`) that additionally exposes the
     batched and pruned entry points.  The
-    :class:`~repro.core.distengine.DistanceEngine` recognizes instances
-    and routes matrix / pair-list / one-to-many computations through
-    :meth:`one_to_many` in index blocks instead of per-pair Python calls
-    (bit-identical results; see module docstring).
+    :class:`~repro.core.distengine.DistanceEngine` routes matrix /
+    pair-list / one-to-many computations through :meth:`pairwise`
+    instead of per-pair Python calls (bit-identical results; see module
+    docstring).
     """
 
     __slots__ = ("penalty",)
@@ -438,6 +423,23 @@ class PenaltyDtw:
 
     def argmin(self, query, bank, block_size: int = 32) -> Tuple[int, float]:
         return argmin_distance(query, bank, self.penalty, block_size=block_size)
+
+    def pairwise(self, items_a, items_b, pairs) -> List[float]:
+        """``self(items_a[i], items_b[j])`` for every ``(i, j)`` in ``pairs``.
+
+        Pairs are grouped by their first index; each group becomes one
+        :meth:`one_to_many` DP over a padded bank of its second operands.
+        """
+        groups: Dict[int, List[Tuple[int, int]]] = {}
+        for idx, (i, j) in enumerate(pairs):
+            groups.setdefault(i, []).append((idx, j))
+        values: List[float] = [0.0] * len(pairs)
+        for i, entries in groups.items():
+            bank = self.bank([items_b[j] for _, j in entries])
+            distances = self.one_to_many(items_a[i], bank)
+            for (idx, _), value in zip(entries, distances):
+                values[idx] = float(value)
+        return values
 
 
 # -- L1 prefix matching on the shared bank machinery ------------------------

@@ -92,6 +92,9 @@ def classification_quality(
         ]
     )
 
+    # levenshtein_distance and the PenaltyDtw measures carry a
+    # ``pairwise`` attribute, so the engine batches all their pairs in one
+    # call (bit-identical to per-pair calls); l1 and avg-CPI go per pair.
     distance_fns = {
         "levenshtein": (syscall_seqs, levenshtein_distance, "levenshtein"),
         "avg_cpi": (avg_cpis, average_metric_distance, "avg-metric"),
@@ -100,8 +103,6 @@ def classification_quality(
             lambda a, b: l1_distance(a, b, penalty=penalty),
             f"l1:p={penalty!r}",
         ),
-        # PenaltyDtw measures route through the batched one-vs-many
-        # kernel inside the engine (bit-identical to per-pair DP calls).
         "dtw": (cpi_series, PenaltyDtw(0.0), "dtw:p=0"),
         "dtw_penalty": (
             cpi_series,

@@ -37,9 +37,9 @@ bit for bit.  The restructurings:
   recompute — only the *values* are cached, never the side effects.
 
 ``REPRO_SIM_FASTPATH=0`` in the environment routes plain
-``ServerSimulator(...)`` constructions back to the reference loop
-(mirroring the ``REPRO_DTW_KERNELS`` kill switch); results are identical
-either way — the toggle exists so CI can assert exactly that.
+``ServerSimulator(...)`` constructions back to the reference loop;
+results are identical either way — the toggle exists so CI can assert
+exactly that.
 """
 
 from __future__ import annotations

@@ -233,9 +233,9 @@ class ServerSimulator:
 
     Plain constructions route to the structure-of-arrays fast path
     (:class:`repro.kernel.fastpath.FastpathSimulator`) unless
-    ``REPRO_SIM_FASTPATH=0`` pins this reference loop — mirroring the
-    ``REPRO_DTW_KERNELS`` kill switch.  Both paths are byte-identical;
-    the fastpath differential suite and a CI determinism step assert it.
+    ``REPRO_SIM_FASTPATH=0`` pins this reference loop.  Both paths are
+    byte-identical; the fastpath differential suite and a CI determinism
+    step assert it.
     """
 
     def __new__(cls, workload=None, config=None):

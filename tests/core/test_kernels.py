@@ -20,14 +20,12 @@ from hypothesis import strategies as st
 from repro.core.distengine import DistanceEngine
 from repro.core.dtw import dtw_distance
 from repro.core.kernels import (
-    KERNELS_ENV,
     PaddedBank,
     PenaltyDtw,
     PrefixL1Sweeper,
     argmin_distance,
     dtw_distance_pruned,
     dtw_one_to_many,
-    kernels_enabled,
     l1_prefix_distances,
     lb_one_to_many,
     lb_penalty_dtw,
@@ -268,18 +266,6 @@ class TestEngineRouting:
             items, lambda a, b: dtw_distance(a, b, asynchrony_penalty=0.4)
         )
         assert np.array_equal(batched, serial)
-
-    def test_toggle_disables_routing_with_identical_results(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        items = random_bank(rng, n_rows=10)
-        kernel = PenaltyDtw(0.3)
-        monkeypatch.setenv(KERNELS_ENV, "0")
-        assert not kernels_enabled()
-        off = self._matrix(items, kernel)
-        monkeypatch.setenv(KERNELS_ENV, "1")
-        assert kernels_enabled()
-        on = self._matrix(items, kernel)
-        assert np.array_equal(on, off)
 
 
 class TestL1PrefixKernels:

@@ -1,0 +1,234 @@
+"""Property tests for the batched ``pairwise`` path of the distance engine.
+
+Any distance callable that carries a ``pairwise(items_a, items_b, pairs)``
+attribute is batched by :class:`~repro.core.distengine.DistanceEngine`.
+The contract under test: every batched value equals the per-pair call
+exactly —
+
+* :func:`repro.core.distances.levenshtein_pairwise` against
+  :func:`~repro.core.distances.levenshtein_distance`, over arbitrary pair
+  lists (non-triangular, repeated, unsorted, across block boundaries);
+* :meth:`repro.core.kernels.PenaltyDtw.pairwise` against
+  :func:`repro.core.dtw.dtw_distance`;
+* the engine's ``matrix`` / ``pair_distances`` / ``one_to_many`` with
+  these measures against the serial loop, for any ``jobs`` and with a
+  half-warm cache, where only the missing pairs reach the kernel.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import distances
+from repro.core.distances import levenshtein_distance, levenshtein_pairwise
+from repro.core.distengine import DistanceCache, DistanceEngine
+from repro.core.dtw import dtw_distance
+from repro.core.kernels import PenaltyDtw
+
+tokens = st.one_of(
+    st.sampled_from(["read", "write", "poll", "futex"]), st.integers(0, 3)
+)
+sequences = st.lists(tokens, min_size=0, max_size=12)
+item_lists = st.lists(sequences, min_size=1, max_size=7)
+value_lists = st.lists(
+    st.floats(-50, 50, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=10,
+)
+
+
+@st.composite
+def pair_problems(draw, items=item_lists):
+    """``(items_a, items_b, pairs)`` with arbitrary, possibly repeated pairs."""
+    items_a = draw(items)
+    items_b = draw(items)
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(items_a) - 1), st.integers(0, len(items_b) - 1)
+            ),
+            max_size=30,
+        )
+    )
+    return items_a, items_b, pairs
+
+
+def serial_levenshtein(items_a, items_b, pairs):
+    return [levenshtein_distance(items_a[i], items_b[j]) for i, j in pairs]
+
+
+def serial_matrix(items, distance, symmetric=True):
+    n = len(items)
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j or (symmetric and j < i):
+                continue
+            matrix[i, j] = float(distance(items[i], items[j]))
+            if symmetric:
+                matrix[j, i] = matrix[i, j]
+    return matrix
+
+
+def syscall_items(rng, n, min_len=0, max_len=40):
+    names = ["read", "write", "poll", "futex", "mmap", "send"]
+    return [
+        [names[k] for k in rng.integers(0, len(names), size=length)]
+        for length in rng.integers(min_len, max_len + 1, size=n)
+    ]
+
+
+class RecordingLevenshtein:
+    """Levenshtein that records every pair its ``pairwise`` receives."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, a, b):
+        return levenshtein_distance(a, b)
+
+    def pairwise(self, items_a, items_b, pairs):
+        self.seen.extend(pairs)
+        return levenshtein_pairwise(items_a, items_b, pairs)
+
+
+class TestLevenshteinPairwise:
+    @given(pair_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_pair_calls(self, problem):
+        items_a, items_b, pairs = problem
+        got = levenshtein_pairwise(items_a, items_b, pairs)
+        assert got.tolist() == serial_levenshtein(items_a, items_b, pairs)
+
+    @given(pair_problems(), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_block_size_does_not_change_values(self, problem, block):
+        items_a, items_b, pairs = problem
+        with mock.patch.object(distances, "LEVENSHTEIN_BLOCK", block):
+            got = levenshtein_pairwise(items_a, items_b, pairs)
+        assert got.tolist() == serial_levenshtein(items_a, items_b, pairs)
+
+    @given(item_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_same_items_both_sides(self, items):
+        pairs = [(i, j) for i in range(len(items)) for j in range(len(items))]
+        got = levenshtein_pairwise(items, items, pairs)
+        assert got.tolist() == serial_levenshtein(items, items, pairs)
+
+    def test_crosses_the_default_block_boundary(self):
+        rng = np.random.default_rng(4)
+        items = syscall_items(rng, 72, max_len=12)
+        pairs = [(i, j) for i in range(72) for j in range(72) if i != j]
+        assert len(pairs) > distances.LEVENSHTEIN_BLOCK
+        pairs = pairs[::-1]  # unsorted by first operand
+        got = levenshtein_pairwise(items, items, pairs)
+        assert got.tolist() == serial_levenshtein(items, items, pairs)
+
+    def test_empty_operands_and_pair_list(self):
+        items = [[], ["read"], ["read", "write", 1]]
+        pairs = [(0, 0), (0, 2), (2, 0), (1, 0), (1, 2)]
+        assert levenshtein_pairwise(items, items, pairs).tolist() == [0, 3, 3, 1, 2]
+        assert levenshtein_pairwise(items, items, []).size == 0
+
+    def test_mixed_str_and_int_tokens_stay_distinct(self):
+        assert levenshtein_pairwise([["1", 1]], [[1, "1"]], [(0, 0)]).tolist() == [2]
+
+    def test_is_the_distance_callables_pairwise(self):
+        assert levenshtein_distance.pairwise is levenshtein_pairwise
+
+
+class TestPenaltyDtwPairwise:
+    @given(
+        st.lists(value_lists, min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20),
+        st.floats(0.0, 5.0, allow_nan=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_pair_dtw(self, items, raw_pairs, p):
+        pairs = [(i % len(items), j % len(items)) for i, j in raw_pairs]
+        got = PenaltyDtw(p).pairwise(items, items, pairs)
+        assert got == [dtw_distance(items[i], items[j], p) for i, j in pairs]
+
+    def test_one_batched_dp_per_first_index(self):
+        rng = np.random.default_rng(6)
+        items = [rng.normal(size=int(rng.integers(3, 15))) for _ in range(6)]
+        pairs = [(2, 0), (0, 1), (2, 5), (0, 3), (4, 4)]
+        kernel = PenaltyDtw(0.5)
+        original = PenaltyDtw.one_to_many
+        with mock.patch.object(
+            PenaltyDtw, "one_to_many", autospec=True, side_effect=original
+        ) as spy:
+            got = kernel.pairwise(items, items, pairs)
+        assert spy.call_count == 3
+        assert got == [dtw_distance(items[i], items[j], 0.5) for i, j in pairs]
+
+
+class TestEngineRouting:
+    @given(st.lists(sequences, min_size=0, max_size=9), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_equals_serial_loop(self, items, symmetric):
+        expected = serial_matrix(items, levenshtein_distance, symmetric)
+        for jobs in (1, 4):
+            got = DistanceEngine(jobs=jobs).matrix(
+                items, levenshtein_distance, symmetric=symmetric
+            )
+            assert np.array_equal(got, expected)
+
+    @given(pair_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_distances_and_one_to_many(self, problem):
+        items, others, raw_pairs = problem
+        pairs = [(i, j % len(items)) for i, j in raw_pairs]
+        for jobs in (1, 4):
+            engine = DistanceEngine(jobs=jobs)
+            got = engine.pair_distances(items, pairs, levenshtein_distance)
+            assert got.tolist() == [
+                float(d) for d in serial_levenshtein(items, items, pairs)
+            ]
+            sweep = engine.one_to_many(items[0], others, levenshtein_distance)
+            assert sweep.tolist() == [
+                float(levenshtein_distance(items[0], other)) for other in others
+            ]
+
+    def test_half_warm_cache_sends_only_missing_pairs(self):
+        rng = np.random.default_rng(8)
+        n = 14
+        items = syscall_items(rng, n)
+        expected = serial_matrix(items, levenshtein_distance)
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        warm = [pair for pair in upper if sum(pair) % 2]
+        missing = [pair for pair in upper if not sum(pair) % 2]
+        for jobs in (1, 4):
+            cache = DistanceCache()
+            DistanceEngine(cache=cache).pair_distances(
+                items, warm, levenshtein_distance, distance_key="lev",
+                symmetric=True,
+            )
+            recording = RecordingLevenshtein()
+            got = DistanceEngine(jobs=jobs, cache=cache).matrix(
+                items, recording, distance_key="lev"
+            )
+            assert np.array_equal(got, expected)
+            assert recording.seen == missing
+
+    def test_penalty_dtw_matrix_equals_per_pair_dtw(self):
+        rng = np.random.default_rng(9)
+        items = [rng.normal(2.0, 1.0, size=n) for n in rng.integers(3, 30, size=12)]
+        for jobs in (1, 4):
+            got = DistanceEngine(jobs=jobs).matrix(items, PenaltyDtw(0.4))
+            assert np.array_equal(
+                got, serial_matrix(items, lambda a, b: dtw_distance(a, b, 0.4))
+            )
+
+    def test_callables_without_pairwise_stay_per_pair(self):
+        calls = []
+
+        def distance(a, b):
+            calls.append((a, b))
+            return levenshtein_distance(a, b)
+
+        items = [["read"], ["write"], ["read", "poll"]]
+        DistanceEngine().matrix(items, distance)
+        assert len(calls) == 3
