@@ -16,9 +16,16 @@ A second, single-process workload covers figure 7's Levenshtein baseline:
 `levenshtein_distance` loop against `DistanceEngine(jobs=1)`, which
 batches every pair through `levenshtein_pairwise`.  The matrices must be
 bit-identical and the engine >= 3x faster (CPU-gated like the DTW kernel
-bench: needs >= 2 usable CPUs, otherwise reports and skips).  Run only
-that part with `pytest benchmarks/bench_distance_engine.py -k
-levenshtein`, or run the file directly for a readable report:
+bench: needs >= 2 usable CPUs, otherwise reports and skips).
+
+A third, single-process workload covers the lane-scheduled DTW kernel:
+40 CPI series with figure 7's heavy-tailed lengths (mostly tens of
+windows, a few hundreds), the per-pair `dtw_distance` loop against
+`DistanceEngine(jobs=1)` with `PenaltyDtw(p)`, which hands every pair to
+`dtw_pairwise` in one call.  The matrices must be bit-identical and the
+engine >= 2x faster (CPU-gated the same way).  Run the two
+single-process parts with `pytest benchmarks/bench_distance_engine.py -k
+"levenshtein or dtw"`, or run the file directly for a readable report:
 
     PYTHONPATH=src python benchmarks/bench_distance_engine.py
 """
@@ -34,12 +41,15 @@ import pytest
 from repro.core.distances import levenshtein_distance
 from repro.core.distengine import DistanceCache, DistanceEngine
 from repro.core.dtw import dtw_distance
+from repro.core.kernels import PenaltyDtw
 
 N_REQUESTS = 150
 PENALTY = 0.4
 JOBS = 4
 N_SYSCALL_SEQUENCES = 60
 LEVENSHTEIN_MIN_SPEEDUP = 3.0
+N_HEAVY_SERIES = 40
+DTW_MIN_SPEEDUP = 2.0
 
 
 def usable_cpus() -> int:
@@ -60,6 +70,20 @@ def fig7_style_series(n: int = N_REQUESTS, seed: int = 7):
         base = baselines[i % len(baselines)]
         walk = np.cumsum(rng.normal(0.0, 0.08, size=length))
         series.append(base + walk + rng.normal(0.0, 0.15, size=length))
+    return series
+
+
+def heavy_tailed_series(n: int = N_HEAVY_SERIES, seed: int = 7):
+    """CPI series with figure 7's heavy-tailed lengths: most requests run
+    tens of windows, a few run hundreds (webserver's large files, tpcc's
+    long transactions), so one long series widens many pairs."""
+    rng = np.random.default_rng(seed)
+    baselines = (1.6, 2.4, 3.1)
+    series = []
+    for i in range(n):
+        length = int(min(600, 8 + rng.pareto(1.3) * 30))
+        walk = np.cumsum(rng.normal(0.0, 0.08, size=length))
+        series.append(baselines[i % 3] + walk + rng.normal(0.0, 0.15, size=length))
     return series
 
 
@@ -152,6 +176,22 @@ def run_levenshtein_benchmark():
     }
 
 
+def run_dtw_benchmark():
+    items = heavy_tailed_series()
+    reference, t_serial = timed(lambda: serial_matrix(items, distance))
+    batched, t_batched = timed(
+        lambda: DistanceEngine(jobs=1).matrix(items, PenaltyDtw(PENALTY))
+    )
+    return {
+        "reference": reference,
+        "batched": batched,
+        "t_serial": t_serial,
+        "t_batched": t_batched,
+        "n_pairs": len(items) * (len(items) - 1) // 2,
+        "lengths": [len(s) for s in items],
+    }
+
+
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
     path = tmp_path_factory.mktemp("distcache") / "distances.json"
@@ -209,6 +249,30 @@ class TestLevenshteinEngineBench:
         )
 
 
+@pytest.fixture(scope="module")
+def dtw_report():
+    return run_dtw_benchmark()
+
+
+class TestDtwEngineBench:
+    def test_dtw_batched_bit_identical(self, dtw_report):
+        r = dtw_report
+        assert np.array_equal(r["batched"], r["reference"])
+
+    def test_dtw_batched_speedup(self, dtw_report):
+        r = dtw_report
+        speedup = r["t_serial"] / r["t_batched"]
+        if usable_cpus() < 2:
+            pytest.skip(
+                f"only {usable_cpus()} usable CPU(s); measured speedup "
+                f"{speedup:.2f}x (assertion needs >= 2 CPUs)"
+            )
+        assert speedup >= DTW_MIN_SPEEDUP, (
+            f"lane-scheduled dtw speedup {speedup:.2f}x below "
+            f"{DTW_MIN_SPEEDUP:.0f}x"
+        )
+
+
 def main() -> None:
     import tempfile
 
@@ -247,6 +311,23 @@ def main() -> None:
     print(
         "  matrices bit-identical: "
         f"{np.array_equal(lev['batched'], lev['reference'])}"
+    )
+
+    dtw = run_dtw_benchmark()
+    lengths = dtw["lengths"]
+    print(
+        f"heavy-tailed dtw matrix: {N_HEAVY_SERIES} CPI series of "
+        f"{min(lengths)}-{max(lengths)} windows (median "
+        f"{int(np.median(lengths))}), {dtw['n_pairs']} pairs, p={PENALTY}"
+    )
+    print(f"  per-pair loop        {dtw['t_serial']:8.2f} s")
+    print(
+        f"  engine (batched)     {dtw['t_batched']:8.2f} s "
+        f"({dtw['t_serial'] / dtw['t_batched']:.2f}x vs per-pair)"
+    )
+    print(
+        "  matrices bit-identical: "
+        f"{np.array_equal(dtw['batched'], dtw['reference'])}"
     )
 
 

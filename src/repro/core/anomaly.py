@@ -71,9 +71,9 @@ def detect_by_centroid_distance(
     ``sequences``; for every sufficiently large group the members with the
     highest distance to the group centroid are flagged, with the centroid
     as the reference.  The per-group matrices go through the distance
-    ``engine``, which runs batchable measures
-    (:class:`~repro.core.kernels.PenaltyDtw`) through the vectorized
-    one-vs-many kernel instead of per-pair Python calls.
+    ``engine``, which hands a batchable measure
+    (:class:`~repro.core.kernels.PenaltyDtw`) all of a group's pairs in
+    one ``pairwise`` call instead of per-pair Python calls.
     """
     if engine is None:
         engine = get_default_engine()

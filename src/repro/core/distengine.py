@@ -23,9 +23,9 @@ chunked parallel execution performs exactly the same arithmetic as the
 serial loop and the assembled matrix is bit-identical to it (given a
 deterministic distance callable).  There is no cross-pair reduction whose
 order could differ.  The batched path is likewise bit-identical: the
-batched DTW performs exactly the serial DP's elementwise operations per
-bank row (see :mod:`repro.core.kernels`), and batched Levenshtein is
-integer arithmetic.
+lane-scheduled DTW performs exactly the serial DP's elementwise
+operations per pair (see :func:`repro.core.kernels.dtw_pairwise`), and
+batched Levenshtein is integer arithmetic.
 
 Parallel execution uses the ``fork`` start method so non-picklable
 distance callables (the experiments use parameter-capturing lambdas) and

@@ -87,8 +87,8 @@ def classification_quality(
     cpu_times = np.array([t.cpu_time_us() for t in traces])
     peak_cpis = np.array(
         [
-            weighted_percentile(t.period_values("cpi")[0], 90, t.period_values("cpi")[1])
-            for t in traces
+            weighted_percentile(values, 90, weights)
+            for values, weights in (t.period_values("cpi") for t in traces)
         ]
     )
 
@@ -152,7 +152,6 @@ def run(
             for measure in MEASURES:
                 row[measure] = 100.0 * quality[measure][prop]
             result.panels[f"property: {prop}"].append(row)
-            best = min(MEASURES, key=lambda m: row[m])
             total += 1
             if row["dtw_penalty"] <= min(row["l1"], row["levenshtein"]) + 1e-9:
                 wins += 1

@@ -8,8 +8,10 @@ exactly —
 * :func:`repro.core.distances.levenshtein_pairwise` against
   :func:`~repro.core.distances.levenshtein_distance`, over arbitrary pair
   lists (non-triangular, repeated, unsorted, across block boundaries);
-* :meth:`repro.core.kernels.PenaltyDtw.pairwise` against
-  :func:`repro.core.dtw.dtw_distance`;
+* :func:`repro.core.kernels.dtw_pairwise` (which
+  :meth:`~repro.core.kernels.PenaltyDtw.pairwise` delegates to) against
+  :func:`repro.core.dtw.dtw_distance`, over arbitrary pair lists with
+  heavy-tailed lengths, for any number of lanes;
 * the engine's ``matrix`` / ``pair_distances`` / ``one_to_many`` with
   these measures against the serial loop, for any ``jobs`` and with a
   half-warm cache, where only the missing pairs reach the kernel.
@@ -18,14 +20,15 @@ exactly —
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import distances
+from repro.core import distances, kernels
 from repro.core.distances import levenshtein_distance, levenshtein_pairwise
 from repro.core.distengine import DistanceCache, DistanceEngine
 from repro.core.dtw import dtw_distance
-from repro.core.kernels import PenaltyDtw
+from repro.core.kernels import PenaltyDtw, dtw_pairwise
 
 tokens = st.one_of(
     st.sampled_from(["read", "write", "poll", "futex"]), st.integers(0, 3)
@@ -53,6 +56,40 @@ def pair_problems(draw, items=item_lists):
         )
     )
     return items_a, items_b, pairs
+
+
+#: Series lengths with a heavy tail: mostly short, length 1 often, and
+#: now and then one long enough to widen every lane it shares a step with.
+series_lengths = st.one_of(st.just(1), st.integers(1, 6), st.integers(20, 70))
+
+
+@st.composite
+def dtw_problems(draw):
+    """``(items_a, items_b, pairs, p)``: arbitrary, possibly repeated pairs
+    over heavy-tailed series; ``items_b`` is sometimes ``items_a``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def series():
+        count = draw(st.integers(1, 6))
+        return [rng.normal(2.0, 1.0, draw(series_lengths)) for _ in range(count)]
+
+    items_a = series()
+    items_b = items_a if draw(st.booleans()) else series()
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(items_a) - 1), st.integers(0, len(items_b) - 1)
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    p = draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0)))
+    return items_a, items_b, pairs, p
+
+
+def serial_dtw(items_a, items_b, pairs, p):
+    return [dtw_distance(items_a[i], items_b[j], p) for i, j in pairs]
 
 
 def serial_levenshtein(items_a, items_b, pairs):
@@ -139,6 +176,49 @@ class TestLevenshteinPairwise:
         assert levenshtein_distance.pairwise is levenshtein_pairwise
 
 
+class TestDtwPairwise:
+    @given(dtw_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_pair_dtw(self, problem):
+        items_a, items_b, pairs, p = problem
+        assert dtw_pairwise(items_a, items_b, pairs, p) == serial_dtw(
+            items_a, items_b, pairs, p
+        )
+
+    @given(dtw_problems(), st.sampled_from([1, 2]))
+    @settings(max_examples=100, deadline=None)
+    def test_one_or_two_lanes(self, problem, lanes):
+        items_a, items_b, pairs, p = problem
+        widest = max(len(items_b[j]) for _, j in pairs)
+        with mock.patch.object(kernels, "LANE_CELLS", lanes * widest):
+            got = dtw_pairwise(items_a, items_b, pairs, p)
+        assert got == serial_dtw(items_a, items_b, pairs, p)
+
+    def test_heavy_tailed_matrix_pairs(self):
+        # One long outlier among short series: lanes narrow as it finishes.
+        rng = np.random.default_rng(12)
+        lengths = [1, 90, 2, 3, 40, 5, 8, 13, 1, 21, 34, 6, 7, 9, 60, 4]
+        items = [rng.normal(2.0, 1.0, n) for n in lengths]
+        upper = [(i, j) for i in range(len(items)) for j in range(i + 1, len(items))]
+        pairs = upper + [(j, i) for i, j in upper[::3]]
+        for p in (0.0, 0.35):
+            got = dtw_pairwise(items, items, pairs, p)
+            assert got == serial_dtw(items, items, pairs, p)
+
+    def test_empty_pair_list(self):
+        assert dtw_pairwise([[1.0]], [[2.0]], [], 0.5) == []
+
+    def test_empty_operand_rejected(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            dtw_pairwise([[1.0, 2.0], []], [[1.0]], [(0, 0), (1, 0)], 0.5)
+        with pytest.raises(ValueError, match="empty sequence"):
+            dtw_pairwise([[1.0]], [np.array([])], [(0, 0)], 0.0)
+
+    def test_negative_penalty_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            dtw_pairwise([[1.0]], [[2.0]], [(0, 0)], -0.1)
+
+
 class TestPenaltyDtwPairwise:
     @given(
         st.lists(value_lists, min_size=1, max_size=6),
@@ -150,19 +230,6 @@ class TestPenaltyDtwPairwise:
         pairs = [(i % len(items), j % len(items)) for i, j in raw_pairs]
         got = PenaltyDtw(p).pairwise(items, items, pairs)
         assert got == [dtw_distance(items[i], items[j], p) for i, j in pairs]
-
-    def test_one_batched_dp_per_first_index(self):
-        rng = np.random.default_rng(6)
-        items = [rng.normal(size=int(rng.integers(3, 15))) for _ in range(6)]
-        pairs = [(2, 0), (0, 1), (2, 5), (0, 3), (4, 4)]
-        kernel = PenaltyDtw(0.5)
-        original = PenaltyDtw.one_to_many
-        with mock.patch.object(
-            PenaltyDtw, "one_to_many", autospec=True, side_effect=original
-        ) as spy:
-            got = kernel.pairwise(items, items, pairs)
-        assert spy.call_count == 3
-        assert got == [dtw_distance(items[i], items[j], 0.5) for i, j in pairs]
 
 
 class TestEngineRouting:
