@@ -49,13 +49,40 @@ class PhaseBehavior:
         )
 
 
-@dataclass(frozen=True)
 class EffectiveRates:
-    """Contention-adjusted execution rates for one core's current phase."""
+    """Contention-adjusted execution rates for one core's current phase.
 
-    cpi: float
-    l2_refs_per_ins: float
-    l2_miss_ratio: float
+    Hand-written rather than a frozen dataclass: the simulator allocates
+    one per busy core at every phase change, where the frozen-dataclass
+    ``object.__setattr__`` init is measurable.  Value semantics (equality,
+    hashing, repr) match the previous dataclass exactly; treat instances
+    as immutable.
+    """
+
+    __slots__ = ("cpi", "l2_refs_per_ins", "l2_miss_ratio")
+
+    def __init__(self, cpi: float, l2_refs_per_ins: float, l2_miss_ratio: float):
+        self.cpi = cpi
+        self.l2_refs_per_ins = l2_refs_per_ins
+        self.l2_miss_ratio = l2_miss_ratio
+
+    def _fields(self) -> tuple:
+        return (self.cpi, self.l2_refs_per_ins, self.l2_miss_ratio)
+
+    def __repr__(self) -> str:
+        return (
+            f"EffectiveRates(cpi={self.cpi!r}, "
+            f"l2_refs_per_ins={self.l2_refs_per_ins!r}, "
+            f"l2_miss_ratio={self.l2_miss_ratio!r})"
+        )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def counters_for_instructions(self, instructions: float) -> CounterSnapshot:
         refs = instructions * self.l2_refs_per_ins

@@ -30,11 +30,15 @@ bit for bit.  The restructurings:
   batches is impossible under byte-identity (every event must advance
   every busy core at its own timestamp, in order), so the batching is
   control-flow elision, not arithmetic fusion — see ``docs/perf.md``.
-* **memoized pure kernels** — contention rate sets
-  (:func:`~repro.hardware.cpu.compute_effective_rates`) and sampling cost
-  snapshots are pure functions of hashable inputs; both are memoized per
-  run with bounded caches.  Timer resets and RNG draws still run on every
-  recompute — only the *values* are cached, never the side effects.
+* **per-core contention solve** — each core keeps the behavior its cache
+  pressure and solo CPI were computed for, and the (behavior,
+  co-pressure) pair its miss ratio, reference rate and bus traffic were
+  computed for, and recomputes them only when that identity or value
+  changes.  Bus totals, penalties and CPIs are rebuilt on every solve in
+  ascending core order, exactly as
+  :func:`~repro.hardware.cpu.compute_effective_rates` does, and sampling
+  cost snapshots are memoized per run.  Timer resets and RNG draws still
+  run on every recompute — only *values* are reused, never side effects.
 
 ``REPRO_SIM_FASTPATH=0`` in the environment routes plain
 ``ServerSimulator(...)`` constructions back to the reference loop;
@@ -74,11 +78,9 @@ _ROW_RESCHED = 2
 _ROW_INTERRUPT = 3
 _ROW_RATECALL = 4
 
-#: Bounded memo sizes (cleared on overflow, never evicted piecemeal).
+#: Bounded sample-cost memo size (cleared on overflow, never evicted
+#: piecemeal).
 _MEMO_CAP = 4096
-#: Distinct whole-run rate keys tolerated with zero hits before the
-#: rates memo concludes behavior sets never recur and turns itself off.
-_RATES_MEMO_PROBATION = 256
 
 
 def fastpath_enabled() -> bool:
@@ -99,7 +101,11 @@ class _FastCoreRun(_CoreRun):
     base-class handlers (and tests that poke ``sim.cores[i].phase_end``)
     stay transparently in sync with the vectorized ``_next_event``.
     Period and total counters accumulate as plain floats; the
-    ``period_counters`` property materializes a snapshot on demand.
+    ``period_counters`` property materializes a snapshot on demand.  The
+    contention-solve slots cache this core's share of
+    :func:`~repro.hardware.cpu.compute_effective_rates`, keyed by the
+    behavior (and co-pressure) they were computed for; holding the
+    behavior keeps its identity from being recycled.
     """
 
     __slots__ = (
@@ -118,13 +124,40 @@ class _FastCoreRun(_CoreRun):
         "adv",
         "busy",
         "rx",
+        "l2_peers",
+        "bus_domain",
+        "behavior",
+        "pressure",
+        "solo_cpi",
+        "contended",
+        "co_pressure",
+        "miss_ratio",
+        "ref_rate",
+        "traffic",
     )
 
-    def __init__(self, core_id: int, deadlines: np.ndarray):
+    def __init__(
+        self, core_id: int, deadlines: np.ndarray, l2_peers: tuple, bus_domain: int
+    ):
         # The calendar column must exist before _CoreRun.__init__ assigns
         # the timer attributes (those writes go through the properties).
         self.cid = core_id
         self._dl = deadlines
+        # Peers by id, not by core object: core <-> core references would
+        # form cycles that outlive the run.
+        self.l2_peers = l2_peers
+        self.bus_domain = bus_domain
+        # Contention-solve cache: pressure and solo CPI are valid for
+        # ``behavior``; miss ratio, reference rate and bus traffic for
+        # (``contended``, ``co_pressure``).
+        self.behavior = None
+        self.pressure = 0.0
+        self.solo_cpi = 0.0
+        self.contended = None
+        self.co_pressure = None
+        self.miss_ratio = 0.0
+        self.ref_rate = 0.0
+        self.traffic = 0.0
         self.periods_sink = None
         # Current stage's phase tuple, set at _switch_in and cleared with
         # the core: replaces the request.stages[i].phases[j] chain on the
@@ -223,32 +256,14 @@ class FastpathSimulator(ServerSimulator):
 
     def __init__(self, workload, config):
         super().__init__(workload, config)
-        ncores = self.machine.num_cores
-        deadlines = np.full((5, ncores), _INF)
-        self._dl = deadlines
-        self._dl_flat = deadlines.reshape(-1)
-        self._ncores = ncores
-        self.cores = [_FastCoreRun(i, deadlines) for i in range(ncores)]
-        self._rates_memo = {}
-        # Whole-key rate memoization only pays when behavior sets recur
-        # (mbench's constant behaviors).  Jittered server phases make
-        # every key unique, so the per-event key build, probe, store, and
-        # periodic clears are pure overhead there: workloads declare that
-        # via ``jittered_behaviors``, and unlabeled workloads fall back
-        # to a runtime probation (_RATES_MEMO_PROBATION distinct keys
-        # with zero hits turns the memo off for good).  Purely a caching
-        # decision: rates are recomputed identically either way.
-        self._rates_memo_enabled = not getattr(
-            workload, "jittered_behaviors", False
-        )
-        self._rates_memo_hits = 0
-        self._pressure_memo = {}
-        self._contention_memo = {}
+        self._ncores = self.machine.num_cores
+        self._phase_row = self._dl[_ROW_PHASE]
         self._cost_memo_ik = {}
         self._cost_memo_int = {}
         self._miss_penalty = self.machine.l2_miss_penalty_cycles
-        self._l2_peers = [self.machine.l2_peers_of(i) for i in range(ncores)]
-        self._bus_domains = [self.machine.bus_domain_of(i) for i in range(ncores)]
+        # Per-domain bus totals, reset in place by every solve.
+        self._bus_zeros = [0.0] * self.machine.num_machines
+        self._bus_totals = list(self._bus_zeros)
         bus = self.config.bus
         self._bus_gamma = bus.contention_gamma
         self._bus_beta = bus.contention_beta
@@ -270,6 +285,20 @@ class FastpathSimulator(ServerSimulator):
             self._sampler_delay = self._backup_cycles
         else:
             self._sampler_delay = None
+
+    def _make_cores(self, num_cores: int) -> list:
+        # Runs inside ServerSimulator.__init__: the calendar must exist
+        # before the cores whose timer properties write through to it.
+        deadlines = np.full((5, num_cores), _INF)
+        self._dl = deadlines
+        self._dl_flat = deadlines.reshape(-1)
+        machine = self.machine
+        return [
+            _FastCoreRun(
+                i, deadlines, machine.l2_peers_of(i), machine.bus_domain_of(i)
+            )
+            for i in range(num_cores)
+        ]
 
     # ----------------------------------------------------------- event loop
 
@@ -748,159 +777,103 @@ class FastpathSimulator(ServerSimulator):
     # --------------------------------------------------------------- rates
 
     def _recompute_rates(self) -> None:
-        behaviors = {}
-        for core in self.cores:
+        """Per-core transcription of
+        :func:`~repro.hardware.cpu.compute_effective_rates`.
+
+        Bit-identical by construction: each cached value is the model
+        call the reference makes, with the same arguments, and is reused
+        only while those arguments are unchanged (the same behavior
+        object, an equal co-pressure), which in practice leaves just the
+        core that changed phase and its L2 peer to recompute.  Peer
+        pressures sum from int ``0`` in ``l2_peers_of`` order, and bus
+        totals, penalties and CPIs are rebuilt on every call in ascending
+        core order — the reference's accumulation order.  Timer updates
+        (and their RNG draws) follow in the same core order.
+        """
+        cores = self.cores
+        for core in cores:
             task = core.task
             if task is not None:
-                behaviors[core.cid] = core.phases[task.phase_index].behavior
-        # Cores iterate in id order, so the (cid, id(behavior)) tuple is a
-        # canonical key with a cheap int hash.  The memo value pins the
-        # behavior objects, so an id in a live key can never be recycled
-        # to a different behavior.  Only the pure rate values are memoized
-        # — the per-core timer updates below (and their RNG draws) run on
-        # every recompute, exactly as in the reference.
-        if self._rates_memo_enabled:
-            key = tuple((cid, id(b)) for cid, b in behaviors.items())
-            entry = self._rates_memo.get(key)
-            if entry is None:
-                rates = self._compute_rates(behaviors)
-                memo = self._rates_memo
-                if len(memo) >= _RATES_MEMO_PROBATION and not self._rates_memo_hits:
-                    # Hundreds of distinct keys and not one reuse: this
-                    # run's behavior sets never recur (jittered server
-                    # phases make them unique).  Stop keying for good.
-                    self._rates_memo_enabled = False
-                    memo.clear()
-                elif len(memo) >= _MEMO_CAP:
-                    memo.clear()
-                else:
-                    memo[key] = (tuple(behaviors.values()), rates)
-            else:
-                self._rates_memo_hits += 1
-                rates = entry[1]
-        else:
-            rates = self._compute_rates(behaviors)
-        dl = self._dl
-        wants_syscall = self._wants_syscall
-        for core in self.cores:
-            r = rates[core.cid]
-            if r is not None:
-                core.state.rates = r
-                core.rx = r
-                # --- inlined _update_core_timers (task/rates non-None:
-                # r came from this core's current behavior) ---
-                task = core.task
-                phase = core.phases[task.phase_index]
-                remaining = max(
-                    0.0, phase.instructions - task.instructions_done_in_phase
-                )
-                dl[_ROW_PHASE, core.cid] = core.adv + remaining * r.cpi
-                if wants_syscall:
-                    self._reset_ratecall(core)
-            elif core.task is None:
-                core.state.rates = None
-                core.rx = None
-
-    def _compute_rates(self, behaviors):
-        """Inlined :func:`~repro.hardware.cpu.compute_effective_rates`.
-
-        Bit-identical by construction: every accumulation (peer-pressure
-        sums, per-domain bus totals) runs in the reference's exact order
-        with the reference's exact start values, and the cache/bus model
-        methods are invoked with the same arguments — just behind
-        per-behavior and per-(behavior, co-pressure) memos, which is
-        sound because the models are frozen and the functions pure.
-        """
-        cache = self.config.cache
-        bus = self.config.bus
-        penalty_base = self._miss_penalty
-        pressure_memo = self._pressure_memo
-        contention_memo = self._contention_memo
-
-        # The inner memos key on id(behavior): PhaseBehavior's frozen-
-        # dataclass __hash__ recomputes a field-tuple hash on every lookup,
-        # and these dicts are probed several times per event.  id keys are
-        # sound because the pressure memo holds a strong reference to each
-        # behavior it has seen (so its id cannot be recycled while an entry
-        # exists), and the contention memo — whose keys borrow those ids —
-        # is cleared whenever the pressure memo is.
-        # cid-indexed lists (None/0.0 for idle cores): iteration below is
-        # always in ascending cid order — the reference's core order — so
-        # every float accumulation is performed in the identical sequence,
-        # and list indexing replaces per-event dict churn.
-        ncores = self._ncores
-        pressures = [None] * ncores
-        solo_cpis = [0.0] * ncores
-        for cid, behavior in behaviors.items():
-            bid = id(behavior)
-            entry = pressure_memo.get(bid)
-            if entry is None:
-                entry = (
-                    behavior,
-                    phase_pressure(
+                behavior = core.phases[task.phase_index].behavior
+                if behavior is not core.behavior:
+                    core.behavior = behavior
+                    core.pressure = phase_pressure(
                         behavior.l2_refs_per_ins,
                         behavior.base_cpi,
                         behavior.cache_footprint,
-                    ),
-                    behavior.solo_cpi(penalty_base),
-                )
-                if len(pressure_memo) >= _MEMO_CAP:
-                    pressure_memo.clear()
-                    contention_memo.clear()
-                pressure_memo[bid] = entry
-            pressures[cid] = entry[1]
-            solo_cpis[cid] = entry[2]
+                    )
+                    core.solo_cpi = behavior.solo_cpi(self._miss_penalty)
 
-        contention = [None] * ncores
-        bus_totals = {}
-        for cid, behavior in behaviors.items():
-            # sum() over the peer generator starts from int 0 and adds in
-            # l2_peers_of order; replicate both exactly.
+        cache = self.config.cache
+        totals = self._bus_totals
+        totals[:] = self._bus_zeros
+        for core in cores:
+            if core.task is None:
+                continue
             co_pressure = 0
-            for peer in self._l2_peers[cid]:
-                peer_pressure = pressures[peer]
-                if peer_pressure is not None:
-                    co_pressure = co_pressure + peer_pressure
-            ckey = (id(behavior), co_pressure)
-            entry = contention_memo.get(ckey)
-            if entry is None:
+            for peer in core.l2_peers:
+                peer_core = cores[peer]
+                if peer_core.task is not None:
+                    co_pressure = co_pressure + peer_core.pressure
+            behavior = core.behavior
+            if behavior is not core.contended or co_pressure != core.co_pressure:
                 miss_ratio = cache.effective_miss_ratio(
                     behavior.l2_miss_ratio, behavior.cache_footprint, co_pressure
                 )
                 ref_rate = cache.effective_ref_rate(
                     behavior.l2_refs_per_ins, co_pressure
                 )
-                entry = (
-                    miss_ratio,
-                    ref_rate,
-                    bus.miss_traffic(ref_rate, miss_ratio, solo_cpis[cid]),
+                core.miss_ratio = miss_ratio
+                core.ref_rate = ref_rate
+                core.traffic = self.config.bus.miss_traffic(
+                    ref_rate, miss_ratio, core.solo_cpi
                 )
-                if len(contention_memo) >= _MEMO_CAP:
-                    contention_memo.clear()
-                contention_memo[ckey] = entry
-            contention[cid] = entry
-            domain = self._bus_domains[cid]
-            bus_totals[domain] = bus_totals.get(domain, 0.0) + entry[2]
+                core.contended = behavior
+                core.co_pressure = co_pressure
+            domain = core.bus_domain
+            totals[domain] = totals[domain] + core.traffic
 
+        penalty_base = self._miss_penalty
         gamma = self._bus_gamma
         beta = self._bus_beta
         occ_clamp = self._bus_occ_clamp
-        rates = [None] * ncores
-        for cid, behavior in behaviors.items():
-            miss_ratio, ref_rate, traffic = contention[cid]
-            others = bus_totals[self._bus_domains[cid]] - traffic
-            # Inlined MemoryBusModel.effective_miss_penalty, op for op.
-            occupancy = max(0.0, others)
-            occupancy = min(occupancy, occ_clamp)
+        phase_row = self._phase_row
+        wants_syscall = self._wants_syscall
+        for core in cores:
+            task = core.task
+            if task is None:
+                core.state.rates = None
+                core.rx = None
+                continue
+            # Inlined MemoryBusModel.effective_miss_penalty, op for op;
+            # the conditionals pick exactly what max(0.0, x) and
+            # min(x, clamp) return, NaN included.
+            occupancy = totals[core.bus_domain] - core.traffic
+            occupancy = occupancy if occupancy > 0.0 else 0.0
+            if occ_clamp < occupancy:
+                occupancy = occ_clamp
             penalty = penalty_base * (
                 1.0 + gamma * occupancy + beta * occupancy**2
             )
-            rates[cid] = EffectiveRates(
-                cpi=behavior.base_cpi + penalty * ref_rate * miss_ratio,
-                l2_refs_per_ins=ref_rate,
-                l2_miss_ratio=miss_ratio,
+            ref_rate = core.ref_rate
+            miss_ratio = core.miss_ratio
+            rates = EffectiveRates(
+                core.behavior.base_cpi + penalty * ref_rate * miss_ratio,
+                ref_rate,
+                miss_ratio,
             )
-        return rates
+            core.state.rates = rates
+            core.rx = rates
+            # --- inlined _update_core_timers ---
+            remaining = (
+                core.phases[task.phase_index].instructions
+                - task.instructions_done_in_phase
+            )
+            if not remaining > 0.0:
+                remaining = 0.0  # == max(0.0, remaining), NaN included
+            phase_row[core.cid] = core.adv + remaining * rates.cpi
+            if wants_syscall:
+                self._reset_ratecall(core)
 
     def _update_core_timers(self, core) -> None:
         task = core.task

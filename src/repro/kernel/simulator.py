@@ -205,25 +205,31 @@ class _CoreRun:
 
 
 class _DispatchView:
-    """Read-only queue-state window for dispatch policies."""
+    """Read-only queue-state window for dispatch policies.
 
-    __slots__ = ("_sim",)
+    The view holds the simulator's core and runqueue lists, not the
+    simulator: a back-reference would close a simulator -> view ->
+    simulator cycle, and a finished run (its traces, specs, stages and
+    phases) would then stay alive until a full cyclic-GC pass instead of
+    being freed by refcount when the last reference drops.
+    """
 
-    def __init__(self, sim: "ServerSimulator"):
-        self._sim = sim
+    __slots__ = ("_cores", "_runqueues")
+
+    def __init__(self, cores: list, runqueues: list):
+        self._cores = cores
+        self._runqueues = runqueues
 
     def queue_depth(self, core_id: int) -> int:
-        sim = self._sim
-        running = 1 if sim.cores[core_id].task is not None else 0
-        return len(sim.runqueues[core_id]) + running
+        running = 1 if self._cores[core_id].task is not None else 0
+        return len(self._runqueues[core_id]) + running
 
     def outstanding_work(self, core_id: int) -> float:
-        sim = self._sim
         total = 0.0
-        task = sim.cores[core_id].task
+        task = self._cores[core_id].task
         if task is not None:
             total += task.remaining_in_stage
-        for queued in sim.runqueues[core_id]:
+        for queued in self._runqueues[core_id]:
             total += queued.remaining_in_stage
         return total
 
@@ -278,7 +284,7 @@ class ServerSimulator:
         )
         self.stats = SamplerStats()
         self.now = 0.0
-        self.cores = [_CoreRun(i) for i in range(self.machine.num_cores)]
+        self.cores = self._make_cores(self.machine.num_cores)
         self.runqueues: List[List[Task]] = [[] for _ in self.cores]
         self.traces: list = []
         self._admitted = 0
@@ -305,7 +311,7 @@ class ServerSimulator:
             traffic.dispatch if traffic else RoundRobinDispatchPolicy()
         )
         self.dispatch_policy.reset(config.seed)
-        self._dispatch_view = _DispatchView(self)
+        self._dispatch_view = _DispatchView(self.cores, self.runqueues)
         self.latency = (
             LatencyStore(self.machine.frequency_ghz) if traffic else None
         )
@@ -349,6 +355,10 @@ class ServerSimulator:
         #: tenant-targeted clauses can see it before sampling.
         self._fault_drain = getattr(workload, "drain_fault_events", None)
         self._fault_note_tenant = getattr(workload, "note_tenant", None)
+
+    def _make_cores(self, num_cores: int) -> list:
+        """Per-core runtime state, built once: the dispatch view holds it."""
+        return [_CoreRun(i) for i in range(num_cores)]
 
     # ------------------------------------------------------------------ API
 

@@ -422,7 +422,12 @@ def _latency_summary(sorted_latencies: List[float]) -> Optional[dict]:
 
 
 async def _kill_after_checkpoint(pool: WorkerPool, kill: KillSpec) -> None:
-    """SIGKILL the target once it has durable checkpoints to resume from."""
+    """SIGKILL the target once it has durable checkpoints to resume from.
+
+    Returns only once the supervisor has the shard serving again: a kill
+    that lands after every instance has finished streaming would
+    otherwise let the caller's report collection race the restart.
+    """
     checkpoint_dir = pool.config.checkpoint_dir(kill.shard)
     while True:
         try:
@@ -434,7 +439,11 @@ async def _kill_after_checkpoint(pool: WorkerPool, kill: KillSpec) -> None:
         except FileNotFoundError:
             written = []
         if len(written) >= kill.after_checkpoints:
+            restarts = pool.restarts[kill.shard]
             pool.kill(kill.shard)
+            while pool.restarts[kill.shard] == restarts:
+                await asyncio.sleep(0.01)
+            await wait_for_socket(pool.config.socket_path(kill.shard))
             return
         await asyncio.sleep(0.01)
 

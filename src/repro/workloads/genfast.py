@@ -24,10 +24,11 @@ records).  Three layers:
   spec objects (:class:`FastPhase`/:class:`FastStage`/
   :class:`FastRequestSpec`) instead of re-validated frozen dataclasses.
   :class:`BehaviorInterner` guarantees value-equal behaviors share one
-  object identity, so the simulator fast path's id-keyed
-  sample-cost/pressure/contention memos hit whenever values recur
-  instead of missing on equal-but-distinct objects.  Skipping dataclass
-  validation is sound because every def's nominal values are validated
+  object identity: a recurring value costs a table probe instead of a
+  new object, and the simulator fast path's per-core contention solve,
+  which reuses a core's cached values while its behavior is the same
+  object, hits whenever a value recurs.  Skipping dataclass validation
+  is sound because every def's nominal values are validated
   through the reference constructor at template build, and the jitter
   floors (``max(0.5·nominal, ...)``) keep stamped values in the
   validated domain.
@@ -149,16 +150,19 @@ class FastRequestSpec:
 
 
 #: Interner table bound above which the table is dropped and rebuilt.
-#: Safe because the sim fast path's memos pin their own strong refs to
-#: any behavior object they key by id.
+#: Dropping only ends identity sharing with behaviors interned earlier:
+#: the sim fast path uses identity purely as a cache key (and holds the
+#: behaviors it caches against), so an equal but fresh object just
+#: recomputes the same values.
 _INTERN_CAP = 1 << 16
 
 
 class BehaviorInterner:
     """Value-keyed :class:`PhaseBehavior` interner.
 
-    ``get`` returns *the same object* for equal field values, giving the
-    sim fast path's id-keyed memos identity stability across requests.
+    ``get`` returns *the same object* for equal field values, so a
+    recurring value allocates nothing and the sim fast path's per-core
+    contention solve sees it as unchanged across requests.
     Construction bypasses the frozen-dataclass ``__init__`` (and its
     validation): templates validate nominal values at build time and the
     jitter floors guarantee stamped cpi/refs stay positive/non-negative,

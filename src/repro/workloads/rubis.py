@@ -124,9 +124,6 @@ class RubisWorkload:
     """Generator for RUBiS auction-site interactions."""
 
     name = "rubis"
-    #: Per-phase jitter makes behavior values effectively unique, so
-    #: whole-behavior-set memo keys never recur (fastpath hint).
-    jittered_behaviors = True
     sampling_period_us = 100.0
     window_instructions = 100_000
     kinds = tuple(i[0] for i in INTERACTION_MIX)

@@ -154,9 +154,6 @@ class TpccWorkload:
     """Generator for TPC-C transactions."""
 
     name = "tpcc"
-    #: Per-phase jitter makes behavior values effectively unique, so
-    #: whole-behavior-set memo keys never recur (fastpath hint).
-    jittered_behaviors = True
     sampling_period_us = 100.0
     window_instructions = 50_000
     kinds = tuple(t[0] for t in TRANSACTION_MIX)

@@ -111,9 +111,6 @@ class TpchWorkload:
     """Generator for the 17-query TPC-H subset."""
 
     name = "tpch"
-    #: Per-phase jitter makes behavior values effectively unique, so
-    #: whole-behavior-set memo keys never recur (fastpath hint).
-    jittered_behaviors = True
     sampling_period_us = 1_000.0
     window_instructions = 1_000_000
     kinds = tuple(QUERY_PLANS)

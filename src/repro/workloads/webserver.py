@@ -154,9 +154,6 @@ class WebServerWorkload:
     """
 
     name = "webserver"
-    #: Per-phase jitter makes behavior values effectively unique, so
-    #: whole-behavior-set memo keys never recur (fastpath hint).
-    jittered_behaviors = True
     sampling_period_us = 10.0
     #: Fixed-instruction resampling window for metric series.
     window_instructions = 10_000

@@ -127,9 +127,6 @@ class WeBWorKWorkload:
     """Generator for WeBWorK problem-rendering requests."""
 
     name = "webwork"
-    #: Per-phase jitter makes behavior values effectively unique, so
-    #: whole-behavior-set memo keys never recur (fastpath hint).
-    jittered_behaviors = True
     sampling_period_us = 1_000.0
     window_instructions = 2_000_000
     kinds = tuple(f"problem_{i}" for i in range(NUM_PROBLEMS))

@@ -59,6 +59,35 @@ class TestEffectiveRates:
         r = EffectiveRates(cpi=2.5, l2_refs_per_ins=0.0, l2_miss_ratio=0.0)
         assert r.instructions_for_cycles(250) == pytest.approx(100)
 
+    def test_value_semantics_match_the_former_dataclass(self):
+        """Equality, hash and repr as the frozen dataclass defined them."""
+        r = EffectiveRates(cpi=2.0, l2_refs_per_ins=0.01, l2_miss_ratio=0.5)
+        same = EffectiveRates(2.0, 0.01, 0.5)
+        assert r == same and not r != same
+        assert hash(r) == hash(same) == hash((2.0, 0.01, 0.5))
+        assert len({r, same}) == 1
+        assert r != EffectiveRates(2.0, 0.01, 0.25)
+        assert r != EffectiveRates(2.5, 0.01, 0.5)
+        # A field tuple is not an EffectiveRates, and no subclass is
+        # equal either (the dataclass compared exact classes).
+        assert r != (2.0, 0.01, 0.5)
+        assert r.__eq__((2.0, 0.01, 0.5)) is NotImplemented
+
+        class Sub(EffectiveRates):
+            __slots__ = ()
+
+        assert r != Sub(2.0, 0.01, 0.5)
+        assert repr(r) == (
+            "EffectiveRates(cpi=2.0, l2_refs_per_ins=0.01, l2_miss_ratio=0.5)"
+        )
+        assert eval(repr(r)) == r
+
+    def test_slotted(self):
+        r = EffectiveRates(cpi=2.0, l2_refs_per_ins=0.01, l2_miss_ratio=0.5)
+        assert not hasattr(r, "__dict__")
+        with pytest.raises(AttributeError):
+            r.extra = 1.0
+
 
 class TestComputeEffectiveRates:
     def test_solo_matches_solo_cpi(self):

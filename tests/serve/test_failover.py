@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+from types import SimpleNamespace
 
 from repro.serve.service import (
     KillSpec,
@@ -119,3 +120,54 @@ def test_killing_the_other_worker_is_also_clean(tmp_path):
     baseline, killed = asyncio.run(scenario())
     assert killed.stats["worker_restarts"].get("w1", 0) >= 1
     assert killed.fleet.to_json() == baseline.fleet.to_json()
+
+
+def test_kill_returns_only_once_the_shard_serves_again(tmp_path):
+    """A kill landing after every instance finished streaming must not let
+    report collection race the restart: the kill waits for the restarted
+    worker's socket before returning."""
+    from repro.serve.service import _kill_after_checkpoint
+
+    checkpoints = tmp_path / "ck"
+    checkpoints.mkdir()
+    (checkpoints / "instance-0.json").write_text("{}")
+    socket_path = str(tmp_path / "w0.sock")
+
+    class Pool:
+        config = SimpleNamespace(
+            checkpoint_dir=lambda shard: str(checkpoints),
+            socket_path=lambda shard: socket_path,
+        )
+        restarts = {"w0": 0}
+        killed = False
+
+        def kill(self, shard):
+            self.killed = True
+
+    async def scenario():
+        pool = Pool()
+        serving = []
+
+        async def supervise():
+            while not pool.killed:
+                await asyncio.sleep(0.005)
+            await asyncio.sleep(0.05)
+            pool.restarts["w0"] += 1
+            await asyncio.sleep(0.05)  # the new worker is still starting
+            server = await asyncio.start_unix_server(
+                lambda reader, writer: writer.close(), path=socket_path
+            )
+            serving.append(True)
+            return server
+
+        supervisor = asyncio.create_task(supervise())
+        await asyncio.wait_for(
+            _kill_after_checkpoint(pool, KillSpec(shard="w0")), timeout=10
+        )
+        returned_while_serving = bool(serving)
+        server = await supervisor
+        server.close()
+        await server.wait_closed()
+        return pool.killed, returned_while_serving
+
+    assert asyncio.run(scenario()) == (True, True)
