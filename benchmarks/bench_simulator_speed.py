@@ -1,25 +1,12 @@
-"""Engine microbenchmarks: the simulator fast path and the core DPs.
+"""Engine microbenchmarks: the vectorized dynamic programs.
 
-Two families, both *comparative* — every assertion is a measured ratio
-between two implementations run on the same machine in the same
-process, never an absolute wall-clock bound (absolute bounds made this
-bench flaky on slow or throttled CI runners):
-
-* **simulator fast path** — the calendar/SoA engine
-  (:class:`~repro.kernel.fastpath.FastpathSimulator`) against the
-  reference event loop on identical configurations.  The
-  loop-dominated microbenchmark workloads must show the headline
-  >= 3x speedup.  With the generation fast path
-  (:mod:`repro.workloads.genfast`) stacked on top, the *end-to-end*
-  server-workload runs (generation + simulation) must show >= 2.5x
-  against the all-reference configuration — generation used to bound
-  the server ratios (Amdahl), so the gate proves the bound is gone.
-  Output byte-identity is asserted in-bench, including open-loop
-  latency records: the fast paths are only a win if they are also
-  *exact*.
-* **dynamic programs** — the row-vectorized DTW and Levenshtein
-  kernels against straightforward pure-Python cell-loop baselines
-  computing the same recurrences.
+The row-vectorized DTW and Levenshtein kernels against straightforward
+pure-Python cell-loop baselines computing the same recurrences.  Every
+assertion is a measured ratio between two implementations run on the
+same machine in the same process, never an absolute wall-clock bound
+(absolute bounds made this bench flaky on slow or throttled CI runners).
+The simulator's own speed record is the ``sim_closed`` and ``sim_open``
+workloads of ``benchmarks/e2e``.
 
 Speedup assertions are hardware-gated (>= 2 usable CPUs); on smaller
 machines the measured ratio is reported and the assertion skips.  Run
@@ -38,44 +25,11 @@ import pytest
 
 from repro.core.distances import levenshtein_distance
 from repro.core.dtw import dtw_distance
-from repro.kernel.fastpath import FastpathSimulator, ReferenceSimulator
-from repro.kernel.sampling import SamplingPolicy
-from repro.kernel.simulator import SimConfig
-from repro.obs.trace import TraceCollector, events_to_jsonl
-from repro.traffic import PoissonArrivals, TrafficConfig
-from repro.workloads.genfast import FAST_FACTORIES
-from repro.workloads.registry import make_workload
-from repro.workloads.tpcc import TpccWorkload
-from repro.workloads.webserver import WebServerWorkload
 
-#: Headline requirement on the loop-dominated microbenchmark workloads.
-MIN_FASTPATH_SPEEDUP = 3.0
-#: End-to-end requirement (generation + simulation, both fast paths on)
-#: on the server workloads, against the all-reference configuration.
-MIN_SERVER_SPEEDUP = 2.5
 #: Vectorized DPs vs. their pure-Python cell loops (conservative: the
 #: measured gap is an order of magnitude).
 MIN_DP_SPEEDUP = 2.0
 ROUNDS = 3
-
-#: (workload, num_requests, asserted).  The mbench pair spends its time
-#: in the event loop proper — that is what the engine fast path
-#: accelerates — while the server workloads also pay per-request
-#: generation costs, covered separately by the end-to-end gate below
-#: (SERVER_CASES), which stacks the generation fast path on top.
-SIM_CASES = (
-    ("mbench_spin", 60, True),
-    ("mbench_data", 15, True),
-    ("tpcc", 40, False),
-    ("webserver", 40, False),
-)
-
-#: (workload, num_requests) for the end-to-end gate: FastpathSimulator +
-#: genfast workload vs ReferenceSimulator + reference workload.
-SERVER_CASES = (
-    ("webserver", 40),
-    ("tpcc", 40),
-)
 
 
 def usable_cpus() -> int:
@@ -94,222 +48,6 @@ def best_of(fn, rounds=ROUNDS):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return result, best
-
-
-# ----------------------------------------------------- simulator fast path
-
-
-def _sim_config(num_requests, collector=None):
-    return SimConfig(
-        sampling=SamplingPolicy.interrupt(10.0),
-        num_requests=num_requests,
-        concurrency=8,
-        seed=1,
-        collector=collector,
-    )
-
-
-def _run_sim(sim_cls, workload, num_requests, collector=None):
-    config = _sim_config(num_requests, collector=collector)
-    return sim_cls(make_workload(workload), config).run()
-
-
-def _identity_fingerprint(workload, num_requests, sim_cls):
-    collector = TraceCollector(capacity=500_000)
-    result = _run_sim(sim_cls, workload, num_requests, collector=collector)
-    traces = tuple(
-        trace.cycles.tobytes()
-        + trace.instructions.tobytes()
-        + trace.start.tobytes()
-        + trace.core.tobytes()
-        for trace in result.traces
-    )
-    return (
-        events_to_jsonl(collector.events, dropped=collector.dropped),
-        result.wall_cycles,
-        result.sampler_stats.as_dict(),
-        traces,
-    )
-
-
-def run_simulator_benchmark():
-    rows = []
-    for workload, num_requests, asserted in SIM_CASES:
-        ref_result, t_ref = best_of(
-            lambda w=workload, n=num_requests: _run_sim(ReferenceSimulator, w, n)
-        )
-        fast_result, t_fast = best_of(
-            lambda w=workload, n=num_requests: _run_sim(FastpathSimulator, w, n)
-        )
-        rows.append(
-            {
-                "workload": workload,
-                "num_requests": num_requests,
-                "asserted": asserted,
-                "t_ref": t_ref,
-                "t_fast": t_fast,
-                "speedup": t_ref / t_fast,
-                "traces_ok": (
-                    len(ref_result.traces)
-                    == len(fast_result.traces)
-                    == num_requests
-                ),
-            }
-        )
-    return rows
-
-
-@pytest.fixture(scope="module")
-def sim_report():
-    return run_simulator_benchmark()
-
-
-class TestFastpathBench:
-    def test_runs_are_real(self, sim_report):
-        assert all(row["traces_ok"] for row in sim_report)
-
-    @pytest.mark.parametrize("workload", ["mbench_spin", "webserver"])
-    def test_byte_identical_output(self, workload):
-        fast = _identity_fingerprint(workload, 15, FastpathSimulator)
-        ref = _identity_fingerprint(workload, 15, ReferenceSimulator)
-        assert fast == ref
-
-    def test_fastpath_speedup(self, sim_report):
-        asserted = [row for row in sim_report if row["asserted"]]
-        worst = min(asserted, key=lambda row: row["speedup"])
-        if usable_cpus() < 2:
-            pytest.skip(
-                f"only {usable_cpus()} usable CPU(s); worst asserted speedup "
-                f"{worst['speedup']:.2f}x on {worst['workload']} "
-                f"(assertion needs >= 2 CPUs)"
-            )
-        assert worst["speedup"] >= MIN_FASTPATH_SPEEDUP, (
-            f"{worst['workload']}: fastpath speedup {worst['speedup']:.2f}x "
-            f"below the required {MIN_FASTPATH_SPEEDUP:.0f}x "
-            f"(ref {worst['t_ref']:.3f}s, fast {worst['t_fast']:.3f}s)"
-        )
-
-
-# --------------------------------------- end-to-end server workload gate
-#
-# The generation fast path is routed by workload *class*, not by env
-# toggles: the fast configuration is FastpathSimulator driving the
-# genfast workload, the reference configuration is ReferenceSimulator
-# driving the reference generator.  Both time the whole run — catalog
-# construction, request synthesis, and simulation — so the measured
-# ratio is the end-to-end one a user sees.
-
-_REFERENCE_FACTORIES = {
-    "webserver": WebServerWorkload,
-    "tpcc": TpccWorkload,
-}
-
-#: Offered load high enough that the 8-way closed concurrency stays
-#: saturated — the run measures work, not idle inter-arrival gaps —
-#: while exercising the open-loop admission path and latency store.
-_SERVER_RATE_RPS = 50_000.0
-
-
-def _server_config(num_requests, collector=None):
-    return SimConfig(
-        sampling=SamplingPolicy.interrupt(10.0),
-        num_requests=num_requests,
-        concurrency=8,
-        seed=1,
-        collector=collector,
-        traffic=TrafficConfig(arrivals=PoissonArrivals(rate_per_s=_SERVER_RATE_RPS)),
-    )
-
-
-def _server_run(sim_cls, factory, num_requests, collector=None):
-    config = _server_config(num_requests, collector=collector)
-    return sim_cls(factory(), config).run()
-
-
-def _server_fingerprint(workload, num_requests, sim_cls, factory):
-    collector = TraceCollector(capacity=500_000)
-    result = _server_run(sim_cls, factory, num_requests, collector=collector)
-    traces = tuple(
-        trace.cycles.tobytes()
-        + trace.instructions.tobytes()
-        + trace.start.tobytes()
-        + trace.core.tobytes()
-        for trace in result.traces
-    )
-    latency = tuple(
-        (r.request_id, r.kind, r.tenant, r.arrival_cycle,
-         r.start_cycle, r.completion_cycle)
-        for r in result.latency.records
-    )
-    return (
-        events_to_jsonl(collector.events, dropped=collector.dropped),
-        result.wall_cycles,
-        result.requests_shed,
-        result.sampler_stats.as_dict(),
-        traces,
-        latency,
-    )
-
-
-def run_server_benchmark():
-    rows = []
-    for workload, num_requests in SERVER_CASES:
-        reference = _REFERENCE_FACTORIES[workload]
-        fast = FAST_FACTORIES[workload]
-        # Five interleaved rounds, not ROUNDS sequential blocks: these
-        # runs are ~20-200 ms, so a noisy scheduler quantum shifts a
-        # 3-round minimum by ~10%, and alternating ref/fast inside each
-        # round makes a load burst inflate both sides rather than bias
-        # the ratio.
-        t_ref = t_fast = float("inf")
-        for _ in range(5):
-            start = time.perf_counter()
-            _server_run(ReferenceSimulator, reference, num_requests)
-            t_ref = min(t_ref, time.perf_counter() - start)
-            start = time.perf_counter()
-            _server_run(FastpathSimulator, fast, num_requests)
-            t_fast = min(t_fast, time.perf_counter() - start)
-        rows.append(
-            {
-                "workload": workload,
-                "num_requests": num_requests,
-                "t_ref": t_ref,
-                "t_fast": t_fast,
-                "speedup": t_ref / t_fast,
-            }
-        )
-    return rows
-
-
-@pytest.fixture(scope="module")
-def server_report():
-    return run_server_benchmark()
-
-
-class TestServerEndToEndBench:
-    @pytest.mark.parametrize("workload", [w for w, _ in SERVER_CASES])
-    def test_byte_identical_output(self, workload):
-        fast = _server_fingerprint(
-            workload, 20, FastpathSimulator, FAST_FACTORIES[workload]
-        )
-        ref = _server_fingerprint(
-            workload, 20, ReferenceSimulator, _REFERENCE_FACTORIES[workload]
-        )
-        assert fast == ref
-
-    def test_server_end_to_end_speedup(self, server_report):
-        worst = min(server_report, key=lambda row: row["speedup"])
-        if usable_cpus() < 2:
-            pytest.skip(
-                f"only {usable_cpus()} usable CPU(s); worst end-to-end "
-                f"speedup {worst['speedup']:.2f}x on {worst['workload']} "
-                f"(assertion needs >= 2 CPUs)"
-            )
-        assert worst["speedup"] >= MIN_SERVER_SPEEDUP, (
-            f"{worst['workload']}: end-to-end speedup {worst['speedup']:.2f}x "
-            f"below the required {MIN_SERVER_SPEEDUP}x "
-            f"(ref {worst['t_ref']:.3f}s, fast {worst['t_fast']:.3f}s)"
-        )
 
 
 # ------------------------------------------------------- dynamic programs
@@ -410,23 +148,11 @@ class TestDynamicProgramBench:
 
 
 def main() -> None:
-    print(f"simulator fast path ({usable_cpus()} usable CPU(s)):")
-    for row in run_simulator_benchmark():
-        tag = "assert >= 3x" if row["asserted"] else "informational"
-        print(
-            f"  {row['workload']:<12s} {row['num_requests']:>3d} requests  "
-            f"ref {row['t_ref']:7.3f}s  fast {row['t_fast']:7.3f}s  "
-            f"{row['speedup']:5.2f}x  [{tag}]"
-        )
-    print("end-to-end server workloads (gen+sim fast paths vs all-reference):")
-    for row in run_server_benchmark():
-        print(
-            f"  {row['workload']:<12s} {row['num_requests']:>3d} requests  "
-            f"ref {row['t_ref']:7.3f}s  fast {row['t_fast']:7.3f}s  "
-            f"{row['speedup']:5.2f}x  [assert >= {MIN_SERVER_SPEEDUP}x]"
-        )
     dp = run_dp_benchmark()
-    print("dynamic programs (vectorized vs pure-Python cell loop):")
+    print(
+        "dynamic programs (vectorized vs pure-Python cell loop, "
+        f"{usable_cpus()} usable CPU(s)):"
+    )
     print(
         f"  dtw 400x400          loop {dp['t_dtw_slow']:7.3f}s  "
         f"vec {dp['t_dtw_fast']:7.3f}s  {dp['dtw_speedup']:5.1f}x"

@@ -23,14 +23,7 @@ from repro.core.distances import (
 from repro.core.distengine import DistanceCache, DistanceEngine, sequence_key
 from repro.core.dtw import dtw_distance
 from repro.core.identification import Identification, OnlineIdentifier
-from repro.core.kernels import (
-    PaddedBank,
-    PenaltyDtw,
-    argmin_distance,
-    dtw_distance_pruned,
-    dtw_one_to_many,
-    lb_penalty_dtw,
-)
+from repro.core.kernels import PaddedBank, PenaltyDtw, dtw_one_to_many
 from repro.core.prediction import (
     Ewma,
     LastValue,
@@ -59,16 +52,13 @@ __all__ = [
     "PenaltyDtw",
     "RunningAverage",
     "VaEwma",
-    "argmin_distance",
     "average_metric_distance",
     "captured_variation",
     "choose_k",
     "detect_change_points",
     "dtw_distance",
-    "dtw_distance_pruned",
     "dtw_one_to_many",
     "evaluate_predictor",
-    "lb_penalty_dtw",
     "identify_stages",
     "inter_request_variation",
     "k_medoids",

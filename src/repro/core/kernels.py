@@ -1,63 +1,29 @@
-"""Pruned + batched distance kernels beneath the DTW consumers.
+"""Batched distance kernels beneath the DTW consumers.
 
 Every differencing decision in the repro — Figure 7 classification,
 Figure 8/9 anomaly scans, signature-bank matching, the online pipeline's
 per-window identification — bottoms out in the penalty-DTW dynamic
-program of :mod:`repro.core.dtw`.  This module is the batching and
-exact-pruning layer between those consumers and the O(m*n) DP:
+program of :mod:`repro.core.dtw`.  This module is the batching layer
+between those consumers and the O(m*n) DP:
 
 * **lane-scheduled pairwise DP** (:func:`dtw_pairwise`): every pair of a
   distance-engine call in one sweep of DP rows, pairs dealt to lanes
   longest second operand first, each step one row over the busy lanes
   and the widest active pair only — the path behind every
   :class:`PenaltyDtw` matrix, pair list and one-to-many request;
-* **admissible lower bounds** (:func:`lb_penalty_dtw`,
-  :func:`lb_one_to_many`): the first/last-element bound plus the
-  length-gap bound ``|m - n| * p``, provably <= the true distance, so a
-  nearest-neighbor decision can discard most candidates without running
-  a DP at all;
-* **early-abandoning DP** (:func:`dtw_distance_pruned`): the row
-  recurrence of :func:`repro.core.dtw.dtw_distance` with an exact abandon
-  check — every warp path crosses every row, and DP values along a path
-  never decrease, so once a row's minimum exceeds a best-so-far cutoff
-  the final distance provably does too;
-* **batched one-vs-many DP with cutoff** (:func:`dtw_one_to_many`): the
-  same row recurrence run vectorized across a zero-padded bank of
-  sequences (:class:`PaddedBank`), abandoning rows past a cutoff — the
-  kernel behind :func:`argmin_distance`;
-* **pruned nearest neighbor** (:func:`argmin_distance`): candidates
-  ordered by lower bound, batched DPs with the best-so-far distance
-  threaded through as the abandon cutoff;
+* **batched one-vs-many DP** (:func:`dtw_one_to_many`): the same row
+  recurrence run vectorized across a zero-padded bank of sequences
+  (:class:`PaddedBank`);
 * the shared **pad-and-mask bank machinery** also backs the cheap online
   L1 prefix matching (:func:`l1_prefix_distances`,
   :class:`PrefixL1Sweeper`) used by
   :class:`~repro.core.signatures.SignatureBank` and the streaming
   pipeline.
 
-Exact-pruning semantics
------------------------
-
-All pruned/batched paths return results *bit-identical* to the serial
-reference DP wherever they return a distance at all: the batched
-recurrences perform exactly the same IEEE-754 operations per pair as
-the serial one (``cumsum`` and ``minimum.accumulate`` are sequential
-along the last axis), and abandonment uses strict ``>`` against the
-cutoff, so a distance equal to the cutoff is always computed exactly.
-
-One floating-point subtlety: the unrolled prefix-min recurrence shared
-with :mod:`repro.core.dtw` computes each cell as ``(entry - prefix) +
-prefix'``, and that cancellation can *round the computed value below the
-mathematical one* — so the textbook invariant "row minimum <= final
-distance" holds exactly in real arithmetic but only up to rounding
-drift for the computed values.  Every pruning decision therefore
-compares against ``cutoff + margin`` where :func:`_drift_margin` is a
-conservative upper bound on that drift (a few hundred ulps of the
-largest DP intermediate — astronomically below any meaningful distance,
-so pruning power is unaffected).  An abandoned candidate reports ``inf``
-— by construction its *computed* distance exceeds the cutoff — so
-nearest-neighbor argmins (including first-minimum tie-breaking) and the
-returned best distances are identical to a naive full scan.
-
+Both batched DPs return results *bit-identical* to the serial reference
+DP: they perform exactly the same IEEE-754 operations per pair as the
+serial one (``cumsum`` and ``minimum.accumulate`` are sequential along
+the last axis).
 :class:`~repro.core.distengine.DistanceEngine` batches every
 :class:`PenaltyDtw` matrix, pair-list and one-to-many request through
 :meth:`PenaltyDtw.pairwise`, that is :func:`dtw_pairwise`; the property
@@ -69,7 +35,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -79,13 +45,9 @@ __all__ = [
     "PaddedBank",
     "PenaltyDtw",
     "PrefixL1Sweeper",
-    "argmin_distance",
-    "dtw_distance_pruned",
     "dtw_one_to_many",
     "dtw_pairwise",
     "l1_prefix_distances",
-    "lb_one_to_many",
-    "lb_penalty_dtw",
 ]
 
 class PaddedBank:
@@ -116,14 +78,6 @@ class PaddedBank:
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
-    def subset(self, indices) -> "PaddedBank":
-        """A new bank holding ``self``'s rows at ``indices`` (copies)."""
-        bank = object.__new__(PaddedBank)
-        bank.matrix = self.matrix[indices]
-        bank.lengths = self.lengths[indices]
-        bank.columns = self.columns
-        return bank
-
 
 def _as_bank(bank_or_sequences) -> PaddedBank:
     if isinstance(bank_or_sequences, PaddedBank):
@@ -131,134 +85,7 @@ def _as_bank(bank_or_sequences) -> PaddedBank:
     return PaddedBank(bank_or_sequences)
 
 
-# -- admissible lower bounds ------------------------------------------------
-
-
-def lb_penalty_dtw(x, y, asynchrony_penalty: float = 0.0) -> float:
-    """Admissible lower bound on :func:`repro.core.dtw.dtw_distance`.
-
-    Two provably-disjoint contributions to the true distance are bounded
-    separately and summed:
-
-    * **first/last element**: every warp path starts at cell ``(0, 0)``
-      and ends at ``(m-1, n-1)``, paying the metric difference at each
-      visited cell, so the path cost is at least ``|x[0] - y[0]|`` plus —
-      when the path has more than one cell — ``|x[-1] - y[-1]|``;
-    * **length gap**: with ``a`` asynchronous steps advancing only ``x``
-      and ``b`` advancing only ``y``, ``a - b = m - n`` along any path,
-      so at least ``|m - n|`` asynchronous steps are unavoidable and the
-      penalty charge is at least ``|m - n| * p``.
-    """
-    if asynchrony_penalty < 0:
-        raise ValueError("asynchrony_penalty must be non-negative")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size == 0 or y.size == 0:
-        raise ValueError("empty sequence")
-    bound = abs(float(x[0]) - float(y[0]))
-    if x.size > 1 or y.size > 1:
-        bound += abs(float(x[-1]) - float(y[-1]))
-    return bound + abs(x.size - y.size) * float(asynchrony_penalty)
-
-
-def lb_one_to_many(query, bank, asynchrony_penalty: float = 0.0) -> np.ndarray:
-    """:func:`lb_penalty_dtw` of ``query`` against every bank row, vectorized."""
-    if asynchrony_penalty < 0:
-        raise ValueError("asynchrony_penalty must be non-negative")
-    bank = _as_bank(bank)
-    x = np.asarray(query, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty sequence")
-    lengths = bank.lengths
-    first = np.abs(x[0] - bank.matrix[:, 0])
-    last = np.abs(x[-1] - bank.matrix[np.arange(len(bank)), lengths - 1])
-    # The last-element term only applies when the warp path has > 1 cell.
-    multi = (lengths > 1) | (x.size > 1)
-    return (
-        first
-        + np.where(multi, last, 0.0)
-        + np.abs(x.size - lengths) * float(asynchrony_penalty)
-    )
-
-
-# -- early-abandoning serial DP ---------------------------------------------
-
-
-def _drift_margin(m: int, n: int, max_abs: float, p: float) -> float:
-    """Upper bound on downward rounding drift of the unrolled DP.
-
-    The prefix-min unrolling computes cells as ``(entry - prefix) +
-    prefix'``; each such cancellation can lose up to ~eps times the
-    magnitude of the intermediates, and the losses accumulate additively
-    (the recurrence applies only ``+``/``-``/``min``, never scaling).
-    Every intermediate is bounded by the worst full path cost
-    ``(m + n) * (max pair difference + p)``, and at most ``m`` row
-    transitions each contribute a handful of roundings, so ``32 * eps *
-    m * scale`` is a generous bound.  Pruning decisions compare against
-    ``cutoff + margin`` so a candidate whose *computed* distance is
-    ``<= cutoff`` is never abandoned.
-    """
-    scale = (m + n) * (2.0 * max_abs + p)
-    return 32.0 * np.finfo(float).eps * m * scale
-
-
-def dtw_distance_pruned(
-    x, y, asynchrony_penalty: float = 0.0, cutoff: float = np.inf
-) -> float:
-    """Penalty-DTW with exact early abandoning against ``cutoff``.
-
-    Identical arithmetic to :func:`repro.core.dtw.dtw_distance`; after
-    each DP row, if the row minimum exceeds ``cutoff`` (plus the
-    :func:`_drift_margin` rounding slack) the computation stops and
-    returns ``inf``.  Exactness: every warp path visits every row, and
-    DP values along a path are non-decreasing (costs and penalties are
-    non-negative), so ``min(row) <= final distance`` up to rounding
-    drift — an abandoned pair's computed distance is guaranteed to
-    exceed ``cutoff``.  Whenever the computed distance is ``<= cutoff``
-    the returned value is bit-identical to ``dtw_distance``.
-    """
-    if asynchrony_penalty < 0:
-        raise ValueError("asynchrony_penalty must be non-negative")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size == 0 or y.size == 0:
-        raise ValueError("empty sequence")
-    p = float(asynchrony_penalty)
-    n = y.size
-    js = np.arange(1, n)
-    threshold = cutoff
-    if np.isfinite(cutoff):
-        max_abs = max(float(np.abs(x).max()), float(np.abs(y).max()))
-        threshold = cutoff + _drift_margin(x.size, n, max_abs, p)
-
-    row = np.empty(n)
-    row[0] = abs(x[0] - y[0])
-    if n > 1:
-        row[1:] = row[0] + np.cumsum(np.abs(x[0] - y[1:]) + p)
-
-    for i in range(1, x.size):
-        if row.min() > threshold:
-            return float("inf")
-        cost = np.abs(x[i] - y)
-        new_row = np.empty(n)
-        new_row[0] = row[0] + cost[0] + p
-        if n > 1:
-            entry = np.minimum(row[:-1], row[1:] + p)
-            prefix_cost = np.cumsum(cost)
-            offsets = np.minimum.accumulate(entry - prefix_cost[:-1] - js * p)
-            anchor = new_row[0] - prefix_cost[0]
-            new_row[1:] = prefix_cost[1:] + js * p + np.minimum(anchor, offsets)
-        row = new_row
-    distance = float(row[-1])
-    return distance if distance <= cutoff else float("inf")
-
-
-# -- batched one-vs-many DP -------------------------------------------------
-
-
-def dtw_one_to_many(
-    query, bank, asynchrony_penalty: float = 0.0, cutoff: float = np.inf
-) -> np.ndarray:
+def dtw_one_to_many(query, bank, asynchrony_penalty: float = 0.0) -> np.ndarray:
     """Penalty-DTW of ``query`` against every bank row in one batched DP.
 
     The row recurrence of :func:`repro.core.dtw.dtw_distance` runs over a
@@ -266,10 +93,6 @@ def dtw_one_to_many(
     ``B`` interpreter-dispatched DPs.  Per bank row the operations are
     elementwise identical to the serial DP, so returned distances are
     bit-identical to ``dtw_distance(query, bank[b])``.
-
-    With a finite ``cutoff``, rows whose running DP minimum exceeds it
-    are abandoned exactly (reported as ``inf``); once fewer than half the
-    rows survive, the batch is compacted to the survivors.
     """
     if asynchrony_penalty < 0:
         raise ValueError("asynchrony_penalty must be non-negative")
@@ -279,20 +102,8 @@ def dtw_one_to_many(
         raise ValueError("empty sequence")
     p = float(asynchrony_penalty)
     matrix = bank.matrix
-    lengths = bank.lengths
     n = matrix.shape[1]
-    js = np.arange(1, n)
-    jp = js * p
-    check = np.isfinite(cutoff)
-    threshold = cutoff
-    if check:
-        max_abs = max(
-            float(np.abs(x).max()), float(np.abs(matrix).max())
-        )
-        threshold = cutoff + _drift_margin(x.size, n, max_abs, p)
-
-    out = np.full(len(bank), np.inf)
-    active = np.arange(len(bank))
+    jp = np.arange(1, n) * p
 
     # Row 0: only asynchronous steps along the bank sequences.
     cost = np.abs(x[0] - matrix)
@@ -302,19 +113,6 @@ def dtw_one_to_many(
         row[:, 1:] = row[:, :1] + np.cumsum(cost[:, 1:] + p, axis=1)
 
     for i in range(1, x.size):
-        if check:
-            # Conservative exact abandon: the minimum over *all* columns
-            # (padding included) is <= the minimum over valid columns,
-            # which is <= the final distance up to rounding drift; the
-            # threshold slack keeps every candidate whose *computed*
-            # distance could still land <= cutoff.
-            alive = row.min(axis=1) <= threshold
-            if not alive.any():
-                return out
-            if alive.sum() * 2 <= active.size:
-                active = active[alive]
-                row = row[alive]
-                matrix = matrix[alive]
         cost = np.abs(x[i] - matrix)
         new_row = np.empty_like(cost)
         new_row[:, 0] = row[:, 0] + cost[:, 0] + p
@@ -330,13 +128,7 @@ def dtw_one_to_many(
             )
         row = new_row
 
-    finals = row[np.arange(active.size), lengths[active] - 1]
-    if check:
-        keep = finals <= cutoff
-        out[active[keep]] = finals[keep]
-    else:
-        out[active] = finals
-    return out
+    return row[np.arange(len(bank)), bank.lengths - 1]
 
 
 # -- lane-scheduled pairwise DP ---------------------------------------------
@@ -512,55 +304,6 @@ def _deal(durations: List[int], lanes: int):
     return np.array(start, dtype=np.intp), np.array(lane, dtype=np.intp), end
 
 
-# -- pruned nearest neighbor ------------------------------------------------
-
-
-def argmin_distance(
-    query,
-    bank,
-    asynchrony_penalty: float = 0.0,
-    block_size: int = 32,
-) -> Tuple[int, float]:
-    """Nearest bank row to ``query`` under penalty-DTW, with exact pruning.
-
-    Candidates are ordered by :func:`lb_one_to_many` (ascending, stable);
-    blocks run through the batched DP with the best-so-far distance as
-    the abandon cutoff, and once a block's smallest lower bound exceeds
-    the best-so-far (plus the :func:`_drift_margin` rounding slack) the
-    remaining candidates are discarded without any DP work.  All pruning
-    is strict-``>`` against the slackened threshold, so the returned
-    ``(index, distance)`` — including first-minimum tie-breaking — is
-    identical to a naive full scan with ``np.argmin``.
-    """
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    bank = _as_bank(bank)
-    query = np.asarray(query, dtype=float)
-    bounds = lb_one_to_many(query, bank, asynchrony_penalty)
-    order = np.argsort(bounds, kind="stable")
-    max_abs = max(float(np.abs(query).max()), float(np.abs(bank.matrix).max()))
-    margin = _drift_margin(
-        query.size, bank.matrix.shape[1], max_abs, float(asynchrony_penalty)
-    )
-    best = np.inf
-    best_index = -1
-    for start in range(0, order.size, block_size):
-        block = order[start : start + block_size]
-        if bounds[block[0]] > best + margin:
-            break  # ascending bounds: everything after is pruned too
-        block = block[bounds[block] <= best + margin]
-        if block.size == 0:
-            continue
-        distances = dtw_one_to_many(
-            query, bank.subset(block), asynchrony_penalty, cutoff=best
-        )
-        for index, distance in zip(block, distances):
-            if distance < best or (distance == best and index < best_index):
-                best = float(distance)
-                best_index = int(index)
-    return best_index, best
-
-
 # -- the batchable measure object -------------------------------------------
 
 
@@ -569,7 +312,7 @@ class PenaltyDtw:
 
     A drop-in distance callable (``kernel(x, y)`` equals
     :func:`repro.core.dtw.dtw_distance`) that additionally exposes the
-    batched and pruned entry points.  The
+    batched entry points.  The
     :class:`~repro.core.distengine.DistanceEngine` hands matrix /
     pair-list / one-to-many computations to :meth:`pairwise`, one
     lane-scheduled :func:`dtw_pairwise` sweep per call instead of
@@ -594,17 +337,8 @@ class PenaltyDtw:
         """Cache key naming the measure and its parameter."""
         return f"dtw:p={self.penalty!r}"
 
-    def bank(self, sequences) -> PaddedBank:
-        return _as_bank(sequences)
-
-    def lower_bounds(self, query, bank) -> np.ndarray:
-        return lb_one_to_many(query, bank, self.penalty)
-
-    def one_to_many(self, query, bank, cutoff: float = np.inf) -> np.ndarray:
-        return dtw_one_to_many(query, bank, self.penalty, cutoff=cutoff)
-
-    def argmin(self, query, bank, block_size: int = 32) -> Tuple[int, float]:
-        return argmin_distance(query, bank, self.penalty, block_size=block_size)
+    def one_to_many(self, query, bank) -> np.ndarray:
+        return dtw_one_to_many(query, bank, self.penalty)
 
     def pairwise(self, items_a, items_b, pairs) -> List[float]:
         """``self(items_a[i], items_b[j])`` for every ``(i, j)`` in ``pairs``:

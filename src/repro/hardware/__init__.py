@@ -11,7 +11,6 @@ shared-L2 miss-ratio inflation and memory-bus bandwidth stalls.
 from repro.hardware.cache import SharedL2Model
 from repro.hardware.counters import CounterSnapshot, SamplingContext, SamplingCostModel
 from repro.hardware.cpu import (
-    CoreState,
     EffectiveRates,
     PhaseBehavior,
     compute_effective_rates,
@@ -20,7 +19,6 @@ from repro.hardware.memory import MemoryBusModel
 from repro.hardware.platform import WOODCREST, MachineConfig
 
 __all__ = [
-    "CoreState",
     "CounterSnapshot",
     "EffectiveRates",
     "MachineConfig",

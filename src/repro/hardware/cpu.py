@@ -1,4 +1,4 @@
-"""Core execution state and the effective-rate computation.
+"""Phase behavior and the effective-rate computation.
 
 The simulator is a piecewise-constant-rate model: between OS-visible events,
 each core executes with fixed effective rates (cycles per instruction, L2
@@ -10,8 +10,8 @@ rates are recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.hardware.cache import SharedL2Model, phase_pressure
 from repro.hardware.counters import CounterSnapshot
@@ -162,68 +162,3 @@ def compute_effective_rates(
             l2_miss_ratio=miss_ratios[core],
         )
     return rates
-
-
-#: Shared zero delta for no-progress advances (frozen, so safe to reuse).
-_EMPTY_SNAPSHOT = CounterSnapshot()
-
-
-@dataclass
-class CoreState:
-    """Mutable per-core execution state with lazy counter accumulation."""
-
-    core_id: int
-    rates: Optional[EffectiveRates] = None
-    last_advance_cycle: float = 0.0
-    #: Cumulative counters for everything this core ever executed
-    #: (used by microbenchmark measurement in Table 1).
-    total: CounterSnapshot = field(default_factory=CounterSnapshot)
-    busy_cycles: float = 0.0
-
-    @property
-    def is_busy(self) -> bool:
-        return self.rates is not None
-
-    def advance(self, now_cycle: float) -> CounterSnapshot:
-        """Accumulate counters for [last_advance, now] and return the delta.
-
-        Idle cores accumulate nothing but still move their clock forward.
-        """
-        # ``inject`` pushes last_advance_cycle past "now" to model a stall:
-        # events on other cores may fall inside that window, in which case
-        # this core simply makes no progress (do not rewind the clock).
-        elapsed = now_cycle - self.last_advance_cycle
-        if elapsed <= 0.0:
-            return _EMPTY_SNAPSHOT
-        self.last_advance_cycle = now_cycle
-        rates = self.rates
-        if rates is None:
-            return _EMPTY_SNAPSHOT
-        # One direct snapshot: cycles re-anchored on wall time to avoid
-        # float drift, refs/misses with the exact operation order of
-        # EffectiveRates.counters_for_instructions.
-        instructions = elapsed / rates.cpi
-        refs = instructions * rates.l2_refs_per_ins
-        delta = CounterSnapshot(
-            cycles=elapsed,
-            instructions=instructions,
-            l2_refs=refs,
-            l2_misses=refs * rates.l2_miss_ratio,
-        )
-        self.total = self.total + delta
-        self.busy_cycles += elapsed
-        return delta
-
-    def inject(self, cost: CounterSnapshot) -> None:
-        """Inject sampling-cost events and stall the core for their cycles.
-
-        The injected cycles consume wall-clock time without phase progress:
-        moving ``last_advance_cycle`` forward means the stalled interval
-        produces no instructions from :meth:`advance`.
-        """
-        self.total = self.total + cost
-        self.busy_cycles += cost.cycles
-        self.last_advance_cycle += cost.cycles
-
-    def set_rates(self, rates: Optional[EffectiveRates]) -> None:
-        self.rates = rates

@@ -9,12 +9,6 @@ counter timelines.
 """
 
 from repro.kernel.contention import ContentionEasingScheduler
-from repro.kernel.fastpath import (
-    FASTPATH_ENV,
-    FastpathSimulator,
-    ReferenceSimulator,
-    fastpath_enabled,
-)
 from repro.kernel.sampling import SamplerStats, SamplingMode, SamplingPolicy
 from repro.kernel.scheduler import RoundRobinScheduler, SchedulerPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig, SimResult, run_workload
@@ -23,10 +17,6 @@ from repro.kernel.tracker import PeriodRecord, RequestTrace, RequestTracker
 
 __all__ = [
     "ContentionEasingScheduler",
-    "FASTPATH_ENV",
-    "FastpathSimulator",
-    "ReferenceSimulator",
-    "fastpath_enabled",
     "PeriodRecord",
     "RequestTrace",
     "RequestTracker",

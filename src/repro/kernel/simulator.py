@@ -8,6 +8,38 @@ executes its current phase at contention-adjusted rates.  Counter samplers
 run at context switches, periodic interrupts, and (optionally) system-call
 entrances, paying the observer-effect costs of Table 1.  Completed requests
 yield serialized :class:`~repro.kernel.tracker.RequestTrace` timelines.
+
+The engine is laid out for requests per second; every IEEE-754 operation
+and every RNG draw keeps one fixed order, so output is byte-deterministic
+(``tests/kernel/test_engine_golden.py`` pins it):
+
+* **deadline calendar** — the five per-core event timers (phase end,
+  quantum expiry, resched opportunity, interrupt, rate-based syscall)
+  live in one ``(5, num_cores)`` numpy matrix whose rows follow
+  :data:`_EVENT_PRIORITY`.  ``_next_event`` is a single ``argmin`` over
+  the C-order flattened matrix: among ties of the minimum time,
+  ``argmin`` returns the first occurrence, i.e. the smallest
+  ``(kind_priority, core_id)``.  Arrivals (priority 0) win ties against
+  every core event via a ``<=`` head check.  Idle cores hold ``inf`` in
+  every row.
+* **scalar per-core accumulators** — period counters accumulate as four
+  plain floats per core instead of chained frozen ``CounterSnapshot``
+  allocations; a snapshot is built only when a period is flushed.
+* **batched event application** — runs of sampler events (interrupt
+  samples, rate-based syscalls) cannot change dispatch, completion, or
+  shedding state, so the inner loop drains them without re-entering the
+  outer run-completion bookkeeping.  Every event still advances every
+  busy core at its own timestamp, in order, so the batching is
+  control-flow elision, not arithmetic fusion — see ``docs/perf.md``.
+* **per-core contention solve** — each core keeps the behavior its cache
+  pressure and solo CPI were computed for, and the (behavior,
+  co-pressure) pair its miss ratio, reference rate and bus traffic were
+  computed for, and recomputes them only when that identity or value
+  changes.  Bus totals, penalties and CPIs are rebuilt on every solve in
+  ascending core order, exactly as
+  :func:`~repro.hardware.cpu.compute_effective_rates` does, and sampling
+  cost snapshots are memoized per run.  Timer resets and RNG draws still
+  run on every recompute — only *values* are reused, never side effects.
 """
 
 from __future__ import annotations
@@ -19,9 +51,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.hardware.cache import SharedL2Model
+from repro.hardware.cache import SharedL2Model, phase_pressure
 from repro.hardware.counters import CounterSnapshot, SamplingContext, SamplingCostModel
-from repro.hardware.cpu import CoreState, compute_effective_rates
+from repro.hardware.cpu import EffectiveRates
 from repro.hardware.memory import MemoryBusModel
 from repro.hardware.platform import WOODCREST, MachineConfig
 from repro.kernel.sampling import SamplerStats, SamplingMode, SamplingPolicy
@@ -56,6 +88,24 @@ _EVENT_PRIORITY = {
     "interrupt": 4,
     "ratecall": 5,
 }
+
+#: Deadline-calendar rows: the per-core timer kinds in event-priority
+#: order.  Arrivals, which outrank every row, live in the pending-arrival
+#: heap instead.
+_CALENDAR_KINDS = tuple(
+    kind
+    for kind in sorted(_EVENT_PRIORITY, key=_EVENT_PRIORITY.__getitem__)
+    if kind != "arrival"
+)
+_ROW_PHASE = _CALENDAR_KINDS.index("phase_end")
+_ROW_QUANTUM = _CALENDAR_KINDS.index("quantum_end")
+_ROW_RESCHED = _CALENDAR_KINDS.index("resched")
+_ROW_INTERRUPT = _CALENDAR_KINDS.index("interrupt")
+_ROW_RATECALL = _CALENDAR_KINDS.index("ratecall")
+
+#: Bounded sample-cost memo size (cleared on overflow, never evicted
+#: piecemeal).
+_MEMO_CAP = 4096
 
 
 @dataclass
@@ -170,38 +220,87 @@ class SimResult:
 
 
 class _CoreRun:
-    """Per-core mutable runtime state."""
+    """Per-core mutable runtime state.
+
+    The core's event timers are not here: they live in column ``cid`` of
+    the simulator's deadline calendar.  ``adv`` is the cycle this core
+    was last advanced to (an injected stall pushes it past ``now``, and
+    the stalled interval then retires no instructions), ``busy`` its busy
+    cycles, and ``rx`` its current
+    :class:`~repro.hardware.cpu.EffectiveRates` (None while idle).  The
+    open period's counters accumulate as four plain floats.  The
+    contention-solve slots cache this core's share of
+    :func:`~repro.hardware.cpu.compute_effective_rates`, keyed by the
+    behavior (and co-pressure) they were computed for; holding the
+    behavior keeps its identity from being recycled.
+    """
 
     __slots__ = (
-        "state",
+        "cid",
         "task",
         "last_task_id",
-        "quantum_end",
-        "next_resched",
-        "next_interrupt",
-        "next_ratecall",
         "last_sample",
-        "phase_end",
         "period_start",
-        "period_counters",
         "period_inj_ik",
         "period_inj_int",
+        "phases",
+        "pc_cycles",
+        "pc_instructions",
+        "pc_l2_refs",
+        "pc_l2_misses",
+        "periods_sink",
+        "adv",
+        "busy",
+        "rx",
+        "l2_peers",
+        "bus_domain",
+        "behavior",
+        "pressure",
+        "solo_cpi",
+        "contended",
+        "co_pressure",
+        "miss_ratio",
+        "ref_rate",
+        "traffic",
     )
 
-    def __init__(self, core_id: int):
-        self.state = CoreState(core_id=core_id)
+    def __init__(self, core_id: int, l2_peers: tuple, bus_domain: int):
+        self.cid = core_id
+        # Peers by id, not by core object: core <-> core references would
+        # form cycles that outlive the run.
+        self.l2_peers = l2_peers
+        self.bus_domain = bus_domain
         self.task: Optional[Task] = None
         self.last_task_id: Optional[int] = None
-        self.quantum_end = _INF
-        self.next_resched = _INF
-        self.next_interrupt = _INF
-        self.next_ratecall = _INF
         self.last_sample = 0.0
-        self.phase_end = _INF
         self.period_start = 0.0
-        self.period_counters = CounterSnapshot()
         self.period_inj_ik = 0
         self.period_inj_int = 0
+        # Current stage's phase tuple, set at _switch_in and cleared with
+        # the core: replaces the request.stages[i].phases[j] chain on the
+        # per-event hot sites.  Sound because core.task is only assigned
+        # in _switch_in (stage hand-offs create fresh tasks) and
+        # enter_next_phase never leaves the stage.
+        self.phases = None
+        self.periods_sink = None
+        self.pc_cycles = 0.0
+        self.pc_instructions = 0.0
+        self.pc_l2_refs = 0.0
+        self.pc_l2_misses = 0.0
+        self.adv = 0.0
+        self.busy = 0.0
+        self.rx = None
+        # Contention-solve cache: pressure and solo CPI are valid for
+        # ``behavior``; miss ratio, reference rate and bus traffic for
+        # (``contended``, ``co_pressure``).
+        self.behavior = None
+        self.pressure = 0.0
+        self.solo_cpi = 0.0
+        self.contended = None
+        self.co_pressure = None
+        self.miss_ratio = 0.0
+        self.ref_rate = 0.0
+        self.traffic = 0.0
 
 
 class _DispatchView:
@@ -235,22 +334,7 @@ class _DispatchView:
 
 
 class ServerSimulator:
-    """Discrete-event simulation of one workload on the machine.
-
-    Plain constructions route to the structure-of-arrays fast path
-    (:class:`repro.kernel.fastpath.FastpathSimulator`) unless
-    ``REPRO_SIM_FASTPATH=0`` pins this reference loop.  Both paths are
-    byte-identical; the fastpath differential suite and a CI determinism
-    step assert it.
-    """
-
-    def __new__(cls, workload=None, config=None):
-        if cls is ServerSimulator:
-            from repro.kernel.fastpath import FastpathSimulator, fastpath_enabled
-
-            if fastpath_enabled():
-                return object.__new__(FastpathSimulator)
-        return object.__new__(cls)
+    """Discrete-event simulation of one workload on the machine."""
 
     def __init__(self, workload: WorkloadGenerator, config: SimConfig):
         if config.concurrency < 1:
@@ -259,7 +343,7 @@ class ServerSimulator:
             raise ValueError("num_requests must be at least 1")
         self.workload = workload
         self.config = config
-        self.machine = config.machine
+        machine = self.machine = config.machine
         self.policy = config.sampling
         self.scheduler = config.scheduler or RoundRobinScheduler()
         self.rng = np.random.default_rng(config.seed)
@@ -278,13 +362,23 @@ class ServerSimulator:
         )
         self.tracker = RequestTracker(
             cost_model=config.cost_model,
-            frequency_ghz=self.machine.frequency_ghz,
+            frequency_ghz=machine.frequency_ghz,
             compensate=config.compensate,
             collector=self.obs,
         )
         self.stats = SamplerStats()
         self.now = 0.0
-        self.cores = self._make_cores(self.machine.num_cores)
+        # The deadline calendar: one row per timer kind, one column per
+        # core, all-inf while the core is idle.
+        self._ncores = num_cores = machine.num_cores
+        self._dl = np.full((len(_CALENDAR_KINDS), num_cores), _INF)
+        self._dl_flat = self._dl.reshape(-1)
+        self._phase_row = self._dl[_ROW_PHASE]
+        self._argmin = self._dl_flat.argmin
+        self.cores = [
+            _CoreRun(i, machine.l2_peers_of(i), machine.bus_domain_of(i))
+            for i in range(num_cores)
+        ]
         self.runqueues: List[List[Task]] = [[] for _ in self.cores]
         self.traces: list = []
         self._admitted = 0
@@ -313,38 +407,66 @@ class ServerSimulator:
         self.dispatch_policy.reset(config.seed)
         self._dispatch_view = _DispatchView(self.cores, self.runqueues)
         self.latency = (
-            LatencyStore(self.machine.frequency_ghz) if traffic else None
+            LatencyStore(machine.frequency_ghz) if traffic else None
         )
         #: In-flight arrivals: (ready_cycle, seq, spec, stage, tenant) —
         #: cross-machine stage hand-offs (spec set) and open-loop
         #: admissions (spec None).
         self._pending_arrivals: list = []
         self._arrival_seq = 0
-        self._network_delay_cycles = self.machine.us_to_cycles(
+        self._network_delay_cycles = machine.us_to_cycles(
             config.network_delay_us
         )
         if config.tier_placement:
             for tier, machine_id in config.tier_placement.items():
-                if not 0 <= machine_id < self.machine.num_machines:
+                if not 0 <= machine_id < machine.num_machines:
                     raise ValueError(
                         f"tier {tier!r} placed on machine {machine_id}, but "
-                        f"the platform has {self.machine.num_machines}"
+                        f"the platform has {machine.num_machines}"
                     )
-        self._timeline = np.zeros(self.machine.num_cores + 1)
+        self._timeline = np.zeros(num_cores + 1)
         # Cached cycle conversions.
-        self._quantum_cycles = self.machine.us_to_cycles(self.scheduler.quantum_us)
+        self._quantum_cycles = machine.us_to_cycles(self.scheduler.quantum_us)
         self._resched_cycles = (
-            self.machine.us_to_cycles(self.scheduler.resched_interval_us)
+            machine.us_to_cycles(self.scheduler.resched_interval_us)
             if self.scheduler.resched_interval_us
             else None
         )
-        self._t_syscall_min_cycles = self.machine.us_to_cycles(
+        self._t_syscall_min_cycles = machine.us_to_cycles(
             self.policy.t_syscall_min_us
         )
-        self._interrupt_cycles = self.machine.us_to_cycles(
-            self.policy.interrupt_period_us
+        self._accepts_trigger = self.policy.trigger_acceptor()
+        self._wants_syscall = self.policy.wants_syscall_events()
+        # Delay from a sample to the core's next interrupt row: the
+        # sampling period, the syscall modes' backup interrupt, or never.
+        if self.policy.mode is SamplingMode.INTERRUPT:
+            self._sampler_delay = machine.us_to_cycles(
+                self.policy.interrupt_period_us
+            )
+        elif self._wants_syscall:
+            self._sampler_delay = machine.us_to_cycles(
+                self.policy.t_backup_int_us
+            )
+        else:
+            self._sampler_delay = None
+        self._cost_memo_ik = {}
+        self._cost_memo_int = {}
+        self._miss_penalty = machine.l2_miss_penalty_cycles
+        # Per-domain bus totals, reset in place by every solve.
+        self._bus_zeros = [0.0] * machine.num_machines
+        self._bus_totals = list(self._bus_zeros)
+        bus = config.bus
+        self._bus_gamma = bus.contention_gamma
+        self._bus_beta = bus.contention_beta
+        self._bus_occ_clamp = (bus.machine_cores - 1) * bus.max_occupancy
+        # The base scheduler hook is a documented no-op; skipping the call
+        # for policies that don't override it keeps the flush path lean.
+        self._scheduler_samples = (
+            type(self.scheduler).on_sample is not SchedulerPolicy.on_sample
         )
-        self._backup_cycles = self.machine.us_to_cycles(self.policy.t_backup_int_us)
+        # Direct period appends bypass close_period's per-sample lookup;
+        # only safe when no period_sample observer needs the emission.
+        self._direct_periods = not self.tracker.emits_period_samples
         #: Ambient stage profiler, captured at run() so per-request
         #: generation time can be attributed out of the simulate stage.
         self._profiler = None
@@ -356,10 +478,6 @@ class ServerSimulator:
         self._fault_drain = getattr(workload, "drain_fault_events", None)
         self._fault_note_tenant = getattr(workload, "note_tenant", None)
 
-    def _make_cores(self, num_cores: int) -> list:
-        """Per-core runtime state, built once: the dispatch view holds it."""
-        return [_CoreRun(i) for i in range(num_cores)]
-
     # ------------------------------------------------------------------ API
 
     def run(self) -> SimResult:
@@ -370,8 +488,8 @@ class ServerSimulator:
     def _prepare_generation(self) -> None:
         """Block-ahead synthesis: pre-generate specs when draw-order safe.
 
-        The generation fast path's workloads expose ``prepare_block``,
-        which synthesizes the whole run's request specs in one pass ahead
+        The block-stamping workloads expose ``prepare_block``, which
+        synthesizes the whole run's request specs in one pass ahead
         of simulation.  That reorders no RNG draw as long as nothing else
         draws from ``self.rng`` between admissions: arrival schedules are
         pre-drawn in full (``exposes_schedule``), dispatch policies use
@@ -424,20 +542,53 @@ class ServerSimulator:
             self._dispatch(core)
         self._recompute_rates()
 
+        handlers = {
+            "arrival": self._on_arrival,
+            "quantum_end": self._on_quantum_end,
+            "resched": self._on_resched,
+            "ratecall": self._on_ratecall,
+        }
+        account = self.config.high_usage_mpi_threshold is not None
+        num = self.config.num_requests
+        next_event = self._next_event
+        advance_all = self._advance_all
+        sample = self._sample
+        cores = self.cores
+        interrupt_ctx = SamplingContext.INTERRUPT
         # Shed arrivals count toward run completion: they were offered
         # load that the bounded admission queue refused.
-        while self._completed + self._shed < self.config.num_requests:
-            t, core_id, kind = self._next_event()
-            if t == _INF:
-                raise RuntimeError(
-                    f"simulation deadlock at cycle {self.now}: "
-                    f"{self._completed}/{self.config.num_requests} completed"
-                )
-            self._account_timeline(t)
-            self._advance_all(t)
-            self.now = t
-            handler = getattr(self, f"_on_{kind}")
-            handler(core_id)
+        while self._completed + self._shed < num:
+            t, core_id, kind = next_event()
+            # Batched application: sampler events (interrupts, rate-based
+            # syscalls) cannot complete, shed, or redispatch anything, so
+            # runs of them drain here without re-testing run completion.
+            # Interrupts — the densest kind — skip the handler hop too.
+            while True:
+                if t == _INF:
+                    raise RuntimeError(
+                        f"simulation deadlock at cycle {self.now}: "
+                        f"{self._completed}/{self.config.num_requests} completed"
+                    )
+                if account:
+                    self._account_timeline(t)
+                # Same-timestamp events need no advance: cores were already
+                # advanced to t by the previous event at t, and injections
+                # only ever move core.adv forward past it.
+                if t != self.now:
+                    advance_all(t)
+                    self.now = t
+                if kind == "interrupt":
+                    sample(cores[core_id], interrupt_ctx)
+                    t, core_id, kind = next_event()
+                    continue
+                if kind == "phase_end":
+                    self._on_phase_end(core_id)
+                    break
+                handlers[kind](core_id)
+                if kind == "ratecall":
+                    t, core_id, kind = next_event()
+                    continue
+                break
 
         if self.obs.enabled:
             self.obs.emit(
@@ -454,7 +605,7 @@ class ServerSimulator:
             scheduler=self.scheduler,
             timeline_cycles=self._timeline,
             wall_cycles=self.now,
-            busy_cycles_per_core=np.array([c.state.busy_cycles for c in self.cores]),
+            busy_cycles_per_core=np.array([c.busy for c in self.cores]),
             latency=self.latency,
             requests_shed=self._shed,
         )
@@ -465,38 +616,29 @@ class ServerSimulator:
         """The earliest pending event as ``(time, core_id, kind)``.
 
         Same-timestamp events settle by the explicit, documented key
-        ``(time, _EVENT_PRIORITY[kind], core_id)`` — never by core scan
-        order or float-comparison asymmetries — so the event sequence is
-        stable under event-loop and traffic-layer refactors.
+        ``(time, _EVENT_PRIORITY[kind], core_id)``: the calendar rows are
+        in priority order and the flatten is C-order, so among equal
+        minimum times ``argmin``'s first-occurrence rule picks the
+        smallest ``(priority, core_id)``.  Idle cores hold ``inf`` in
+        every row (maintained by ``_clear_core``), so they never win.  An
+        arrival at the same timestamp beats every core event (priority 0
+        via ``<=``).
         """
-        best = (_INF, 6, -1, "none")
-        if self._pending_arrivals:
-            best = (self._pending_arrivals[0][0], _EVENT_PRIORITY["arrival"],
-                    -1, "arrival")
-        for core in self.cores:
-            if core.task is None:
-                continue
-            cid = core.state.core_id
-            for t, kind in (
-                (core.phase_end, "phase_end"),
-                (core.quantum_end, "quantum_end"),
-                (core.next_resched, "resched"),
-                (core.next_interrupt, "interrupt"),
-                (core.next_ratecall, "ratecall"),
-            ):
-                if t < _INF:
-                    key = (t, _EVENT_PRIORITY[kind], cid)
-                    if key < best[:3]:
-                        best = (t, key[1], cid, kind)
-        return best[0], best[2], best[3]
+        index = int(self._argmin())
+        t = self._dl_flat[index]
+        pending = self._pending_arrivals
+        if pending and pending[0][0] <= t:
+            return pending[0][0], -1, "arrival"
+        if t == _INF:
+            return _INF, -1, "none"
+        row = index // self._ncores
+        return float(t), index - row * self._ncores, _CALENDAR_KINDS[row]
 
     def _account_timeline(self, t: float) -> None:
-        if self.config.high_usage_mpi_threshold is None:
-            return
         threshold = self.config.high_usage_mpi_threshold
         count = 0
         for core in self.cores:
-            rates = core.state.rates
+            rates = core.rx
             if rates is None:
                 continue
             if rates.l2_refs_per_ins * rates.l2_miss_ratio > threshold:
@@ -504,30 +646,60 @@ class ServerSimulator:
         self._timeline[count] += t - self.now
 
     def _advance_all(self, t: float) -> None:
+        """Accumulate every core's counters up to ``t``.
+
+        Cycles re-anchor on wall time (no float drift); instructions,
+        references and misses follow the exact operation order of
+        :meth:`~repro.hardware.cpu.EffectiveRates.counters_for_instructions`.
+        A core stalled past ``t`` by an injection makes no progress.
+        """
         for core in self.cores:
-            delta = core.state.advance(t)
-            if core.task is not None and delta.instructions > 0:
-                core.period_counters = core.period_counters + delta
-                core.task.advance_instructions(delta.instructions)
+            elapsed = t - core.adv
+            if elapsed <= 0.0:
+                continue
+            core.adv = t
+            rates = core.rx
+            if rates is None:
+                continue
+            instructions = elapsed / rates.cpi
+            refs = instructions * rates.l2_refs_per_ins
+            misses = refs * rates.l2_miss_ratio
+            core.busy += elapsed
+            task = core.task
+            if task is not None and instructions > 0:
+                core.pc_cycles += elapsed
+                core.pc_instructions += instructions
+                core.pc_l2_refs += refs
+                core.pc_l2_misses += misses
+                task.instructions_done_in_phase += instructions
 
     # ------------------------------------------------------- event handlers
 
     def _on_phase_end(self, core_id: int) -> None:
+        """Phase boundary: the next phase, a stage hand-off, or completion.
+
+        ``core.phases`` replaces the ``task.stage.phases`` property chain
+        and ``task.enter_next_phase`` is inlined on the dominant
+        within-stage branch.
+        """
         core = self.cores[core_id]
         task = core.task
+        phases = core.phases
+        idx = task.phase_index
         # Snap to the exact phase boundary (float drift from rate changes).
-        task.instructions_done_in_phase = float(task.current_phase.instructions)
+        task.instructions_done_in_phase = float(phases[idx].instructions)
 
-        if not task.on_last_phase:
-            next_phase = task.stage.phases[task.phase_index + 1]
-            name = next_phase.entry_syscall
+        if idx != len(phases) - 1:
+            name = phases[idx + 1].entry_syscall
             if name is not None:
                 self.tracker.record_syscall(task.request_id, self.now, name)
-                if self.policy.accepts_trigger(name) and (
+                if self._accepts_trigger(name) and (
                     self.now - core.last_sample >= self._t_syscall_min_cycles
                 ):
                     self._sample(core, SamplingContext.IN_KERNEL)
-            task.enter_next_phase()
+            # --- inlined task.enter_next_phase() ---
+            task.phase_index = idx + 1
+            task.instructions_done_in_phase = 0.0
             if self._trace_phase:
                 self.obs.emit(
                     "phase_transition",
@@ -560,12 +732,12 @@ class ServerSimulator:
     def _on_resched(self, core_id: int) -> None:
         core = self.cores[core_id]
         current = core.task
-        running = {c.state.core_id: c.task for c in self.cores}
+        running = {c.cid: c.task for c in self.cores}
         idx = self.scheduler.should_preempt(
             core_id, current, self.runqueues[core_id], running
         )
         if idx is None:
-            core.next_resched = self.now + self._resched_cycles
+            self._dl[_ROW_RESCHED, core_id] = self.now + self._resched_cycles
             return
         incoming = self.runqueues[core_id].pop(idx)
         if self._trace_sched:
@@ -584,14 +756,12 @@ class ServerSimulator:
         self._switch_in(core, incoming)
         self._recompute_rates()
 
-    def _on_interrupt(self, core_id: int) -> None:
-        self._sample(self.cores[core_id], SamplingContext.INTERRUPT)
-
     def _on_ratecall(self, core_id: int) -> None:
         core = self.cores[core_id]
-        phase = core.task.current_phase
-        name = phase.syscall_pool[int(self.rng.integers(len(phase.syscall_pool)))]
-        if self.policy.accepts_trigger(name):
+        task = core.task
+        pool = core.phases[task.phase_index].syscall_pool
+        name = pool[int(self.rng.integers(len(pool)))]
+        if self._accepts_trigger(name):
             self._sample(core, SamplingContext.IN_KERNEL)
         else:
             self._reset_ratecall(core)
@@ -743,7 +913,7 @@ class ServerSimulator:
         self.tracker.record_syscall(task.request_id, self.now, "write")
         self.tracker.record_syscall(task.request_id, self.now, "read")
         next_stage = task.stage_index + 1
-        source = self.machine.bus_domain_of(core.state.core_id)
+        source = self.machine.bus_domain_of(core.cid)
         target = self._machine_of_tier(task.request.stages[next_stage].tier)
         if self._trace_handoff:
             self.obs.emit(
@@ -751,7 +921,7 @@ class ServerSimulator:
                 self.now,
                 request_id=task.request_id,
                 task_id=task.task_id,
-                core=core.state.core_id,
+                core=core.cid,
                 next_stage=next_stage,
                 target_machine=target,
                 cross_machine=target != source,
@@ -780,7 +950,7 @@ class ServerSimulator:
                 self.now,
                 request_id=task.request_id,
                 task_id=task.task_id,
-                core=core.state.core_id,
+                core=core.cid,
                 periods=trace.num_periods,
             )
         if not self._open_loop and self._admitted < self.config.num_requests:
@@ -792,7 +962,7 @@ class ServerSimulator:
         core = self.cores[core_id]
         if core.task is not None:
             return
-        running = {c.state.core_id: c.task for c in self.cores}
+        running = {c.cid: c.task for c in self.cores}
         idx = self.scheduler.pick(core_id, self.runqueues[core_id], running)
         if idx is None:
             self._clear_core(core)
@@ -811,12 +981,10 @@ class ServerSimulator:
         self._switch_in(core, task)
 
     def _clear_core(self, core: _CoreRun) -> None:
-        core.state.set_rates(None)
-        core.phase_end = _INF
-        core.quantum_end = _INF
-        core.next_resched = _INF
-        core.next_interrupt = _INF
-        core.next_ratecall = _INF
+        core.rx = None
+        core.periods_sink = None
+        core.phases = None
+        self._dl[:, core.cid] = _INF
 
     def _switch_in(self, core: _CoreRun, task: Task) -> None:
         if self._trace_dispatch:
@@ -825,7 +993,7 @@ class ServerSimulator:
                 self.now,
                 request_id=task.request_id,
                 task_id=task.task_id,
-                core=core.state.core_id,
+                core=core.cid,
                 stage=task.stage_index,
                 phase=task.phase_index,
             )
@@ -837,17 +1005,28 @@ class ServerSimulator:
             self.latency.on_start(task.request_id, self.now)
         task.state = TaskState.RUNNING
         core.task = task
+        core.periods_sink = (
+            self.tracker.period_sink(task.request_id)
+            if self._direct_periods
+            else None
+        )
         core.period_start = self.now
-        core.period_counters = CounterSnapshot()
+        core.pc_cycles = 0.0
+        core.pc_instructions = 0.0
+        core.pc_l2_refs = 0.0
+        core.pc_l2_misses = 0.0
         core.period_inj_ik = 0
         core.period_inj_int = 0
         core.last_sample = self.now
-        core.quantum_end = self.now + self._quantum_cycles
-        core.next_resched = (
+        cid = core.cid
+        self._dl[_ROW_QUANTUM, cid] = self.now + self._quantum_cycles
+        self._dl[_ROW_RESCHED, cid] = (
             self.now + self._resched_cycles if self._resched_cycles else _INF
         )
 
-        phase = task.current_phase
+        phases = task.request.stages[task.stage_index].phases
+        core.phases = phases
+        phase = phases[task.phase_index]
         # First dispatch of a stage records its opening syscall.
         if task.phase_index == 0 and task.instructions_done_in_phase == 0:
             if phase.entry_syscall is not None:
@@ -858,9 +1037,13 @@ class ServerSimulator:
         # The switch itself samples the counters in-kernel (mandatory for
         # attribution) and the incoming task pays cache-refill pollution if
         # the core last ran someone else.
-        cost = self.config.cost_model.cost(
+        cost = self._sample_cost(
             SamplingContext.IN_KERNEL, phase.behavior.cache_footprint
         )
+        cost_cycles = cost.cycles
+        cost_instructions = cost.instructions
+        cost_refs = cost.l2_refs
+        cost_misses = cost.l2_misses
         self.stats.record(SamplingContext.IN_KERNEL, mandatory=True)
         # A resuming task whose core ran someone else in between finds its
         # cached state evicted and pays a footprint-scaled refill transient
@@ -882,16 +1065,13 @@ class ServerSimulator:
             lines = footprint * (
                 self.machine.l2_size_kb * 1024 / self.machine.l2_line_bytes
             )
-            cost = cost + CounterSnapshot(
-                cycles=refill_cycles,
-                instructions=instructions,
-                l2_refs=lines,
-                l2_misses=lines,
-            )
+            cost_cycles = cost_cycles + refill_cycles
+            cost_instructions = cost_instructions + instructions
+            cost_refs = cost_refs + lines
+            cost_misses = cost_misses + lines
             task.advance_instructions(instructions)
         task.has_started = True
-        core.state.inject(cost)
-        core.period_counters = core.period_counters + cost
+        self._inject(core, cost_cycles, cost_instructions, cost_refs, cost_misses)
         core.period_inj_ik += 1
         core.last_task_id = task.task_id
 
@@ -908,123 +1088,297 @@ class ServerSimulator:
                 self.now,
                 request_id=task.request_id,
                 task_id=task.task_id,
-                core=core.state.core_id,
+                core=core.cid,
                 context=context.value if context is not None else None,
             )
         self._flush_period(core, context)
         task.state = TaskState.READY
         core.task = None
-        core.state.set_rates(None)
         self._clear_core(core)
 
     # ------------------------------------------------------------ sampling
 
-    def _flush_period(self, core: _CoreRun, context: Optional[SamplingContext]) -> None:
-        counters = core.period_counters
-        self.scheduler.on_sample(
-            core.task, counters.instructions, counters.l2_misses, counters.cycles
+    def _sample_cost(self, context: SamplingContext, pollution: float):
+        """Memoized, shareable sampling-cost snapshot."""
+        memo = (
+            self._cost_memo_ik
+            if context is SamplingContext.IN_KERNEL
+            else self._cost_memo_int
         )
-        self.tracker.close_period(
-            core.task.request_id,
-            PeriodRecord(
-                start_cycle=core.period_start,
-                end_cycle=self.now,
-                core=core.state.core_id,
-                counters=counters,
-                injected_in_kernel=core.period_inj_ik,
-                injected_interrupt=core.period_inj_int,
-                closing_context=context,
-            ),
-        )
-        core.period_start = self.now
-        core.period_counters = CounterSnapshot()
+        cost = memo.get(pollution)
+        if cost is None:
+            cost = self.config.cost_model.cost(context, pollution)
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[pollution] = cost
+        return cost
+
+    def _inject(self, core: _CoreRun, cycles, instructions, refs, misses):
+        """Inject sampling-cost events and stall the core for their cycles.
+
+        The injected cycles consume wall-clock time without phase
+        progress: moving ``core.adv`` forward means the stalled interval
+        produces no instructions in :meth:`_advance_all`.
+        """
+        core.busy += cycles
+        core.adv += cycles
+        core.pc_cycles += cycles
+        core.pc_instructions += instructions
+        core.pc_l2_refs += refs
+        core.pc_l2_misses += misses
+
+    def _flush_period(self, core: _CoreRun, context: SamplingContext) -> None:
+        now = self.now
+        cycles = core.pc_cycles
+        instructions = core.pc_instructions
+        if self._scheduler_samples:
+            self.scheduler.on_sample(
+                core.task, instructions, core.pc_l2_misses, cycles
+            )
+        # close_period drops no-activity periods; mirroring its test here
+        # skips the snapshot/record allocations for them entirely.
+        if cycles > 0 or instructions > 0:
+            self.tracker.close_period(
+                core.task.request_id,
+                PeriodRecord(
+                    start_cycle=core.period_start,
+                    end_cycle=now,
+                    core=core.cid,
+                    counters=CounterSnapshot(
+                        cycles=cycles,
+                        instructions=instructions,
+                        l2_refs=core.pc_l2_refs,
+                        l2_misses=core.pc_l2_misses,
+                    ),
+                    injected_in_kernel=core.period_inj_ik,
+                    injected_interrupt=core.period_inj_int,
+                    closing_context=context,
+                ),
+            )
+        core.period_start = now
+        core.pc_cycles = 0.0
+        core.pc_instructions = 0.0
+        core.pc_l2_refs = 0.0
+        core.pc_l2_misses = 0.0
         core.period_inj_ik = 0
         core.period_inj_int = 0
 
     def _sample(self, core: _CoreRun, context: SamplingContext) -> None:
-        """Take one counter sample on a busy core (non-mandatory)."""
+        """Take one counter sample on a busy core (non-mandatory).
+
+        One method body covers flush + stats + cost injection + timer
+        resets: sampler events are by far the densest event kind, so call
+        overhead and repeated attribute loads dominate otherwise.
+        """
         task = core.task
+        now = self.now
         if self._trace_sample:
             self.obs.emit(
                 "sample",
-                self.now,
+                now,
                 request_id=task.request_id,
                 task_id=task.task_id,
-                core=core.state.core_id,
+                core=core.cid,
                 context=context.value,
             )
-        self._flush_period(core, context)
-        self.stats.record(context, mandatory=False)
-        cost = self.config.cost_model.cost(
-            context, task.current_phase.behavior.cache_footprint
-        )
-        core.state.inject(cost)
-        core.period_counters = core.period_counters + cost
+        # --- inlined _flush_period ---
+        cycles = core.pc_cycles
+        instructions = core.pc_instructions
+        if self._scheduler_samples:
+            self.scheduler.on_sample(task, instructions, core.pc_l2_misses, cycles)
+        if cycles > 0 or instructions > 0:
+            # Positional construction: keyword packing is measurable at
+            # this call frequency.  Field order is pinned by the
+            # PeriodRecord / CounterSnapshot signatures.
+            record = PeriodRecord(
+                core.period_start,
+                now,
+                core.cid,
+                CounterSnapshot(
+                    cycles, instructions, core.pc_l2_refs, core.pc_l2_misses
+                ),
+                core.period_inj_ik,
+                core.period_inj_int,
+                context,
+            )
+            sink = core.periods_sink
+            if sink is None:
+                self.tracker.close_period(task.request_id, record)
+            else:
+                sink.append(record)
+        core.period_start = now
+        # --- inlined SamplerStats.record(mandatory=False) + cost memo
+        # (per-context dicts with plain float keys dodge the enum hash) ---
+        phase = core.phases[task.phase_index]
+        pollution = phase.behavior.cache_footprint
         if context is SamplingContext.IN_KERNEL:
-            core.period_inj_ik += 1
+            self.stats.in_kernel_samples += 1
+            memo = self._cost_memo_ik
+            core.period_inj_ik = 1
+            core.period_inj_int = 0
         else:
-            core.period_inj_int += 1
-        core.last_sample = self.now
-        self._reset_sampler_timers(core)
-        self._update_core_timers(core)
+            self.stats.interrupt_samples += 1
+            memo = self._cost_memo_int
+            core.period_inj_ik = 0
+            core.period_inj_int = 1
+        cost = memo.get(pollution)
+        if cost is None:
+            cost = self.config.cost_model.cost(context, pollution)
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[pollution] = cost
+        # --- inlined _inject: the period counters restart from the
+        # injected cost (0.0 + x == x bit-exactly) ---
+        cost_cycles = cost.cycles
+        core.busy += cost_cycles
+        last_advance = core.adv + cost_cycles
+        core.adv = last_advance
+        core.pc_cycles = cost_cycles
+        core.pc_instructions = cost.instructions
+        core.pc_l2_refs = cost.l2_refs
+        core.pc_l2_misses = cost.l2_misses
+        core.last_sample = now
+        # --- inlined _reset_sampler_timers + phase-end/ratecall update ---
+        dl = self._dl
+        cid = core.cid
+        delay = self._sampler_delay
+        dl[_ROW_INTERRUPT, cid] = _INF if delay is None else now + delay
+        rates = core.rx
+        if rates is not None:
+            remaining = phase.instructions - task.instructions_done_in_phase
+            if remaining <= 0.0:
+                remaining = 0.0  # == max(0.0, remaining) bit-exactly
+            dl[_ROW_PHASE, cid] = last_advance + remaining * rates.cpi
+            if self._wants_syscall:
+                self._reset_ratecall(core)
 
     def _reset_sampler_timers(self, core: _CoreRun) -> None:
-        mode = self.policy.mode
-        if mode is SamplingMode.INTERRUPT:
-            core.next_interrupt = self.now + self._interrupt_cycles
-        elif self.policy.wants_syscall_events():
-            core.next_interrupt = self.now + self._backup_cycles
-        else:
-            core.next_interrupt = _INF
+        delay = self._sampler_delay
+        self._dl[_ROW_INTERRUPT, core.cid] = (
+            _INF if delay is None else self.now + delay
+        )
 
     # ------------------------------------------------------------- rates
 
     def _recompute_rates(self) -> None:
-        behaviors = {
-            c.state.core_id: c.task.current_phase.behavior
-            for c in self.cores
-            if c.task is not None
-        }
-        rates = compute_effective_rates(
-            self.machine, self.config.cache, self.config.bus, behaviors
-        )
-        for core in self.cores:
-            cid = core.state.core_id
-            if cid in rates:
-                core.state.set_rates(rates[cid])
-                self._update_core_timers(core)
-            elif core.task is None:
-                core.state.set_rates(None)
+        """Solve every busy core's effective rates and reset its timers.
 
-    def _update_core_timers(self, core: _CoreRun) -> None:
-        """Recompute phase-end and lazy-syscall timers from current rates."""
-        task = core.task
-        rates = core.state.rates
-        if task is None or rates is None:
-            return
-        remaining = task.remaining_in_phase
-        core.phase_end = core.state.last_advance_cycle + remaining * rates.cpi
-        self._reset_ratecall(core)
+        A per-core transcription of
+        :func:`~repro.hardware.cpu.compute_effective_rates`, bit-identical
+        by construction: each cached value is the model call that function
+        makes, with the same arguments, and is reused only while those
+        arguments are unchanged (the same behavior object, an equal
+        co-pressure), which in practice leaves just the core that changed
+        phase and its L2 peer to recompute.  Peer pressures sum from int
+        ``0`` in ``l2_peers_of`` order, and bus totals, penalties and CPIs
+        are rebuilt on every call in ascending core order — that
+        function's accumulation order.  Timer updates (and their RNG
+        draws) follow in the same core order.
+        """
+        cores = self.cores
+        for core in cores:
+            task = core.task
+            if task is not None:
+                behavior = core.phases[task.phase_index].behavior
+                if behavior is not core.behavior:
+                    core.behavior = behavior
+                    core.pressure = phase_pressure(
+                        behavior.l2_refs_per_ins,
+                        behavior.base_cpi,
+                        behavior.cache_footprint,
+                    )
+                    core.solo_cpi = behavior.solo_cpi(self._miss_penalty)
+
+        cache = self.config.cache
+        totals = self._bus_totals
+        totals[:] = self._bus_zeros
+        for core in cores:
+            if core.task is None:
+                continue
+            co_pressure = 0
+            for peer in core.l2_peers:
+                peer_core = cores[peer]
+                if peer_core.task is not None:
+                    co_pressure = co_pressure + peer_core.pressure
+            behavior = core.behavior
+            if behavior is not core.contended or co_pressure != core.co_pressure:
+                miss_ratio = cache.effective_miss_ratio(
+                    behavior.l2_miss_ratio, behavior.cache_footprint, co_pressure
+                )
+                ref_rate = cache.effective_ref_rate(
+                    behavior.l2_refs_per_ins, co_pressure
+                )
+                core.miss_ratio = miss_ratio
+                core.ref_rate = ref_rate
+                core.traffic = self.config.bus.miss_traffic(
+                    ref_rate, miss_ratio, core.solo_cpi
+                )
+                core.contended = behavior
+                core.co_pressure = co_pressure
+            domain = core.bus_domain
+            totals[domain] = totals[domain] + core.traffic
+
+        penalty_base = self._miss_penalty
+        gamma = self._bus_gamma
+        beta = self._bus_beta
+        occ_clamp = self._bus_occ_clamp
+        phase_row = self._phase_row
+        wants_syscall = self._wants_syscall
+        for core in cores:
+            task = core.task
+            if task is None:
+                core.rx = None
+                continue
+            # Inlined MemoryBusModel.effective_miss_penalty, op for op;
+            # the conditionals pick exactly what max(0.0, x) and
+            # min(x, clamp) return, NaN included.
+            occupancy = totals[core.bus_domain] - core.traffic
+            occupancy = occupancy if occupancy > 0.0 else 0.0
+            if occ_clamp < occupancy:
+                occupancy = occ_clamp
+            penalty = penalty_base * (
+                1.0 + gamma * occupancy + beta * occupancy**2
+            )
+            ref_rate = core.ref_rate
+            miss_ratio = core.miss_ratio
+            rates = EffectiveRates(
+                core.behavior.base_cpi + penalty * ref_rate * miss_ratio,
+                ref_rate,
+                miss_ratio,
+            )
+            core.rx = rates
+            # --- phase-end timer from the new rates ---
+            remaining = (
+                core.phases[task.phase_index].instructions
+                - task.instructions_done_in_phase
+            )
+            if not remaining > 0.0:
+                remaining = 0.0  # == max(0.0, remaining), NaN included
+            phase_row[core.cid] = core.adv + remaining * rates.cpi
+            if wants_syscall:
+                self._reset_ratecall(core)
 
     def _reset_ratecall(self, core: _CoreRun) -> None:
-        if not self.policy.wants_syscall_events():
-            core.next_ratecall = _INF
+        cid = core.cid
+        if not self._wants_syscall:
+            self._dl[_ROW_RATECALL, cid] = _INF
             return
-        phase = core.task.current_phase
+        task = core.task
+        phase = core.phases[task.phase_index]
         if phase.syscall_rate_per_ins <= 0:
-            core.next_ratecall = _INF
+            self._dl[_ROW_RATECALL, cid] = _INF
             return
         # The earliest instant a rate-based syscall could trigger a sample;
         # by exponential memorylessness the next call after that instant is
         # one fresh draw away.
         earliest = max(
-            core.state.last_advance_cycle,
+            core.adv,
             core.last_sample + self._t_syscall_min_cycles,
         )
         delay = next_rate_syscall_cycles(
-            self.rng, phase.syscall_rate_per_ins, core.state.rates.cpi
+            self.rng, phase.syscall_rate_per_ins, core.rx.cpi
         )
-        core.next_ratecall = earliest + delay
+        self._dl[_ROW_RATECALL, cid] = earliest + delay
 
 
 def run_workload(workload, config: Optional[SimConfig] = None, **overrides) -> SimResult:

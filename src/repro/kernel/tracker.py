@@ -316,7 +316,7 @@ class RequestTracker:
     def period_sink(self, request_id: int) -> list:
         """The open request's period list, for direct appends.
 
-        The simulator fast path appends pre-filtered records here to skip
+        The simulator appends pre-filtered records here to skip
         the per-sample dict lookup in :meth:`close_period`; only valid
         while no ``period_sample`` observer is attached (see
         :attr:`emits_period_samples`).

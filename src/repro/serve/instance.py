@@ -2,7 +2,7 @@
 
 An *instance* is one simulated application server: a workload (optionally
 fault-injecting), an arrival process from the traffic layer, and a seed.
-:func:`generate_instance_events` runs the (fastpath) simulator with a
+:func:`generate_instance_events` runs the simulator with a
 kind-filtered collector and yields the canonical obs event stream the
 online pipelines consume — deterministic, so the serve tier can be
 load-tested and failure-tested against byte-identity expectations.

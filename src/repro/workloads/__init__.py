@@ -16,7 +16,6 @@ from repro.workloads.registry import (
     available_workloads,
     make_faulted_workload,
     make_workload,
-    parse_fault_spec,
 )
 from repro.workloads.rubis import RubisWorkload
 from repro.workloads.tpcc import TpccWorkload
@@ -44,5 +43,4 @@ __all__ = [
     "available_workloads",
     "make_faulted_workload",
     "make_workload",
-    "parse_fault_spec",
 ]

@@ -1,13 +1,15 @@
-"""Generation fast path: batched RNG, interned templates, block-ahead specs.
+"""Block-stamping request generation: batched RNG, interned templates,
+block-ahead specs.
 
 Request *generation* — not the event loop — bounds the simulator's
 end-to-end speed on the server workloads: every reference request draws
 two or three scalar normals per phase and rebuilds frozen
 ``Phase``/``PhaseBehavior``/``RequestSpec`` dataclasses from scratch.
-This module removes that bound under the same contract as the simulator
-fast path (`REPRO_GEN_FASTPATH=0` restores the reference generators;
-differential tests pin byte-identity of event JSONL, traces, and latency
-records).  Three layers:
+The generators here, which :func:`~repro.workloads.registry.make_workload`
+returns for the five server workloads, remove that bound while staying
+draw-for-draw identical to the reference generators they subclass
+(``tests/workloads/test_genfast.py`` pins specs and RNG state against
+them).  Three layers:
 
 * **batched RNG** — each request kind's phase-def plan (the same
   :class:`~repro.workloads.util.PhaseDef` tables the reference
@@ -25,7 +27,7 @@ records).  Three layers:
   :class:`FastRequestSpec`) instead of re-validated frozen dataclasses.
   :class:`BehaviorInterner` guarantees value-equal behaviors share one
   object identity: a recurring value costs a table probe instead of a
-  new object, and the simulator fast path's per-core contention solve,
+  new object, and the simulator's per-core contention solve,
   which reuses a core's cached values while its behavior is the same
   object, hits whenever a value recurs.  Skipping dataclass validation
   is sound because every def's nominal values are validated
@@ -44,7 +46,6 @@ records).  Three layers:
 
 from __future__ import annotations
 
-import os
 from collections import deque
 
 import numpy as np
@@ -73,15 +74,6 @@ from repro.workloads.webserver import (
     request_phase_defs,
 )
 from repro.workloads.webwork import NUM_PROBLEMS, WeBWorKWorkload, problem_phase_defs
-
-#: Environment kill switch (read per construction, like the sim fast path).
-GEN_FASTPATH_ENV = "REPRO_GEN_FASTPATH"
-
-
-def gen_fastpath_enabled() -> bool:
-    """Whether workload construction routes to the fast generators."""
-    return os.environ.get(GEN_FASTPATH_ENV, "1") != "0"
-
 
 class FastPhase:
     """``__slots__`` stand-in for :class:`Phase` on the generation path."""
@@ -151,7 +143,7 @@ class FastRequestSpec:
 
 #: Interner table bound above which the table is dropped and rebuilt.
 #: Dropping only ends identity sharing with behaviors interned earlier:
-#: the sim fast path uses identity purely as a cache key (and holds the
+#: the simulator uses identity purely as a cache key (and holds the
 #: behaviors it caches against), so an equal but fresh object just
 #: recomputes the same values.
 _INTERN_CAP = 1 << 16
@@ -161,7 +153,7 @@ class BehaviorInterner:
     """Value-keyed :class:`PhaseBehavior` interner.
 
     ``get`` returns *the same object* for equal field values, so a
-    recurring value allocates nothing and the sim fast path's per-core
+    recurring value allocates nothing and the simulator's per-core
     contention solve sees it as unchanged across requests.
     Construction bypasses the frozen-dataclass ``__init__`` (and its
     validation): templates validate nominal values at build time and the
@@ -536,7 +528,7 @@ class FastWeBWorKWorkload(_BlockAheadMixin, WeBWorKWorkload):
         )
 
 
-#: Fast factories, keyed like the registry's reference factories.
+#: The block-stamping generator of each server workload, by registry name.
 FAST_FACTORIES = {
     "webserver": FastWebServerWorkload,
     "tpcc": FastTpccWorkload,

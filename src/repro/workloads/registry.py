@@ -2,25 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.faults.schedule import ScheduledFaultWorkload, parse_fault_schedule
-from repro.faults.taxonomy import FAULT_TAXONOMY
 from repro.obs.profiling import profiled_stage
-from repro.workloads.genfast import FAST_FACTORIES, gen_fastpath_enabled
+from repro.workloads.genfast import FAST_FACTORIES
 from repro.workloads.microbench import MbenchData, MbenchSpin
-from repro.workloads.rubis import RubisWorkload
-from repro.workloads.tpcc import TpccWorkload
-from repro.workloads.tpch import TpchWorkload
-from repro.workloads.webserver import WebServerWorkload
-from repro.workloads.webwork import WeBWorKWorkload
 
+#: The five server workloads generate through their block-stamping
+#: generators (:mod:`repro.workloads.genfast`).
 _FACTORIES = {
-    "webserver": WebServerWorkload,
-    "tpcc": TpccWorkload,
-    "tpch": TpchWorkload,
-    "rubis": RubisWorkload,
-    "webwork": WeBWorKWorkload,
+    **FAST_FACTORIES,
     "mbench_spin": MbenchSpin,
     "mbench_data": MbenchData,
 }
@@ -43,37 +33,7 @@ def make_workload(name: str):
             f"unknown workload {name!r}; available: {sorted(_FACTORIES)}"
         ) from None
     with profiled_stage("generate"):
-        if gen_fastpath_enabled():
-            fast = FAST_FACTORIES.get(name)
-            if fast is not None:
-                return fast()
         return factory()
-
-
-def parse_fault_spec(text: str) -> Tuple[str, float]:
-    """Parse a single plain ``kind:rate`` fault spec (e.g. ``lock_stall:0.2``).
-
-    Kept for the simple single-clause callers; the full composable
-    grammar (multiple ``+``-joined clauses, activation windows, targets,
-    bursts) is :func:`repro.faults.schedule.parse_fault_schedule`, which
-    the ``--faults`` CLI flags route through.
-    """
-    kind, sep, rate_text = text.partition(":")
-    if not sep:
-        raise ValueError(
-            f"fault spec {text!r} must be kind:rate (e.g. lock_stall:0.2)"
-        )
-    if kind not in FAULT_TAXONOMY:
-        raise ValueError(
-            f"unknown fault kind {kind!r}; choose from {FAULT_TAXONOMY}"
-        )
-    try:
-        rate = float(rate_text)
-    except ValueError:
-        raise ValueError(f"fault rate {rate_text!r} is not a number") from None
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"fault rate {rate} must be in [0, 1]")
-    return kind, rate
 
 
 def make_faulted_workload(name: str, fault_spec: str) -> ScheduledFaultWorkload:

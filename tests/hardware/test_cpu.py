@@ -1,11 +1,9 @@
-"""Tests for core execution state and effective-rate computation."""
+"""Tests for phase behavior and effective-rate computation."""
 
 import pytest
 
 from repro.hardware.cache import SharedL2Model
-from repro.hardware.counters import CounterSnapshot
 from repro.hardware.cpu import (
-    CoreState,
     EffectiveRates,
     PhaseBehavior,
     compute_effective_rates,
@@ -133,43 +131,3 @@ class TestComputeEffectiveRates:
     def test_symmetry(self):
         rates = rates_for({0: SCAN, 1: SCAN, 2: SCAN, 3: SCAN})
         assert rates[0].cpi == pytest.approx(rates[3].cpi)
-
-
-class TestCoreState:
-    def test_advance_accumulates(self):
-        core = CoreState(core_id=0)
-        core.set_rates(EffectiveRates(cpi=2.0, l2_refs_per_ins=0.01, l2_miss_ratio=0.5))
-        delta = core.advance(1000.0)
-        assert delta.cycles == pytest.approx(1000.0)
-        assert delta.instructions == pytest.approx(500.0)
-        assert core.busy_cycles == pytest.approx(1000.0)
-
-    def test_idle_advance_is_empty(self):
-        core = CoreState(core_id=0)
-        delta = core.advance(500.0)
-        assert delta.instructions == 0.0
-        assert core.last_advance_cycle == 500.0
-
-    def test_advance_into_stall_window_is_noop(self):
-        core = CoreState(core_id=0)
-        core.set_rates(EffectiveRates(cpi=1.0, l2_refs_per_ins=0.0, l2_miss_ratio=0.0))
-        core.inject(CounterSnapshot(cycles=1000.0))
-        delta = core.advance(500.0)  # before the stall window ends
-        assert delta.instructions == 0.0
-        assert core.last_advance_cycle == pytest.approx(1000.0)
-
-    def test_inject_counts_and_stalls(self):
-        core = CoreState(core_id=0)
-        core.set_rates(EffectiveRates(cpi=1.0, l2_refs_per_ins=0.0, l2_miss_ratio=0.0))
-        core.inject(CounterSnapshot(cycles=100.0, instructions=50.0))
-        assert core.total.instructions == pytest.approx(50.0)
-        assert core.last_advance_cycle == pytest.approx(100.0)
-        # After the stall, execution resumes normally.
-        delta = core.advance(300.0)
-        assert delta.instructions == pytest.approx(200.0)
-
-    def test_is_busy(self):
-        core = CoreState(core_id=0)
-        assert not core.is_busy
-        core.set_rates(EffectiveRates(cpi=1.0, l2_refs_per_ins=0.0, l2_miss_ratio=0.0))
-        assert core.is_busy

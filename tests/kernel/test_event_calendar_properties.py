@@ -1,18 +1,18 @@
-"""Property-based lockdown of the fastpath event calendar.
+"""Property-based lockdown of the engine's event calendar.
 
-The fast path replaces the reference event scan — a per-core walk over
-five timer attributes picking the minimum ``(time, kind_priority,
-core_id)`` key — with a flat argmin over a ``(5, ncores)`` deadline
-matrix whose C-order flattening encodes the same key.  These tests pin
-the equivalence two ways:
+The engine picks the next event with a flat argmin over a ``(5,
+ncores)`` deadline matrix whose C-order flattening encodes the
+documented ``(time, kind_priority, core_id)`` key.  The oracle here is
+the per-core scan the engine used before the calendar: a walk over each
+busy core's five timers keeping the minimum key.  The tests pin the
+equivalence two ways:
 
 * **poke tests** drive the two selectors directly over adversarial
   deadline matrices (dense ties, infinities, idle cores, pending
   arrivals at equal timestamps) and demand tuple-identical picks;
-* **checked runs** subclass the fastpath simulator so *every* event
-  selection during a real simulation is double-checked against the
-  reference scan, along with time monotonicity and request
-  conservation.
+* **checked runs** subclass the simulator so *every* event selection
+  during a real simulation is double-checked against the scan, along
+  with time monotonicity and request conservation.
 """
 
 import math
@@ -20,9 +20,13 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel.fastpath import FastpathSimulator
 from repro.kernel.sampling import SamplingPolicy
-from repro.kernel.simulator import ServerSimulator, SimConfig
+from repro.kernel.simulator import (
+    _CALENDAR_KINDS,
+    _EVENT_PRIORITY,
+    ServerSimulator,
+    SimConfig,
+)
 from repro.traffic import PoissonArrivals, RandomDispatch, TrafficConfig
 from repro.workloads.registry import make_workload
 from tests.kernel.test_simulator_properties import RandomWorkload
@@ -54,13 +58,37 @@ calendar = st.tuples(
 
 
 def _make_sim():
-    return FastpathSimulator(
+    return ServerSimulator(
         make_workload("mbench_spin"), SimConfig(num_requests=1, seed=0)
     )
 
 
+def reference_scan(sim):
+    """The earliest event by an explicit per-core walk over the timers.
+
+    Seeds the best key with the arrival heap's head, then lets a busy
+    core's timer win only with a strictly smaller ``(time,
+    _EVENT_PRIORITY[kind], core_id)`` key; idle cores are skipped.
+    """
+    best = (_INF, len(_EVENT_PRIORITY), -1, "none")
+    if sim._pending_arrivals:
+        best = (sim._pending_arrivals[0][0], _EVENT_PRIORITY["arrival"],
+                -1, "arrival")
+    for cid, core in enumerate(sim.cores):
+        if core.task is None:
+            continue
+        for kind in ("phase_end", "quantum_end", "resched", "interrupt",
+                     "ratecall"):
+            t = float(sim._dl[_CALENDAR_KINDS.index(kind), cid])
+            if t < _INF:
+                key = (t, _EVENT_PRIORITY[kind], cid)
+                if key < best[:3]:
+                    best = (t, key[1], cid, kind)
+    return best[0], best[2], best[3]
+
+
 class TestNextEventEquivalence:
-    """Flat argmin == reference scan, for arbitrary calendar states."""
+    """Flat argmin == per-core scan, for arbitrary calendar states."""
 
     @given(calendar)
     @settings(max_examples=400, deadline=None)
@@ -80,9 +108,7 @@ class TestNextEventEquivalence:
                     sim._dl[row, cid] = value
         sim._pending_arrivals = [(t, None) for t in sorted(arrivals)]
 
-        fast = FastpathSimulator._next_event(sim)
-        ref = ServerSimulator._next_event(sim)
-        assert fast == ref
+        assert sim._next_event() == reference_scan(sim)
 
     @given(calendar)
     @settings(max_examples=100, deadline=None)
@@ -102,15 +128,15 @@ class TestNextEventEquivalence:
                 finite.extend(v for v in column if v < _INF)
         sim._pending_arrivals = [(t, None) for t in sorted(arrivals)]
 
-        t, _, kind = FastpathSimulator._next_event(sim)
+        t, _, kind = sim._next_event()
         if not finite:
             assert t == _INF and kind == "none"
         else:
             assert t == min(finite)
 
 
-class CheckedSimulator(FastpathSimulator):
-    """Fastpath run whose every event pick is audited against the scan."""
+class CheckedSimulator(ServerSimulator):
+    """A run whose every event pick is audited against the scan."""
 
     def __init__(self, workload, config):
         super().__init__(workload, config)
@@ -118,8 +144,8 @@ class CheckedSimulator(FastpathSimulator):
         self._last_time = -_INF
 
     def _next_event(self):
-        fast = FastpathSimulator._next_event(self)
-        ref = ServerSimulator._next_event(self)
+        fast = ServerSimulator._next_event(self)
+        ref = reference_scan(self)
         assert fast == ref, f"event {self.audited_events}: {fast} != {ref}"
         assert fast[0] >= self._last_time, "event time went backwards"
         self._last_time = fast[0]
@@ -141,7 +167,7 @@ def _checked_run(seed, multi_tier=False, **overrides):
 
 
 class TestCheckedRuns:
-    """Every event of a real run, audited against the reference scan."""
+    """Every event of a real run, audited against the per-core scan."""
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.kernel.simulator import (
+    _CALENDAR_KINDS,
     _EVENT_PRIORITY,
     ServerSimulator,
     SimConfig,
@@ -31,6 +32,12 @@ def make_sim(**overrides):
     return ServerSimulator(make_workload("tpcc"), SimConfig(**defaults))
 
 
+def poke(sim, core_id, kind, t):
+    """Make ``core_id`` busy with a ``kind`` deadline at ``t`` in the calendar."""
+    sim.cores[core_id].task = object()
+    sim._dl[_CALENDAR_KINDS.index(kind), core_id] = t
+
+
 class TestTieBreakKey:
     def test_priority_order_is_documented_and_total(self):
         assert _EVENT_PRIORITY == {
@@ -48,8 +55,7 @@ class TestTieBreakKey:
         sim = make_sim()
         sim._pending_arrivals.clear()
         sim._defer_admission(100.0)
-        sim.cores[0].task = object()
-        sim.cores[0].phase_end = 100.0
+        poke(sim, 0, "phase_end", 100.0)
         t, core_id, kind = sim._next_event()
         assert (t, core_id, kind) == (100.0, -1, "arrival")
 
@@ -59,10 +65,8 @@ class TestTieBreakKey:
         sim._pending_arrivals.clear()
         for cid in (2, 1):
             sim.runqueues[cid].append(None)  # placeholder; dispatch not used
-        sim.cores[1].task = object()
-        sim.cores[2].task = object()
-        sim.cores[1].next_interrupt = 500.0
-        sim.cores[2].next_interrupt = 500.0
+        poke(sim, 2, "interrupt", 500.0)
+        poke(sim, 1, "interrupt", 500.0)
         t, core_id, kind = sim._next_event()
         assert (t, core_id, kind) == (500.0, 1, "interrupt")
 
@@ -70,10 +74,8 @@ class TestTieBreakKey:
         """phase_end on a high core outranks quantum_end on a low core."""
         sim = make_sim()
         sim._pending_arrivals.clear()
-        sim.cores[0].task = object()
-        sim.cores[3].task = object()
-        sim.cores[0].quantum_end = 500.0
-        sim.cores[3].phase_end = 500.0
+        poke(sim, 0, "quantum_end", 500.0)
+        poke(sim, 3, "phase_end", 500.0)
         t, core_id, kind = sim._next_event()
         assert (t, core_id, kind) == (500.0, 3, "phase_end")
 

@@ -1,6 +1,6 @@
-"""Property lockdown of the fast path's per-core contention solve.
+"""Property lockdown of the engine's per-core contention solve.
 
-``FastpathSimulator._recompute_rates`` caches each core's cache pressure,
+``ServerSimulator._recompute_rates`` caches each core's cache pressure,
 solo CPI, miss ratio, reference rate and bus traffic, and recomputes them
 only when that core's behavior object or its L2 co-pressure changes.
 These tests drive the solve directly through sequences of per-core
@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 
 from repro.hardware.cpu import PhaseBehavior, compute_effective_rates
 from repro.hardware.platform import WOODCREST, cluster_machine, serial_machine
-from repro.kernel.fastpath import FastpathSimulator
 from repro.kernel.sampling import SamplingPolicy
-from repro.kernel.simulator import SimConfig
+from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.workloads.registry import make_workload
 
 MACHINES = [WOODCREST, cluster_machine(2, 4), serial_machine()]
@@ -34,9 +33,9 @@ COMPUTE = PhaseBehavior(1.3, 0.002, 0.15, 0.05)
 NO_FOOTPRINT = PhaseBehavior(0.8, 0.01, 0.2, 0.0)
 
 
-def _make_sim(machine) -> FastpathSimulator:
+def _make_sim(machine) -> ServerSimulator:
     # Interrupt sampling: the solve's timer updates then draw no RNG.
-    return FastpathSimulator(
+    return ServerSimulator(
         make_workload("mbench_spin"),
         SimConfig(machine=machine, sampling=SamplingPolicy.interrupt(100.0)),
     )
@@ -73,9 +72,8 @@ def _check(sim) -> None:
     )
     for core in sim.cores:
         if core.task is None:
-            assert core.rx is None and core.state.rates is None
+            assert core.rx is None
             continue
-        assert core.state.rates is core.rx
         assert _bits(core.rx) == _bits(expected[core.cid]), core.cid
         assert core.rx == expected[core.cid]
 

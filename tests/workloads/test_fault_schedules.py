@@ -35,7 +35,9 @@ from repro.faults.schedule import (
 )
 from repro.faults.taxonomy import FAULT_TAXONOMY, LEGACY_FAULT_KINDS
 from repro.workloads.faults import FaultInjectingWorkload
+from repro.workloads.genfast import FastRubisWorkload
 from repro.workloads.registry import make_workload
+from repro.workloads.rubis import RubisWorkload
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 RATES = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
@@ -324,16 +326,17 @@ class TestLegacyByteIdentity:
             fingerprint(s) for s in specs_legacy
         ]
 
-    @pytest.mark.parametrize("gen_fastpath", ["0", "1"])
-    def test_identical_under_both_generation_paths(
-        self, gen_fastpath, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_GEN_FASTPATH", gen_fastpath)
+    @pytest.mark.parametrize(
+        "generator", [RubisWorkload, FastRubisWorkload],
+        ids=["reference", "block"],
+    )
+    def test_identical_under_both_generation_paths(self, generator):
         legacy = FaultInjectingWorkload(
-            make_workload("rubis"), fault_probability=0.4,
-            fault_kind="cache_thrash",
+            generator(), fault_probability=0.4, fault_kind="cache_thrash",
         )
-        new = scheduled("cache_thrash:0.4", workload="rubis")
+        new = ScheduledFaultWorkload(
+            generator(), parse_fault_schedule("cache_thrash:0.4")
+        )
         specs_legacy = draw(legacy, 30, seed=13)
         specs_new = draw(new, 30, seed=13)
         assert new.injected_ids == legacy.injected_ids

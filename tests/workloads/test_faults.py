@@ -163,16 +163,6 @@ class TestEdgeCases:
 
 
 class TestRegistryWiring:
-    def test_parse_fault_spec(self):
-        from repro.workloads.registry import parse_fault_spec
-
-        assert parse_fault_spec("lock_stall:0.2") == ("lock_stall", 0.2)
-        assert parse_fault_spec("slowdown:1") == ("slowdown", 1.0)
-        for bad in ("lock_stall", "gremlins:0.2", "lock_stall:x",
-                    "lock_stall:1.5", "lock_stall:-0.1"):
-            with pytest.raises(ValueError):
-                parse_fault_spec(bad)
-
     def test_make_faulted_workload(self):
         from repro.faults.schedule import ScheduledFaultWorkload
         from repro.workloads.registry import make_faulted_workload

@@ -1,7 +1,7 @@
-"""Tests for the generation fast path (:mod:`repro.workloads.genfast`).
+"""Tests for block-stamping generation (:mod:`repro.workloads.genfast`).
 
-The contract mirrors the simulator fast path's: the fast generators must
-be *draw-for-draw* indistinguishable from the reference ones — identical
+The fast generators must be *draw-for-draw* indistinguishable from the
+reference ones they subclass — identical
 spec values (every phase field, every behavior float, exact ints) and an
 identical RNG state afterward, so any downstream consumer sees the same
 bitstream no matter which generator produced the specs.
@@ -10,10 +10,10 @@ bitstream no matter which generator produced the specs.
 import numpy as np
 import pytest
 
+from repro.faults.schedule import ScheduledFaultWorkload, parse_fault_schedule
 from repro.hardware.cpu import PhaseBehavior
 from repro.workloads.genfast import (
     FAST_FACTORIES,
-    GEN_FASTPATH_ENV,
     BehaviorInterner,
     FastTpccWorkload,
 )
@@ -162,31 +162,29 @@ class TestBehaviorInterner:
 
 
 class TestWrapperIntegration:
-    """Registry wrappers compose with the fast generators unchanged."""
+    """Registry wrappers over the fast generators draw exactly what the
+    same wrappers over the reference generators draw."""
 
     @pytest.mark.parametrize(
         "app,kind",
         (("tpcc", "payment"), ("webserver", "class1")),
         ids=("builder-dispatch", "rejection-sampling"),
     )
-    def test_fixed_kind_matches_reference(self, app, kind, monkeypatch):
-        results = {}
-        for env in ("1", "0"):
-            monkeypatch.setenv(GEN_FASTPATH_ENV, env)
-            results[env] = draw_with_state(FixedKindWorkload(app, kind), 8, 4)
-        assert results["1"] == results["0"]
+    def test_fixed_kind_matches_reference(self, app, kind):
+        fast = FixedKindWorkload(app, kind)
+        reference = FixedKindWorkload(app, kind)
+        reference._inner = REFERENCE_FACTORIES[app]()
+        assert draw_with_state(fast, 8, 4) == draw_with_state(reference, 8, 4)
 
-    def test_faulted_workload_matches_reference(self, monkeypatch):
-        results = {}
-        for env in ("1", "0"):
-            monkeypatch.setenv(GEN_FASTPATH_ENV, env)
-            results[env] = draw_with_state(
-                make_faulted_workload("tpcc", "lock_stall:0.4"), 15, 8
-            )
-        assert results["1"] == results["0"]
+    def test_faulted_workload_matches_reference(self):
+        fast = make_faulted_workload("tpcc", "lock_stall:0.4")
+        reference = ScheduledFaultWorkload(
+            TpccWorkload(), parse_fault_schedule("lock_stall:0.4")
+        )
+        fingerprints, state = draw_with_state(fast, 15, 8)
+        assert (fingerprints, state) == draw_with_state(reference, 15, 8)
         # The fault rate must actually fire in 15 draws at p=0.4 for the
         # comparison to exercise injected stages.
-        fingerprints, _ = results["1"]
         assert any(
             ("injected_fault", "lock_stall") in fp[4] for fp in fingerprints
         )
@@ -194,16 +192,9 @@ class TestWrapperIntegration:
 
 class TestRegistryRouting:
     @pytest.mark.parametrize("app", SERVER_APPS)
-    def test_default_routes_to_fast_factory(self, app, monkeypatch):
-        monkeypatch.delenv(GEN_FASTPATH_ENV, raising=False)
+    def test_default_routes_to_fast_factory(self, app):
         assert type(make_workload(app)) is FAST_FACTORIES[app]
 
-    @pytest.mark.parametrize("app", SERVER_APPS)
-    def test_kill_switch_routes_to_reference(self, app, monkeypatch):
-        monkeypatch.setenv(GEN_FASTPATH_ENV, "0")
-        assert type(make_workload(app)) is REFERENCE_FACTORIES[app]
-
-    def test_microbenchmarks_never_rerouted(self, monkeypatch):
-        monkeypatch.delenv(GEN_FASTPATH_ENV, raising=False)
+    def test_microbenchmarks_never_rerouted(self):
         assert "mbench_spin" not in FAST_FACTORIES
         assert make_workload("mbench_spin").name == "mbench_spin"
