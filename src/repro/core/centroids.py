@@ -36,18 +36,31 @@ class IncrementalCentroid:
     def __len__(self) -> int:
         return len(self._means)
 
-    def observe(self, window_index: int, value: float) -> None:
-        """Fold one request's window value into the running mean."""
+    def observe(self, window_index: int, value: float) -> Optional[float]:
+        """Score one request's window value, then fold it into the mean.
+
+        Returns the value's absolute deviation from the running mean as it
+        stood *before* the fold, or None when no population evidence
+        existed at that index yet.  Indices at or beyond ``max_windows``
+        are neither scored nor folded.  ``value`` must be a float.
+        """
         if window_index < 0:
             raise ValueError("window_index must be non-negative")
-        if window_index >= self.max_windows:
-            return
-        while len(self._means) <= window_index:
-            self._means.append(0.0)
-            self._counts.append(0)
-        self._counts[window_index] += 1
-        count = self._counts[window_index]
-        self._means[window_index] += (float(value) - self._means[window_index]) / count
+        means = self._means
+        counts = self._counts
+        if window_index >= len(means):
+            if window_index >= self.max_windows:
+                return None
+            while len(means) <= window_index:
+                means.append(0.0)
+                counts.append(0)
+        mean = means[window_index]
+        count = counts[window_index]
+        deviation = abs(value - mean) if count else None
+        count += 1
+        counts[window_index] = count
+        means[window_index] = mean + (value - mean) / count
+        return deviation
 
     def mean_at(self, window_index: int) -> Optional[float]:
         """Centroid value at a window index (None without evidence)."""
@@ -59,14 +72,6 @@ class IncrementalCentroid:
         if 0 <= window_index < len(self._counts):
             return self._counts[window_index]
         return 0
-
-    def deviation(self, window_index: int, value: float) -> Optional[float]:
-        """Absolute deviation of a value from the centroid (None if no
-        population evidence exists yet at that window index)."""
-        mean = self.mean_at(window_index)
-        if mean is None:
-            return None
-        return abs(float(value) - mean)
 
     # -- checkpointing ---------------------------------------------------
 

@@ -48,52 +48,76 @@ class OnlineQuantile:
             self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
 
     def _update(self, value: float) -> None:
+        # The fixed five-marker loops are unrolled: this runs once per
+        # observation on the online pipeline's per-window path, the
+        # contention-easing scheduler's per-period path and every metrics
+        # histogram.
         h, n, d = self._heights, self._positions, self._desired
-        # Locate the cell containing the new observation; clamp extremes.
+        # Locate the cell containing the new observation (clamping the
+        # extremes) and shift the markers above it one position up.
         if value < h[0]:
             h[0] = value
-            k = 0
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
         elif value >= h[4]:
             h[4] = value
-            k = 3
         elif value < h[1]:
-            k = 0
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
         elif value < h[2]:
-            k = 1
+            n[2] += 1.0
+            n[3] += 1.0
         elif value < h[3]:
-            k = 2
-        else:
-            k = 3
-        for i in range(k + 1, 5):
-            n[i] += 1.0
+            n[3] += 1.0
+        n[4] += 1.0
         increments = self._increments
-        for i in range(5):
-            d[i] += increments[i]
-        # Adjust interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = d[i] - n[i]
-            if (delta >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                delta <= -1.0 and n[i - 1] - n[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                n[i] += step
+        d[0] += increments[0]
+        d[1] += increments[1]
+        d[2] += increments[2]
+        d[3] += increments[3]
+        d[4] += increments[4]
+        # Adjust interior markers toward their desired positions, lowest
+        # first: a moved marker is the next one's neighbour.
+        delta = d[1] - n[1]
+        if delta >= 1.0:
+            if n[2] - n[1] > 1.0:
+                self._move(1, 1.0)
+        elif delta <= -1.0 and n[0] - n[1] < -1.0:
+            self._move(1, -1.0)
+        delta = d[2] - n[2]
+        if delta >= 1.0:
+            if n[3] - n[2] > 1.0:
+                self._move(2, 1.0)
+        elif delta <= -1.0 and n[1] - n[2] < -1.0:
+            self._move(2, -1.0)
+        delta = d[3] - n[3]
+        if delta >= 1.0:
+            if n[4] - n[3] > 1.0:
+                self._move(3, 1.0)
+        elif delta <= -1.0 and n[2] - n[3] < -1.0:
+            self._move(3, -1.0)
 
-    def _parabolic(self, i: int, step: float) -> float:
+    def _move(self, i: int, step: float) -> None:
+        """Move interior marker ``i`` one position by ``step`` (+-1.0).
+
+        Its height follows the piecewise-parabolic (P-square) prediction,
+        or the linear one when the parabola leaves the neighbours' range.
+        """
         h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
+        below, height, above = h[i - 1], h[i], h[i + 1]
+        n_below, position, n_above = n[i - 1], n[i], n[i + 1]
+        candidate = height + step / (n_above - n_below) * (
+            (position - n_below + step) * (above - height) / (n_above - position)
+            + (n_above - position - step) * (height - below) / (position - n_below)
         )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+        if below < candidate < above:
+            h[i] = candidate
+        else:
+            j = i + int(step)
+            h[i] = height + step * (h[j] - height) / (n[j] - position)
+        n[i] = position + step
 
     def to_state(self) -> dict:
         """JSON-ready snapshot of the full estimator state.

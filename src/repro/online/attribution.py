@@ -162,16 +162,31 @@ class CauseAttributor:
     #: kind (workload kinds are identifier-like).
     POOLED = "*"
 
-    def observe_window(self, kind: str, window_index: int, cpi: float,
-                       refs_per_ins: float, miss_ratio: float) -> None:
-        """Fold one unflagged window into the kind's running baselines
-        (and the pooled cross-kind fallback)."""
-        self.cpi_centroids.group(kind).observe(window_index, cpi)
-        self.refs_centroids.group(kind).observe(window_index, refs_per_ins)
-        self.cpi_centroids.group(self.POOLED).observe(window_index, cpi)
-        self.refs_centroids.group(self.POOLED).observe(
-            window_index, refs_per_ins
+    def baselines(self, kind: str) -> tuple:
+        """The four running baselines a ``kind`` window folds into.
+
+        ``(cpi, refs)`` centroids of the kind itself, then of the pooled
+        cross-kind fallback, created on first use.  A group is never
+        replaced once created, so a caller may keep the tuple for as long
+        as it keeps this attributor.
+        """
+        return (
+            self.cpi_centroids.group(kind),
+            self.refs_centroids.group(kind),
+            self.cpi_centroids.group(self.POOLED),
+            self.refs_centroids.group(self.POOLED),
         )
+
+    def observe_window(self, baselines: tuple, window_index: int,
+                       cpi: float, refs_per_ins: float) -> None:
+        """Fold one unflagged window into its kind's running baselines
+        (and the pooled cross-kind fallback), as :meth:`baselines`
+        returned them."""
+        cpi_kind, refs_kind, cpi_pooled, refs_pooled = baselines
+        cpi_kind.observe(window_index, cpi)
+        refs_kind.observe(window_index, refs_per_ins)
+        cpi_pooled.observe(window_index, cpi)
+        refs_pooled.observe(window_index, refs_per_ins)
 
     def warm(self, kind: str) -> bool:
         """Whether the kind's baselines have absorbed enough requests."""

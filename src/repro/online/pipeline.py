@@ -36,7 +36,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.centroids import GroupCentroids
+from repro.core.centroids import GroupCentroids, IncrementalCentroid
 from repro.core.identification import OnlineIdentifier
 from repro.core.prediction import VaEwma
 from repro.core.quantile import OnlineQuantile
@@ -110,6 +110,19 @@ class OnlineConfig:
             raise ValueError("anomaly_quantile must be in (0, 1)")
         if self.anomaly_margin <= 0:
             raise ValueError("anomaly_margin must be positive")
+        if not 0.0 < self.ewma_alpha < 1.0:
+            raise ValueError(
+                f"ewma_alpha must be in (0, 1), got {self.ewma_alpha!r}"
+            )
+        if self.max_windows < 1:
+            raise ValueError(
+                f"max_windows must be >= 1, got {self.max_windows!r}"
+            )
+        if self.centroid_max_windows < 1:
+            raise ValueError(
+                "centroid_max_windows must be >= 1, "
+                f"got {self.centroid_max_windows!r}"
+            )
         for metric in (self.identify_metric, self.predict_metric,
                        self.anomaly_metric):
             if metric not in METRIC_INDICES:
@@ -139,6 +152,9 @@ class _OpenRequest:
         "flag_windows",
         "flag_score",
         "feature_windows",
+        "centroid",
+        "quantile",
+        "baselines",
     )
 
     def __init__(self, request_id: int, kind: str, injected_fault, admitted_cycle,
@@ -169,6 +185,15 @@ class _OpenRequest:
         # only when attribution is enabled (None otherwise, and then
         # absent from checkpoint state — the legacy byte surface).
         self.feature_windows: Optional[List[List[float]]] = None
+        # The kind's shared anomaly centroid, P-square threshold and
+        # attribution baselines, resolved from the pipeline on first use
+        # (exactly when the per-kind lookup used to create them), so each
+        # window skips the get-or-create lookups.  References into
+        # pipeline state, not state of their own: never checkpointed, and
+        # resolved afresh after a restore.
+        self.centroid: Optional[IncrementalCentroid] = None
+        self.quantile: Optional[OnlineQuantile] = None
+        self.baselines: Optional[tuple] = None
 
     def to_state(self) -> dict:
         state = {
@@ -296,9 +321,18 @@ class OnlinePipeline:
         self.windows_seen = 0
         self.workload_name: Optional[str] = None
         self.seed: Optional[int] = None
-        self._ik_cost = self.cost_model.minimum_cost(SamplingContext.IN_KERNEL)
-        self._int_cost = self.cost_model.minimum_cost(SamplingContext.INTERRUPT)
-        self._do_compensate = self.config.compensate
+        # The minimum per-sample observer cost subtracted from each period
+        # (None when compensation is off): (instructions, cycles, l2_refs,
+        # l2_misses) of an in-kernel sample, then of an interrupt sample.
+        self._compensation: Optional[tuple] = None
+        if self.config.compensate:
+            in_kernel = self.cost_model.minimum_cost(SamplingContext.IN_KERNEL)
+            interrupt = self.cost_model.minimum_cost(SamplingContext.INTERRUPT)
+            self._compensation = tuple(
+                float(getattr(cost, name))
+                for cost in (in_kernel, interrupt)
+                for name in ("instructions", "cycles", "l2_refs", "l2_misses")
+            )
         # Bank rows for the incremental identification sweep, fetched on
         # first use (the identifier may be attached before it is fitted).
         self._prefix_rows: Optional[tuple] = None
@@ -379,22 +413,28 @@ class OnlinePipeline:
         cycles = float(data["cycles"])
         l2_refs = float(data["l2_refs"])
         l2_misses = float(data["l2_misses"])
-        if self._do_compensate:
+        compensation = self._compensation
+        if compensation is not None:
+            (ik_instructions, ik_cycles, ik_l2_refs, ik_l2_misses,
+             it_instructions, it_cycles, it_l2_refs, it_l2_misses) = compensation
             n_ik = float(data.get("injected_in_kernel", 0))
             n_int = float(data.get("injected_interrupt", 0))
-            ik, it = self._ik_cost, self._int_cost
-            instructions = max(
-                1.0, instructions - n_ik * ik.instructions - n_int * it.instructions
+            instructions = (
+                instructions - n_ik * ik_instructions - n_int * it_instructions
             )
-            cycles = max(1.0, cycles - n_ik * ik.cycles - n_int * it.cycles)
-            l2_refs = max(0.0, l2_refs - n_ik * ik.l2_refs - n_int * it.l2_refs)
-            l2_misses = max(
-                0.0, l2_misses - n_ik * ik.l2_misses - n_int * it.l2_misses
-            )
-        counters = (instructions, cycles, l2_refs, l2_misses)
+            cycles = cycles - n_ik * ik_cycles - n_int * it_cycles
+            l2_refs = l2_refs - n_ik * ik_l2_refs - n_int * it_l2_refs
+            l2_misses = l2_misses - n_ik * ik_l2_misses - n_int * it_l2_misses
+            # Floored as max(1.0, x) / max(0.0, x) would floor them (NaN
+            # included), without four builtin calls per period.
+            instructions = instructions if instructions > 1.0 else 1.0
+            cycles = cycles if cycles > 1.0 else 1.0
+            l2_refs = l2_refs if l2_refs > 0.0 else 0.0
+            l2_misses = l2_misses if l2_misses > 0.0 else 0.0
 
         # Stage 2: per-period vaEWMA prediction, scored one step ahead.
         if instructions > 0:
+            counters = (instructions, cycles, l2_refs, l2_misses)
             num_index, den_index = self._predict_metric
             den = counters[den_index]
             value = counters[num_index] / den if den > 0 else 0.0
@@ -419,16 +459,17 @@ class OnlinePipeline:
 
     def _on_window(self, request: _OpenRequest, window: tuple) -> None:
         config = self.config
+        registry = self.registry
         self.windows_seen += 1
         window_index = request.windows
         request.windows += 1
-        if self.registry is not None:
+        if registry is not None:
             self._c_windows.inc()
 
         # Stage 1: incremental identification until committed.  The
         # per-signature prefix distance grows with the pattern — one
         # O(bank) update per window, never a full re-sweep.
-        if self.identifier is not None and request.committed_label is None:
+        if request.committed_label is None and self.identifier is not None:
             rows_penalty = self._prefix_rows
             if rows_penalty is None:
                 rows_penalty = self._prefix_rows = self.identifier.prefix_rows()
@@ -495,46 +536,54 @@ class OnlinePipeline:
             if request.streak >= config.commit_streak:
                 request.committed_label = label
                 request.commit_windows = request.windows
-                if self.registry is not None:
+                # The running distances only serve the commit decision.
+                request.ident_dists = None
+                if registry is not None:
                     self._c_commits.inc()
                     self._h_commit_ins.observe(
                         request.windows * config.window_instructions
                     )
 
-        # Stage 3: streaming centroid-deviation anomaly detection.
+        # Stage 3: streaming centroid-deviation anomaly detection.  The
+        # window is scored against the kind's pre-existing population,
+        # then joins it as evidence.
         num_index, den_index = self._anomaly_metric
         den = window[den_index]
         value = window[num_index] / den if den > 0 else 0.0
-        centroid = self.centroids.group(request.kind)
-        deviation = centroid.deviation(window_index, value)
+        centroid = request.centroid
+        if centroid is None:
+            centroid = request.centroid = self.centroids.group(request.kind)
+        deviation = centroid.observe(window_index, value)
         if deviation is not None:
             request.dist_sum += deviation
             request.dist_windows += 1
             score = request.dist_sum / request.dist_windows
-            quantile = self.quantiles.get(request.kind)
+            quantile = request.quantile
             if quantile is None:
-                quantile = self.quantiles[request.kind] = OnlineQuantile(
-                    q=config.anomaly_quantile
-                )
-            threshold = quantile.estimate()
+                quantile = self.quantiles.get(request.kind)
+                if quantile is None:
+                    quantile = self.quantiles[request.kind] = OnlineQuantile(
+                        q=config.anomaly_quantile
+                    )
+                request.quantile = quantile
             if (
                 not request.flagged
-                and threshold is not None
                 and quantile.count >= config.anomaly_warmup
                 and request.dist_windows >= config.anomaly_min_windows
-                and score > threshold * config.anomaly_margin
             ):
-                request.flagged = True
-                request.flag_windows = request.windows
-                request.flag_score = score
-                if self.registry is not None:
-                    self._c_flags.inc()
+                threshold = quantile.estimate()
+                if (
+                    threshold is not None
+                    and score > threshold * config.anomaly_margin
+                ):
+                    request.flagged = True
+                    request.flag_windows = request.windows
+                    request.flag_score = score
+                    if registry is not None:
+                        self._c_flags.inc()
             quantile.observe(score)
-            if self.registry is not None:
+            if registry is not None:
                 self._h_anomaly.observe(score)
-        # The request's own window joins the group evidence *after* it was
-        # scored against the pre-existing population.
-        centroid.observe(window_index, value)
 
         # Cause attribution (opt-in): track per-window signature features
         # and fold unflagged windows into the kind's baseline.  A window
@@ -553,8 +602,13 @@ class OnlinePipeline:
             if len(features) < config.max_windows:
                 features.append([cpi, refs_per_ins, miss_ratio])
             if not request.flagged:
+                baselines = request.baselines
+                if baselines is None:
+                    baselines = request.baselines = attributor.baselines(
+                        request.kind
+                    )
                 attributor.observe_window(
-                    request.kind, window_index, cpi, refs_per_ins, miss_ratio
+                    baselines, window_index, cpi, refs_per_ins
                 )
 
     def _on_completed(self, event) -> None:

@@ -1,5 +1,7 @@
 """Tests for the P-square online quantile estimator."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,3 +187,139 @@ class TestPreWarmupNearestRank:
         ordered = sorted(values)
         rank = min(len(ordered), max(1, math.ceil(q * len(ordered))))
         assert est.estimate() == ordered[rank - 1]
+
+
+def reference_update(est, value):
+    """The P-square marker update with its five-marker loops rolled up —
+    the oracle for the unrolled :meth:`OnlineQuantile._update`."""
+    h, n, d = est._heights, est._positions, est._desired
+    if value < h[0]:
+        h[0] = value
+        k = 0
+    elif value >= h[4]:
+        h[4] = value
+        k = 3
+    elif value < h[1]:
+        k = 0
+    elif value < h[2]:
+        k = 1
+    elif value < h[3]:
+        k = 2
+    else:
+        k = 3
+    for i in range(k + 1, 5):
+        n[i] += 1.0
+    for i in range(5):
+        d[i] += est._increments[i]
+    for i in (1, 2, 3):
+        delta = d[i] - n[i]
+        if (delta >= 1.0 and n[i + 1] - n[i] > 1.0) or (
+            delta <= -1.0 and n[i - 1] - n[i] < -1.0
+        ):
+            step = 1.0 if delta >= 1.0 else -1.0
+            candidate = h[i] + step / (n[i + 1] - n[i - 1]) * (
+                (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
+                + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
+            )
+            if h[i - 1] < candidate < h[i + 1]:
+                h[i] = candidate
+            else:
+                j = i + int(step)
+                h[i] = h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+            n[i] += step
+
+
+def state_bits(est):
+    """Every marker's exact bit pattern (signed zeros and NaNs included)."""
+    state = est.to_state()
+    return {
+        key: [struct.pack("<d", v) for v in value]
+        if isinstance(value, list) else value
+        for key, value in state.items()
+    }
+
+
+#: Observations: a small pool (duplicates and ties with marker heights),
+#: signed zeros, extremes and arbitrary floats, plus constant runs.
+P2_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False),
+    st.floats(min_value=-5.0, max_value=5.0),
+)
+
+
+@st.composite
+def p2_streams(draw):
+    values = draw(st.lists(P2_VALUES, max_size=120))
+    for value, repeat in draw(
+        st.lists(st.tuples(P2_VALUES, st.integers(2, 40)), max_size=3)
+    ):
+        at = draw(st.integers(0, len(values)))
+        values[at:at] = [value] * repeat
+    return values
+
+
+class TestUnrolledUpdate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.01, 0.99), p2_streams())
+    def test_equals_loop_version_bit_for_bit(self, q, values):
+        unrolled = OnlineQuantile(q=q)
+        rolled = OnlineQuantile(q=q)
+        for value in values:
+            unrolled.observe(value)
+            if rolled._heights:
+                rolled.count += 1
+                reference_update(rolled, float(value))
+            else:
+                rolled.observe(value)
+            assert state_bits(unrolled) == state_bits(rolled)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(P2_VALUES, min_size=5, max_size=5),
+        st.lists(st.integers(1, 4), min_size=4, max_size=4),
+        st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+        st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+        p2_streams(),
+    )
+    def test_equals_loop_version_from_any_marker_state(
+        self, heights, gaps, offsets, increments, values
+    ):
+        """Restored markers need not sit where a fresh stream puts them:
+        every update from any ordered state matches too."""
+        positions = [1.0]
+        for gap in gaps:
+            positions.append(positions[-1] + gap)
+        state = {
+            "q": 0.5,
+            "initial": sorted(heights),
+            "heights": sorted(heights),
+            "positions": positions,
+            "desired": [p + o for p, o in zip(positions, offsets)],
+            "increments": increments,
+            "count": 5,
+        }
+        unrolled = OnlineQuantile.from_state(state)
+        rolled = OnlineQuantile.from_state(state)
+        for value in values:
+            unrolled.observe(value)
+            rolled.count += 1
+            reference_update(rolled, float(value))
+            assert state_bits(unrolled) == state_bits(rolled)
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.8, 0.9])
+    def test_long_random_stream_matches(self, q):
+        rng = np.random.default_rng(23)
+        values = np.concatenate(
+            [rng.exponential(1.0, 2000), np.full(300, 0.5), rng.normal(4, 2, 2000)]
+        )
+        unrolled = OnlineQuantile(q=q)
+        rolled = OnlineQuantile(q=q)
+        for value in values.tolist():
+            unrolled.observe(value)
+            if rolled._heights:
+                rolled.count += 1
+                reference_update(rolled, value)
+            else:
+                rolled.observe(value)
+        assert state_bits(unrolled) == state_bits(rolled)

@@ -36,9 +36,10 @@ BASE = (1.0, 1.0, 0.1)
 
 def warm(attributor, kind="q", windows=12, requests=8):
     """Feed flat healthy baselines so ratios equal the raw features."""
+    baselines = attributor.baselines(kind)
     for _ in range(requests):
         for index in range(windows):
-            attributor.observe_window(kind, index, *BASE)
+            attributor.observe_window(baselines, index, *BASE[:2])
     return attributor
 
 
@@ -73,9 +74,10 @@ class TestHelpers:
 
     def test_overall_mean_weights_by_population(self):
         attributor = CauseAttributor()
-        attributor.observe_window("q", 0, 1.0, 2.0, 0.1)
-        attributor.observe_window("q", 0, 1.0, 2.0, 0.1)
-        attributor.observe_window("q", 1, 1.0, 5.0, 0.1)
+        baselines = attributor.baselines("q")
+        attributor.observe_window(baselines, 0, 1.0, 2.0)
+        attributor.observe_window(baselines, 0, 1.0, 2.0)
+        attributor.observe_window(baselines, 1, 1.0, 5.0)
         mean = _overall_mean(attributor.refs_centroids.group("q"))
         assert mean == pytest.approx((2.0 + 2.0 + 5.0) / 3)
 
@@ -173,7 +175,7 @@ class TestClassifyGuards:
 class TestCheckpoint:
     def test_state_round_trips_byte_identically(self):
         a = warm(CauseAttributor())
-        a.observe_window("other", 0, 1.5, 0.8, 0.2)
+        a.observe_window(a.baselines("other"), 0, 1.5, 0.8)
         state = a.to_state()
         restored = CauseAttributor.from_state(state)
         assert restored.to_state() == state

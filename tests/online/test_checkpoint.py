@@ -102,6 +102,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             checkpoint_from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ewma_alpha", 1.5), ("max_windows", 0), ("centroid_max_windows", 0)],
+    )
+    def test_rejects_out_of_range_config(self, field, value):
+        """A config its stages would reject mid-stream fails the load."""
+        payload = json.loads(checkpoint_to_json(OnlinePipeline()))
+        payload["state"]["config"][field] = value
+        with pytest.raises(CheckpointError, match=field):
+            checkpoint_from_json(json.dumps(payload))
+
     def test_pipeline_without_identifier_round_trips(self):
         pipeline = OnlinePipeline()
         restored = checkpoint_from_json(checkpoint_to_json(pipeline))

@@ -4,6 +4,8 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_COLLECTOR
+from repro.online import pipeline as pipeline_module
+from repro.online.checkpoint import checkpoint_from_json, checkpoint_to_json
 from repro.online.pipeline import OnlineConfig, OnlinePipeline
 from repro.online.report import build_report
 
@@ -18,6 +20,21 @@ class TestConfig:
             OnlineConfig(anomaly_quantile=1.0)
         with pytest.raises(ValueError):
             OnlineConfig(anomaly_margin=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2])
+    def test_rejects_ewma_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="ewma_alpha"):
+            OnlineConfig(ewma_alpha=alpha)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_rejects_max_windows_below_one(self, cap):
+        with pytest.raises(ValueError, match="^max_windows"):
+            OnlineConfig(max_windows=cap)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_centroid_max_windows_below_one(self, cap):
+        with pytest.raises(ValueError, match="centroid_max_windows"):
+            OnlineConfig(centroid_max_windows=cap)
 
     def test_null_collector_rejects_subscribers(self):
         pipeline = OnlinePipeline()
@@ -83,6 +100,45 @@ class TestLiveRun:
         twice.process_events(events)
         twice.process_events(events)  # duplicates skipped by cursor
         assert build_report(twice).to_json() == build_report(live).to_json()
+
+
+class TestVectorizedIdentification:
+    """A bank of ``SWEEP_MIN_BANK`` signatures or more identifies through
+    the vectorized :class:`~repro.core.kernels.PrefixL1Sweeper` instead of
+    the Python accumulation.  Test banks are far smaller, so the threshold
+    is patched down to force that branch; decisions must not change."""
+
+    def replay(self, identifier, events, cut=None):
+        """Replay ``events`` from a fresh attributing pipeline, through a
+        checkpoint restore after ``events[:cut]`` when ``cut`` is given."""
+        pipeline = checkpoint_from_json(
+            checkpoint_to_json(
+                OnlinePipeline(
+                    config=OnlineConfig(attribute=True), identifier=identifier
+                )
+            )
+        )
+        if cut is not None:
+            pipeline.process_events(events[:cut])
+            pipeline = checkpoint_from_json(checkpoint_to_json(pipeline))
+        pipeline.process_events(events)
+        return pipeline
+
+    @pytest.mark.parametrize("fraction", [None, 0.4, 0.75])
+    def test_sweeper_branch_is_byte_identical(
+        self, streamed_run, trained_identifier, monkeypatch, fraction
+    ):
+        _, events, _, _ = streamed_run
+        cut = None if fraction is None else int(len(events) * fraction)
+        scalar = self.replay(trained_identifier, events)
+        assert scalar._sweeper is None
+        assert any(r["committed_label"] for r in scalar.records)
+
+        monkeypatch.setattr(pipeline_module, "SWEEP_MIN_BANK", 1)
+        vectorized = self.replay(trained_identifier, events, cut)
+        assert vectorized._sweeper is not None
+        assert build_report(vectorized).to_json() == build_report(scalar).to_json()
+        assert checkpoint_to_json(vectorized) == checkpoint_to_json(scalar)
 
 
 class TestDetection:
