@@ -52,11 +52,11 @@ class PhaseBehavior:
 class EffectiveRates:
     """Contention-adjusted execution rates for one core's current phase.
 
-    Hand-written rather than a frozen dataclass: the simulator allocates
-    one per busy core at every phase change, where the frozen-dataclass
-    ``object.__setattr__`` init is measurable.  Value semantics (equality,
-    hashing, repr) match the previous dataclass exactly; treat instances
-    as immutable.
+    The return type of :func:`compute_effective_rates`; the simulator
+    keeps the same three values in per-core slots instead.  A hand-written
+    ``__slots__`` class whose value semantics (equality, hashing, repr)
+    match the former frozen dataclass exactly; treat instances as
+    immutable.
     """
 
     __slots__ = ("cpi", "l2_refs_per_ins", "l2_miss_ratio")

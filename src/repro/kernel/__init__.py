@@ -13,11 +13,10 @@ from repro.kernel.sampling import SamplerStats, SamplingMode, SamplingPolicy
 from repro.kernel.scheduler import RoundRobinScheduler, SchedulerPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig, SimResult, run_workload
 from repro.kernel.task import Task, TaskState
-from repro.kernel.tracker import PeriodRecord, RequestTrace, RequestTracker
+from repro.kernel.tracker import RequestTrace, RequestTracker
 
 __all__ = [
     "ContentionEasingScheduler",
-    "PeriodRecord",
     "RequestTrace",
     "RequestTracker",
     "RoundRobinScheduler",

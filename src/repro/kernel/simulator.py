@@ -23,8 +23,10 @@ and every RNG draw keeps one fixed order, so output is byte-deterministic
   every core event via a ``<=`` head check.  Idle cores hold ``inf`` in
   every row.
 * **scalar per-core accumulators** — period counters accumulate as four
-  plain floats per core instead of chained frozen ``CounterSnapshot``
-  allocations; a snapshot is built only when a period is flushed.
+  plain floats per core, and a flushed period is one 9-value row added
+  to its request's flat period list
+  (:data:`~repro.kernel.tracker.PERIOD_FIELDS`); no per-period object
+  outlives the flush.
 * **batched event application** — runs of sampler events (interrupt
   samples, rate-based syscalls) cannot change dispatch, completion, or
   shedding state, so the inner loop drains them without re-entering the
@@ -37,9 +39,10 @@ and every RNG draw keeps one fixed order, so output is byte-deterministic
   computed for, and recomputes them only when that identity or value
   changes.  Bus totals, penalties and CPIs are rebuilt on every solve in
   ascending core order, exactly as
-  :func:`~repro.hardware.cpu.compute_effective_rates` does, and sampling
-  cost snapshots are memoized per run.  Timer resets and RNG draws still
-  run on every recompute — only *values* are reused, never side effects.
+  :func:`~repro.hardware.cpu.compute_effective_rates` does, into plain
+  float slots on the core, and sampling cost snapshots are memoized per
+  run.  Timer resets and RNG draws still run on every recompute — only
+  *values* are reused, never side effects.
 """
 
 from __future__ import annotations
@@ -52,15 +55,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.hardware.cache import SharedL2Model, phase_pressure
-from repro.hardware.counters import CounterSnapshot, SamplingContext, SamplingCostModel
-from repro.hardware.cpu import EffectiveRates
+from repro.hardware.counters import SamplingContext, SamplingCostModel
 from repro.hardware.memory import MemoryBusModel
 from repro.hardware.platform import WOODCREST, MachineConfig
 from repro.kernel.sampling import SamplerStats, SamplingMode, SamplingPolicy
 from repro.kernel.scheduler import RoundRobinScheduler, SchedulerPolicy
 from repro.kernel.syscalls import next_rate_syscall_cycles
 from repro.kernel.task import Task, TaskState
-from repro.kernel.tracker import PeriodRecord, RequestTracker
+from repro.kernel.tracker import RequestTracker
 from repro.obs.profiling import active_profiler, profiled_stage
 from repro.obs.trace import NULL_COLLECTOR, TraceCollector
 from repro.traffic import (
@@ -225,14 +227,15 @@ class _CoreRun:
     The core's event timers are not here: they live in column ``cid`` of
     the simulator's deadline calendar.  ``adv`` is the cycle this core
     was last advanced to (an injected stall pushes it past ``now``, and
-    the stalled interval then retires no instructions), ``busy`` its busy
-    cycles, and ``rx`` its current
-    :class:`~repro.hardware.cpu.EffectiveRates` (None while idle).  The
-    open period's counters accumulate as four plain floats.  The
-    contention-solve slots cache this core's share of
+    the stalled interval then retires no instructions), and ``busy`` its
+    busy cycles.  The open period's counters accumulate as four plain
+    floats.  The contention-solve slots cache this core's share of
     :func:`~repro.hardware.cpu.compute_effective_rates`, keyed by the
     behavior (and co-pressure) they were computed for; holding the
-    behavior keeps its identity from being recycled.
+    behavior keeps its identity from being recycled.  ``cpi``,
+    ``ref_rate`` and ``miss_ratio`` are the core's current effective
+    rates; ``cpi`` is None while the core has no solved rates (idle, or
+    dispatched since the last solve).
     """
 
     __slots__ = (
@@ -251,7 +254,7 @@ class _CoreRun:
         "periods_sink",
         "adv",
         "busy",
-        "rx",
+        "cpi",
         "l2_peers",
         "bus_domain",
         "behavior",
@@ -289,7 +292,7 @@ class _CoreRun:
         self.pc_l2_misses = 0.0
         self.adv = 0.0
         self.busy = 0.0
-        self.rx = None
+        self.cpi = None
         # Contention-solve cache: pressure and solo CPI are valid for
         # ``behavior``; miss ratio, reference rate and bus traffic for
         # (``contended``, ``co_pressure``).
@@ -638,10 +641,9 @@ class ServerSimulator:
         threshold = self.config.high_usage_mpi_threshold
         count = 0
         for core in self.cores:
-            rates = core.rx
-            if rates is None:
+            if core.cpi is None:
                 continue
-            if rates.l2_refs_per_ins * rates.l2_miss_ratio > threshold:
+            if core.ref_rate * core.miss_ratio > threshold:
                 count += 1
         self._timeline[count] += t - self.now
 
@@ -650,7 +652,8 @@ class ServerSimulator:
 
         Cycles re-anchor on wall time (no float drift); instructions,
         references and misses follow the exact operation order of
-        :meth:`~repro.hardware.cpu.EffectiveRates.counters_for_instructions`.
+        :meth:`~repro.hardware.cpu.EffectiveRates.counters_for_instructions`
+        on the core's rate slots.
         A core stalled past ``t`` by an injection makes no progress.
         """
         for core in self.cores:
@@ -658,12 +661,12 @@ class ServerSimulator:
             if elapsed <= 0.0:
                 continue
             core.adv = t
-            rates = core.rx
-            if rates is None:
+            cpi = core.cpi
+            if cpi is None:
                 continue
-            instructions = elapsed / rates.cpi
-            refs = instructions * rates.l2_refs_per_ins
-            misses = refs * rates.l2_miss_ratio
+            instructions = elapsed / cpi
+            refs = instructions * core.ref_rate
+            misses = refs * core.miss_ratio
             core.busy += elapsed
             task = core.task
             if task is not None and instructions > 0:
@@ -981,7 +984,7 @@ class ServerSimulator:
         self._switch_in(core, task)
 
     def _clear_core(self, core: _CoreRun) -> None:
-        core.rx = None
+        core.cpi = None
         core.periods_sink = None
         core.phases = None
         self._dl[:, core.cid] = _INF
@@ -1091,7 +1094,7 @@ class ServerSimulator:
                 core=core.cid,
                 context=context.value if context is not None else None,
             )
-        self._flush_period(core, context)
+        self._flush_period(core)
         task.state = TaskState.READY
         core.task = None
         self._clear_core(core)
@@ -1127,7 +1130,7 @@ class ServerSimulator:
         core.pc_l2_refs += refs
         core.pc_l2_misses += misses
 
-    def _flush_period(self, core: _CoreRun, context: SamplingContext) -> None:
+    def _flush_period(self, core: _CoreRun) -> None:
         now = self.now
         cycles = core.pc_cycles
         instructions = core.pc_instructions
@@ -1136,23 +1139,20 @@ class ServerSimulator:
                 core.task, instructions, core.pc_l2_misses, cycles
             )
         # close_period drops no-activity periods; mirroring its test here
-        # skips the snapshot/record allocations for them entirely.
+        # skips building their rows entirely.
         if cycles > 0 or instructions > 0:
             self.tracker.close_period(
                 core.task.request_id,
-                PeriodRecord(
-                    start_cycle=core.period_start,
-                    end_cycle=now,
-                    core=core.cid,
-                    counters=CounterSnapshot(
-                        cycles=cycles,
-                        instructions=instructions,
-                        l2_refs=core.pc_l2_refs,
-                        l2_misses=core.pc_l2_misses,
-                    ),
-                    injected_in_kernel=core.period_inj_ik,
-                    injected_interrupt=core.period_inj_int,
-                    closing_context=context,
+                (
+                    core.period_start,
+                    now,
+                    core.cid,
+                    cycles,
+                    instructions,
+                    core.pc_l2_refs,
+                    core.pc_l2_misses,
+                    core.period_inj_ik,
+                    core.period_inj_int,
                 ),
             )
         core.period_start = now
@@ -1187,25 +1187,24 @@ class ServerSimulator:
         if self._scheduler_samples:
             self.scheduler.on_sample(task, instructions, core.pc_l2_misses, cycles)
         if cycles > 0 or instructions > 0:
-            # Positional construction: keyword packing is measurable at
-            # this call frequency.  Field order is pinned by the
-            # PeriodRecord / CounterSnapshot signatures.
-            record = PeriodRecord(
+            # One row in PERIOD_FIELDS order; the tuple dies once its
+            # values are in the request's flat list.
+            row = (
                 core.period_start,
                 now,
                 core.cid,
-                CounterSnapshot(
-                    cycles, instructions, core.pc_l2_refs, core.pc_l2_misses
-                ),
+                cycles,
+                instructions,
+                core.pc_l2_refs,
+                core.pc_l2_misses,
                 core.period_inj_ik,
                 core.period_inj_int,
-                context,
             )
             sink = core.periods_sink
             if sink is None:
-                self.tracker.close_period(task.request_id, record)
+                self.tracker.close_period(task.request_id, row)
             else:
-                sink.append(record)
+                sink += row
         core.period_start = now
         # --- inlined SamplerStats.record(mandatory=False) + cost memo
         # (per-context dicts with plain float keys dodge the enum hash) ---
@@ -1243,12 +1242,12 @@ class ServerSimulator:
         cid = core.cid
         delay = self._sampler_delay
         dl[_ROW_INTERRUPT, cid] = _INF if delay is None else now + delay
-        rates = core.rx
-        if rates is not None:
+        cpi = core.cpi
+        if cpi is not None:
             remaining = phase.instructions - task.instructions_done_in_phase
             if remaining <= 0.0:
                 remaining = 0.0  # == max(0.0, remaining) bit-exactly
-            dl[_ROW_PHASE, cid] = last_advance + remaining * rates.cpi
+            dl[_ROW_PHASE, cid] = last_advance + remaining * cpi
             if self._wants_syscall:
                 self._reset_ratecall(core)
 
@@ -1272,8 +1271,10 @@ class ServerSimulator:
         phase and its L2 peer to recompute.  Peer pressures sum from int
         ``0`` in ``l2_peers_of`` order, and bus totals, penalties and CPIs
         are rebuilt on every call in ascending core order — that
-        function's accumulation order.  Timer updates (and their RNG
-        draws) follow in the same core order.
+        function's accumulation order.  The rates land in each core's
+        ``cpi``/``ref_rate``/``miss_ratio`` slots, so a solve allocates
+        nothing.  Timer updates (and their RNG draws) follow in the same
+        core order.
         """
         cores = self.cores
         for core in cores:
@@ -1327,7 +1328,6 @@ class ServerSimulator:
         for core in cores:
             task = core.task
             if task is None:
-                core.rx = None
                 continue
             # Inlined MemoryBusModel.effective_miss_penalty, op for op;
             # the conditionals pick exactly what max(0.0, x) and
@@ -1339,14 +1339,10 @@ class ServerSimulator:
             penalty = penalty_base * (
                 1.0 + gamma * occupancy + beta * occupancy**2
             )
-            ref_rate = core.ref_rate
-            miss_ratio = core.miss_ratio
-            rates = EffectiveRates(
-                core.behavior.base_cpi + penalty * ref_rate * miss_ratio,
-                ref_rate,
-                miss_ratio,
+            cpi = core.behavior.base_cpi + (
+                penalty * core.ref_rate * core.miss_ratio
             )
-            core.rx = rates
+            core.cpi = cpi
             # --- phase-end timer from the new rates ---
             remaining = (
                 core.phases[task.phase_index].instructions
@@ -1354,7 +1350,7 @@ class ServerSimulator:
             )
             if not remaining > 0.0:
                 remaining = 0.0  # == max(0.0, remaining), NaN included
-            phase_row[core.cid] = core.adv + remaining * rates.cpi
+            phase_row[core.cid] = core.adv + remaining * cpi
             if wants_syscall:
                 self._reset_ratecall(core)
 
@@ -1376,7 +1372,7 @@ class ServerSimulator:
             core.last_sample + self._t_syscall_min_cycles,
         )
         delay = next_rate_syscall_cycles(
-            self.rng, phase.syscall_rate_per_ins, core.rx.cpi
+            self.rng, phase.syscall_rate_per_ins, core.cpi
         )
         self._dl[_ROW_RATECALL, cid] = earliest + delay
 

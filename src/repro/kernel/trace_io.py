@@ -19,12 +19,17 @@ from __future__ import annotations
 import json
 from typing import List
 
-from repro.hardware.counters import CounterSnapshot
-from repro.kernel.tracker import PeriodRecord, RequestTrace
+import numpy as np
+
+from repro.kernel.tracker import PERIOD_FIELDS, RequestTrace
 from repro.workloads.base import RequestSpec, Stage
 from repro.workloads.util import phase as make_phase
 
 FORMAT_VERSION = 1
+
+#: The serialized period columns: the row fields up to the two injected
+#: counts, which are not stored (the counters are already compensated).
+_COLUMNS = PERIOD_FIELDS[:7]
 
 
 def trace_to_dict(trace: RequestTrace) -> dict:
@@ -62,13 +67,48 @@ def _jsonable(value):
     return str(value)
 
 
+def _period_block(periods) -> np.ndarray:
+    """The ``(P, 9)`` row block of the serialized period columns.
+
+    Every column must be a list of floats or 64-bit ints as long as
+    ``start``; a missing or short column or a bad entry raises
+    :class:`ValueError` naming the column (and the entry's index).
+    """
+    if not isinstance(periods, dict):
+        raise ValueError("periods is not an object of columns")
+    columns = []
+    for name in _COLUMNS:
+        if name not in periods:
+            raise ValueError(f"periods column {name!r} is missing")
+        values = periods[name]
+        if not isinstance(values, list):
+            raise ValueError(f"periods column {name!r} is not a list")
+        if columns and len(values) != len(columns[0]):
+            raise ValueError(
+                f"periods column {name!r} has {len(values)} entries, "
+                f"'start' has {len(columns[0])}"
+            )
+        for index, value in enumerate(values):
+            if type(value) is not float and (
+                type(value) is not int or not -(2**63) <= value < 2**63
+            ):
+                raise ValueError(
+                    f"periods column {name!r} entry {index} is {value!r}, "
+                    "not a float or 64-bit int"
+                )
+        columns.append(values)
+    # Zero injected counts: the stored counters need no compensation.
+    zeros = [0] * len(columns[0])
+    return np.array(columns + [zeros, zeros]).T
+
+
 def trace_from_dict(data: dict) -> RequestTrace:
     """Reconstruct a trace.  The spec is rebuilt as a single opaque phase
     (the measured timeline, not the generative model, is what offline
     analyses consume)."""
     if not isinstance(data, dict) or "periods" not in data:
         raise ValueError("not a serialized request trace")
-    p = data["periods"]
+    block = _period_block(data["periods"])
     total_ins = max(1, int(data.get("total_spec_instructions", 1)))
     spec = RequestSpec(
         request_id=data["request_id"],
@@ -87,25 +127,13 @@ def trace_from_dict(data: dict) -> RequestTrace:
         ),
         metadata=dict(data.get("metadata", {})),
     )
-    periods = [
-        PeriodRecord(
-            start_cycle=start,
-            end_cycle=end,
-            core=core,
-            counters=CounterSnapshot(cycles, instructions, refs, misses),
-        )
-        for start, end, core, instructions, cycles, refs, misses in zip(
-            p["start"], p["end"], p["core"], p["instructions"],
-            p["cycles"], p["l2_refs"], p["l2_misses"],
-        )
-    ]
     return RequestTrace(
         spec=spec,
         arrival_cycle=data["arrival_cycle"],
         completion_cycle=data["completion_cycle"],
-        periods=periods,
+        periods=block,
         syscall_events=[(c, n) for c, n in data.get("syscalls", [])],
-        cost_model=None,  # counters were stored already-compensated
+        compensation=None,  # counters were stored already-compensated
         frequency_ghz=data.get("frequency_ghz", 3.0),
     )
 

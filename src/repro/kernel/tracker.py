@@ -26,71 +26,55 @@ from repro.workloads.base import RequestSpec
 METRICS = ("cpi", "l2_refs_per_ins", "l2_miss_per_ins", "l2_miss_ratio")
 
 
-class PeriodRecord:
-    """One execution period: counter deltas between consecutive samples.
+#: Field order of one period row: the simulator carries every execution
+#: period as these nine values.
+PERIOD_FIELDS = (
+    "start", "end", "core", "cycles", "instructions", "l2_refs", "l2_misses",
+    "injected_in_kernel", "injected_interrupt",
+)
 
-    A hand-written ``__slots__`` class (not a dataclass): the simulator
-    allocates one per flushed period on its hot path, and slotted
-    attribute storage is measurably cheaper than dict-backed instances.
-    The constructor signature is unchanged.
-    """
+#: Floors of the compensated counters, a column in row order.
+_FLOORS = np.array([[1.0], [1.0], [0.0], [0.0]])
 
-    __slots__ = (
-        "start_cycle",
-        "end_cycle",
-        "core",
-        "counters",
-        "injected_in_kernel",
-        "injected_interrupt",
-        "closing_context",
-    )
 
-    def __init__(
-        self,
-        start_cycle: float,
-        end_cycle: float,
-        core: int,
-        counters: CounterSnapshot,
-        injected_in_kernel: int = 0,
-        injected_interrupt: int = 0,
-        closing_context: Optional[SamplingContext] = None,
-    ):
-        self.start_cycle = start_cycle
-        self.end_cycle = end_cycle
-        self.core = core
-        self.counters = counters
-        #: Number of compensatable samples whose cost was injected into
-        #: this period, by sampling context.
-        self.injected_in_kernel = injected_in_kernel
-        self.injected_interrupt = injected_interrupt
-        #: What closed the period (None for the final flush at completion).
-        self.closing_context = closing_context
-
-    def __repr__(self) -> str:
-        return (
-            f"PeriodRecord(start_cycle={self.start_cycle!r}, "
-            f"end_cycle={self.end_cycle!r}, core={self.core!r}, "
-            f"counters={self.counters!r}, "
-            f"injected_in_kernel={self.injected_in_kernel!r}, "
-            f"injected_interrupt={self.injected_interrupt!r}, "
-            f"closing_context={self.closing_context!r})"
+def minimum_cost_columns(cost_model: Optional[SamplingCostModel]):
+    """The "do no harm" subtrahends: the in-kernel and the interrupt
+    minimum per-sample cost, each a ``(4, 1)`` column in row order (None
+    without a model)."""
+    if cost_model is None:
+        return None
+    return tuple(
+        np.array([[cost.cycles], [cost.instructions], [cost.l2_refs], [cost.l2_misses]])
+        for cost in (
+            cost_model.minimum_cost(SamplingContext.IN_KERNEL),
+            cost_model.minimum_cost(SamplingContext.INTERRUPT),
         )
+    )
 
 
 class RequestTrace:
-    """Serialized per-request counter timeline."""
+    """Serialized per-request counter timeline.
+
+    ``periods`` is the ``(P, 9)`` block of the request's rows (any
+    array-like numpy reads as that shape).  Each array is one column of
+    the block, stably sorted by start cycle, in memory of its own, so no
+    array keeps the block or the injected counts alive.  With
+    ``compensation`` (see :func:`minimum_cost_columns`) the compensated
+    counters are the raw ones minus each injected count times its minimum
+    cost, floored; without it they equal the raw counters.
+    """
 
     def __init__(
         self,
         spec: RequestSpec,
         arrival_cycle: float,
         completion_cycle: float,
-        periods: List[PeriodRecord],
+        periods,
         syscall_events: List[Tuple[float, str]],
-        cost_model: Optional[SamplingCostModel],
+        compensation,
         frequency_ghz: float,
     ):
-        if not periods:
+        if len(periods) == 0:
             raise ValueError(f"request {spec.request_id} produced no periods")
         self.spec = spec
         self.arrival_cycle = arrival_cycle
@@ -98,38 +82,26 @@ class RequestTrace:
         self.syscall_events = list(syscall_events)
         self.frequency_ghz = frequency_ghz
 
-        order = np.argsort([p.start_cycle for p in periods], kind="stable")
-        periods = [periods[i] for i in order]
-        self.start = np.array([p.start_cycle for p in periods])
-        self.end = np.array([p.end_cycle for p in periods])
-        self.core = np.array([p.core for p in periods], dtype=int)
-        self.raw_instructions = np.array([p.counters.instructions for p in periods])
-        self.raw_cycles = np.array([p.counters.cycles for p in periods])
-        self.raw_l2_refs = np.array([p.counters.l2_refs for p in periods])
-        self.raw_l2_misses = np.array([p.counters.l2_misses for p in periods])
-        n_ik = np.array([p.injected_in_kernel for p in periods], dtype=float)
-        n_int = np.array([p.injected_interrupt for p in periods], dtype=float)
-
-        if cost_model is None:
-            self.instructions = self.raw_instructions.copy()
-            self.cycles = self.raw_cycles.copy()
-            self.l2_refs = self.raw_l2_refs.copy()
-            self.l2_misses = self.raw_l2_misses.copy()
-        else:
-            ik = cost_model.minimum_cost(SamplingContext.IN_KERNEL)
-            it = cost_model.minimum_cost(SamplingContext.INTERRUPT)
-            self.instructions = np.maximum(
-                1.0, self.raw_instructions - n_ik * ik.instructions - n_int * it.instructions
+        columns = np.asarray(periods).T
+        rows = columns.take(columns[0].argsort(kind="stable"), axis=1)
+        (
+            self.start,
+            self.end,
+            self.raw_cycles,
+            self.raw_instructions,
+            self.raw_l2_refs,
+            self.raw_l2_misses,
+        ) = (rows[i].copy() for i in (0, 1, 3, 4, 5, 6))
+        self.core = rows[2].astype(int)
+        counters = rows[3:7]
+        if compensation is not None:
+            in_kernel, interrupt = compensation
+            counters = np.maximum(
+                _FLOORS, counters - rows[7] * in_kernel - rows[8] * interrupt
             )
-            self.cycles = np.maximum(
-                1.0, self.raw_cycles - n_ik * ik.cycles - n_int * it.cycles
-            )
-            self.l2_refs = np.maximum(
-                0.0, self.raw_l2_refs - n_ik * ik.l2_refs - n_int * it.l2_refs
-            )
-            self.l2_misses = np.maximum(
-                0.0, self.raw_l2_misses - n_ik * ik.l2_misses - n_int * it.l2_misses
-            )
+        self.cycles, self.instructions, self.l2_refs, self.l2_misses = (
+            counter.copy() for counter in counters
+        )
 
     # -- whole-request aggregates ------------------------------------------
 
@@ -273,7 +245,8 @@ class _OpenRequest:
     def __init__(self, spec: RequestSpec, arrival_cycle: float):
         self.spec = spec
         self.arrival_cycle = arrival_cycle
-        self.periods: List[PeriodRecord] = []
+        #: The period rows laid end to end: nine values per period.
+        self.periods: list = []
         self.syscalls: List[Tuple[float, str]] = []
 
 
@@ -289,7 +262,7 @@ class RequestTracker:
     ):
         from repro.obs.trace import NULL_COLLECTOR
 
-        self._cost_model = cost_model if compensate else None
+        self._compensation = minimum_cost_columns(cost_model if compensate else None)
         self._frequency_ghz = frequency_ghz
         self._open: Dict[int, _OpenRequest] = {}
         self._obs = collector if collector is not None else NULL_COLLECTOR
@@ -314,40 +287,41 @@ class RequestTracker:
         return self._emit_period
 
     def period_sink(self, request_id: int) -> list:
-        """The open request's period list, for direct appends.
+        """The open request's flat period list, for direct extends.
 
-        The simulator appends pre-filtered records here to skip
-        the per-sample dict lookup in :meth:`close_period`; only valid
-        while no ``period_sample`` observer is attached (see
+        The simulator adds pre-filtered rows here (``sink += row``) to
+        skip the per-sample dict lookup in :meth:`close_period`; only
+        valid while no ``period_sample`` observer is attached (see
         :attr:`emits_period_samples`).
         """
         return self._open[request_id].periods
 
-    def close_period(self, request_id: int, period: PeriodRecord) -> None:
+    def close_period(self, request_id: int, row: tuple) -> None:
         """Attribute a finished execution period to its request.
 
-        Periods with no measurable activity are dropped.  Kept periods are
-        also emitted as ``period_sample`` events carrying the raw counter
-        deltas plus injected-sample counts — the per-request sample stream
-        the online pipeline (:mod:`repro.online`) consumes.
+        ``row`` holds the period's nine values in :data:`PERIOD_FIELDS`
+        order.  Periods with no measurable activity are dropped.  Kept
+        periods are also emitted as ``period_sample`` events carrying the
+        raw counter deltas plus injected-sample counts — the per-request
+        sample stream the online pipeline (:mod:`repro.online`) consumes.
         """
-        if period.counters.cycles <= 0 and period.counters.instructions <= 0:
+        start, end, core, cycles, instructions, l2_refs, l2_misses, n_ik, n_int = row
+        if cycles <= 0 and instructions <= 0:
             return
-        self._open[request_id].periods.append(period)
+        self._open[request_id].periods.extend(row)
         if self._emit_period:
-            counters = period.counters
             self._obs.emit(
                 "period_sample",
-                period.end_cycle,
+                end,
                 request_id=request_id,
-                core=period.core,
-                start_cycle=period.start_cycle,
-                instructions=counters.instructions,
-                cycles=counters.cycles,
-                l2_refs=counters.l2_refs,
-                l2_misses=counters.l2_misses,
-                injected_in_kernel=period.injected_in_kernel,
-                injected_interrupt=period.injected_interrupt,
+                core=core,
+                start_cycle=start,
+                instructions=instructions,
+                cycles=cycles,
+                l2_refs=l2_refs,
+                l2_misses=l2_misses,
+                injected_in_kernel=n_ik,
+                injected_interrupt=n_int,
             )
 
     def finish_request(self, request_id: int, completion_cycle: float) -> RequestTrace:
@@ -356,9 +330,9 @@ class RequestTracker:
             spec=open_req.spec,
             arrival_cycle=open_req.arrival_cycle,
             completion_cycle=completion_cycle,
-            periods=open_req.periods,
+            periods=np.array(open_req.periods).reshape(-1, len(PERIOD_FIELDS)),
             syscall_events=open_req.syscalls,
-            cost_model=self._cost_model,
+            compensation=self._compensation,
             frequency_ghz=self._frequency_ghz,
         )
 

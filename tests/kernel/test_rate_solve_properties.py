@@ -6,10 +6,11 @@ only when that core's behavior object or its L2 co-pressure changes.
 These tests drive the solve directly through sequences of per-core
 changes — phase changes, cores going idle, peers coming back, one
 behavior object on several cores, fully idle L2 domains — and demand
-after every step that each busy core's rates equal
-:func:`repro.hardware.cpu.compute_effective_rates` on the same behaviors,
-bit for bit.  The reference is recomputed from scratch each step, so any
-stale cache entry shows up as a differing bit.
+after every step that each busy core's rate slots (``cpi``, ``ref_rate``,
+``miss_ratio``) equal :func:`repro.hardware.cpu.compute_effective_rates`
+on the same behaviors, bit for bit, and that every idle core's ``cpi`` is
+None.  The reference is recomputed from scratch each step, so any stale
+cache entry shows up as a differing bit.
 """
 
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.cpu import PhaseBehavior, compute_effective_rates
+from repro.hardware.cpu import EffectiveRates, PhaseBehavior, compute_effective_rates
 from repro.hardware.platform import WOODCREST, cluster_machine, serial_machine
 from repro.kernel.sampling import SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
@@ -60,6 +61,11 @@ def _bits(rates) -> tuple:
     )
 
 
+def _slot_rates(core) -> EffectiveRates:
+    """The core's rate slots, in the reference's return type."""
+    return EffectiveRates(core.cpi, core.ref_rate, core.miss_ratio)
+
+
 def _check(sim) -> None:
     sim._recompute_rates()
     running = {
@@ -72,10 +78,10 @@ def _check(sim) -> None:
     )
     for core in sim.cores:
         if core.task is None:
-            assert core.rx is None
+            assert core.cpi is None
             continue
-        assert _bits(core.rx) == _bits(expected[core.cid]), core.cid
-        assert core.rx == expected[core.cid]
+        assert _bits(_slot_rates(core)) == _bits(expected[core.cid]), core.cid
+        assert _slot_rates(core) == expected[core.cid]
 
 
 def _walk(machine, steps) -> None:

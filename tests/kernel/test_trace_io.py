@@ -135,3 +135,66 @@ class TestJsonl:
         lines[3] = '{"request_id": 1}'  # file line 4, not non-blank line 3
         with pytest.raises(ValueError, match="line 4"):
             parse_traces_jsonl("\n".join(lines) + "\n")
+
+
+class TestDamagedPeriodColumns:
+    """A damaged period column fails loudly and names the column."""
+
+    @staticmethod
+    def _payload(tpcc_run):
+        trace = next(t for t in tpcc_run.traces if t.num_periods == 5)
+        return trace_to_dict(trace)
+
+    def test_short_column_rejected(self, tpcc_run):
+        payload = self._payload(tpcc_run)
+        del payload["periods"]["cycles"][2:]
+        with pytest.raises(
+            ValueError, match="periods column 'cycles' has 2 entries, 'start' has 5"
+        ):
+            trace_from_dict(payload)
+
+    def test_null_entry_rejected(self, tpcc_run):
+        payload = self._payload(tpcc_run)
+        payload["periods"]["cycles"][0] = None
+        with pytest.raises(
+            ValueError, match="periods column 'cycles' entry 0 is None"
+        ):
+            trace_from_dict(payload)
+
+    def test_string_entry_rejected(self, tpcc_run):
+        payload = self._payload(tpcc_run)
+        payload["periods"]["l2_refs"][3] = "297724.0"
+        with pytest.raises(
+            ValueError, match="periods column 'l2_refs' entry 3 is '297724.0'"
+        ):
+            trace_from_dict(payload)
+
+    @pytest.mark.parametrize("bad", [True, [1.0], {"v": 1.0}, 2**64])
+    def test_other_non_numbers_rejected(self, tpcc_run, bad):
+        payload = self._payload(tpcc_run)
+        payload["periods"]["end"][4] = bad
+        with pytest.raises(ValueError, match="periods column 'end' entry 4 is"):
+            trace_from_dict(payload)
+
+    def test_missing_column_rejected(self, tpcc_run):
+        payload = self._payload(tpcc_run)
+        del payload["periods"]["l2_misses"]
+        with pytest.raises(ValueError, match="periods column 'l2_misses' is missing"):
+            trace_from_dict(payload)
+
+    def test_jsonl_error_keeps_line_number(self, tpcc_run):
+        payload = self._payload(tpcc_run)
+        del payload["periods"]["core"][1:]
+        lines = traces_to_jsonl(tpcc_run.traces[:2]).splitlines()
+        lines[2] = json.dumps(payload)
+        with pytest.raises(
+            ValueError, match="line 3: periods column 'core' has 1 entries"
+        ):
+            parse_traces_jsonl("\n".join(lines) + "\n")
+
+    def test_loaded_arrays_are_numeric(self, tpcc_run):
+        trace = trace_from_dict(self._payload(tpcc_run))
+        assert trace.num_periods == 5
+        assert trace.core.dtype == np.int64
+        for name in ("start", "end", "cycles", "instructions", "l2_refs", "l2_misses"):
+            assert getattr(trace, name).dtype == np.float64, name

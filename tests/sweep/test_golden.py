@@ -10,6 +10,7 @@ regenerate the corpus and review the diff:
 import difflib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -65,6 +66,16 @@ class TestGoldenCorpus:
             "    python -m repro.sweep --regen-golden\n"
             "and commit the diff.\n\n" + diff
         )
+
+    def test_explicit_closed_loop_axes_match_pinned_bytes(self):
+        """The explicit closed-loop axes must hit the same code path — and
+        the same bytes — as the pre-traffic-layer default."""
+        scenario = golden_scenario("tpcc")
+        explicit = replace(scenario, arrivals="closed", dispatch="rr")
+        produced = result_to_json(run_scenario(explicit)) + "\n"
+        with open(golden_path("tpcc")) as fh:
+            pinned = fh.read()
+        assert produced == pinned, "closed-loop traffic diverged from golden"
 
     def test_golden_scenarios_cover_faults_and_placement(self):
         # The corpus must keep exercising fault injection (tpcc) and
