@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import math
 import signal
 import sys
 import tempfile
@@ -56,6 +57,18 @@ def _non_negative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _pacing_rate(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
     return value
 
 
@@ -116,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="N",
                       help="calibration requests for a shared signature "
                       "bank (0 disables identification; default 0)")
-    load.add_argument("--rate", type=float, default=None, metavar="EV/S",
+    load.add_argument("--rate", type=_pacing_rate, default=None,
+                      metavar="EV/S",
                       help="pace each instance's stream at this many "
                       "events/sec (default: as fast as credit allows)")
     load.add_argument("--backpressure", choices=("block", "shed"),

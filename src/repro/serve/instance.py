@@ -16,7 +16,9 @@ load-tested and failure-tested against byte-identity expectations.
   shard; ``block`` mode awaits space (credit backpressure propagates to
   the producer), ``shed`` mode drops events when the queue is full and
   counts them (``serve_events_shed``).  The worker side grants
-  frames-in-flight credit at handshake; a link never exceeds it.
+  frames-in-flight credit at handshake; a link never exceeds it.  A
+  reader task per connection takes each credit back the moment the
+  worker's ack lands.
 * **Failover** — every sent event stays in a retained tail until the
   worker acknowledges a covering checkpoint.  On a connection loss the
   link reconnects (with backoff, up to a deadline) and replays the tail;
@@ -33,16 +35,22 @@ backpressure and detection latency.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.sampling import SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.obs.trace import ObsEvent, TraceCollector
 from repro.online.pipeline import SUBSCRIBED_KINDS
-from repro.serve.protocol import FrameStream, client_handshake, events_frame
+from repro.serve.protocol import (
+    FrameStream,
+    ProtocolError,
+    client_handshake,
+    events_frame,
+)
 from repro.serve.router import HashRing
 from repro.workloads.registry import make_faulted_workload, make_workload
 
@@ -107,7 +115,8 @@ class StreamStats:
     reconnects: int = 0
     checkpoint_acks: int = 0
     #: Seconds from frame send (or scheduled emission under pacing) to
-    #: the worker's covering credit ack — the detection-latency signal.
+    #: the arrival of the worker's covering credit ack — the
+    #: detection-latency signal.
     ack_latencies: List[float] = field(default_factory=list)
 
     def merge(self, other: "StreamStats") -> None:
@@ -120,7 +129,15 @@ class StreamStats:
 
 
 class _WorkerLink:
-    """One instance→shard connection: batching, credit, tail replay."""
+    """One instance→shard connection: batching, credit, tail replay.
+
+    Each connection has two tasks.  The sender (:meth:`run`) only
+    writes: it takes a free credit before each events frame.  The
+    reader (:meth:`_read_acks`) folds ``credit`` and ``checkpoint``
+    frames the moment they land, so credit returns, the retained tail
+    shrinks and the ack latency is timed when the worker's frame
+    arrives, not when the sender next runs out of credit.
+    """
 
     def __init__(
         self,
@@ -144,9 +161,13 @@ class _WorkerLink:
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_limit)
         #: (event_dict, enqueue_time) sent but not yet checkpoint-acked.
         self.retained: deque = deque()
-        #: Send time of each frame awaiting its credit ack (FIFO).
+        #: Clock start of each frame awaiting its credit ack (FIFO).
         self.outstanding: deque = deque()
         self.credit = 1  # refreshed by hello_ack
+        #: Frames written on this connection and not yet credited.
+        self.in_flight = 0
+        #: Set by the reader on each credit and when it stops.
+        self.credit_freed = asyncio.Event()
 
     # -- producer side --------------------------------------------------
 
@@ -161,6 +182,22 @@ class _WorkerLink:
 
     async def finish(self) -> None:
         await self.queue.put((_END, 0.0))
+
+    async def _next_batch(self) -> Tuple[List, bool]:
+        """Up to ``batch`` queued events, and whether the queue ended."""
+        item = await self.queue.get()
+        if item[0] is _END:
+            return [], True
+        batch = [item]
+        while len(batch) < self.batch:
+            try:
+                item = self.queue.get_nowait()
+            except asyncio.QueueEmpty:
+                break
+            if item[0] is _END:
+                return batch, True
+            batch.append(item)
+        return batch, False
 
     # -- connection side ------------------------------------------------
 
@@ -180,34 +217,33 @@ class _WorkerLink:
                 delay = min(delay * 2, 0.5)
                 continue
             stream = FrameStream(reader, writer)
-            ack = await client_handshake(
-                stream, "instance", instance=self.instance
-            )
-            self.credit = int(ack.get("credit", 1))
+            try:
+                ack = await client_handshake(
+                    stream, "instance", instance=self.instance
+                )
+                self.credit = _int_field(ack, "credit", minimum=1)
+            except BaseException:
+                await stream.close()
+                raise
+            self.in_flight = 0
             return stream
 
-    async def _send_frame(
-        self, stream: FrameStream, events: List, in_flight: int
-    ) -> int:
-        """Send one events frame; drain acks until under the credit cap."""
-        await stream.write(events_frame([record for record, _ in events]))
-        sent_at = time.monotonic()
-        self.retained.extend(events)
-        self.stats.frames_sent += 1
-        self.stats.events_sent += len(events)
-        in_flight += 1
-        # Latency clock starts at the scheduled emission time under
-        # pacing (queueing delay counts), else at the send.
-        oldest_pending = min(when for _, when in events)
-        self.outstanding.append(min(sent_at, oldest_pending))
-        while in_flight >= self.credit:
-            payload = await stream.expect("credit", "checkpoint")
-            if payload["type"] == "checkpoint":
-                self._trim_retained(payload["through_seq"])
+    async def _read_acks(self, stream: FrameStream) -> dict:
+        """Fold credits and checkpoints as they land; return the end_ack."""
+        while True:
+            payload = await stream.expect("credit", "checkpoint", "end_ack")
+            frame_type = payload["type"]
+            if frame_type == "credit":
+                self.in_flight -= 1
+                if self.outstanding:
+                    self.stats.ack_latencies.append(
+                        time.monotonic() - self.outstanding.popleft()
+                    )
+                self.credit_freed.set()
+            elif frame_type == "checkpoint":
+                self._trim_retained(_int_field(payload, "through_seq"))
             else:
-                in_flight -= 1
-                self._record_ack()
-        return in_flight
+                return payload
 
     def _trim_retained(self, through_seq: int) -> None:
         self.stats.checkpoint_acks += 1
@@ -215,22 +251,31 @@ class _WorkerLink:
         while retained and retained[0][0]["seq"] <= through_seq:
             retained.popleft()
 
-    def _record_ack(self) -> None:
-        if self.outstanding:
-            self.stats.ack_latencies.append(
-                time.monotonic() - self.outstanding.popleft()
-            )
-
-    async def _drain_until(self, stream: FrameStream, *types: str) -> dict:
-        """Read frames, folding checkpoints, until one of ``types``."""
+    async def _take_credit(self, reader: asyncio.Task) -> None:
+        """Wait for a free credit; a failed reader's error re-raises."""
         while True:
-            payload = await stream.expect("credit", "checkpoint", *types)
-            if payload["type"] == "checkpoint":
-                self._trim_retained(payload["through_seq"])
-            elif payload["type"] in types:
-                return payload
-            else:
-                self._record_ack()
+            if reader.done():
+                reader.result()  # the reader's exception, unchanged
+                raise ProtocolError("end_ack arrived before the end frame")
+            if self.in_flight < self.credit:
+                self.in_flight += 1
+                return
+            self.credit_freed.clear()
+            await self.credit_freed.wait()
+
+    async def _send_frame(
+        self, stream: FrameStream, reader: asyncio.Task, events: List
+    ) -> None:
+        """Write one events frame once the worker has credit for it."""
+        await self._take_credit(reader)
+        # Latency clock starts at the scheduled emission time under
+        # pacing (queueing delay counts), else at the send.  It is queued
+        # before the write: the credit may land while the write drains.
+        oldest_pending = min(when for _, when in events)
+        self.outstanding.append(min(time.monotonic(), oldest_pending))
+        await stream.write(events_frame([record for record, _ in events]))
+        self.stats.frames_sent += 1
+        self.stats.events_sent += len(events)
 
     async def run(self) -> None:
         """Stream the queue to the worker; survive worker restarts.
@@ -239,63 +284,62 @@ class _WorkerLink:
         during the end handshake still holds unacked tail state, so the
         link reconnects and replays even after the queue is drained.
         """
-        stream: Optional[FrameStream] = None
-        in_flight = 0
         done = False
-        pending: List = []  # batch being retried across reconnects
         while True:
+            stream: Optional[FrameStream] = None
+            reader: Optional[asyncio.Task] = None
             try:
-                if stream is None:
-                    stream = await self._connect()
-                    in_flight = 0
-                    # Replay the retained tail: everything sent since the
-                    # last checkpoint ack.  The worker's seq cursor skips
-                    # whatever it already folded in.
-                    tail = list(self.retained)
-                    self.retained.clear()
-                    for start in range(0, len(tail), self.batch):
-                        in_flight = await self._send_frame(
-                            stream, tail[start:start + self.batch], in_flight
-                        )
-                while True:
-                    if not pending and not done:
-                        item = await self.queue.get()
-                        if item[0] is _END:
-                            done = True
-                        else:
-                            pending.append(item)
-                            while len(pending) < self.batch:
-                                try:
-                                    item = self.queue.get_nowait()
-                                except asyncio.QueueEmpty:
-                                    break
-                                if item[0] is _END:
-                                    done = True
-                                    break
-                                pending.append(item)
-                    if pending:
-                        in_flight = await self._send_frame(
-                            stream, pending, in_flight
-                        )
-                        pending = []
-                    if done:
-                        await stream.write({"type": "end"})
-                        await self._drain_until(stream, "end_ack")
-                        await stream.close()
-                        return
+                stream = await self._connect()
+                reader = asyncio.create_task(self._read_acks(stream))
+                reader.add_done_callback(lambda _: self.credit_freed.set())
+                # Replay the retained tail: everything sent since the
+                # last checkpoint ack.  The worker's seq cursor skips
+                # whatever it already folded in.
+                tail = list(self.retained)
+                for start in range(0, len(tail), self.batch):
+                    await self._send_frame(
+                        stream, reader, tail[start:start + self.batch]
+                    )
+                while not done:
+                    batch, done = await self._next_batch()
+                    if batch:
+                        # Retained before the send, so a connection lost
+                        # at any point from here on replays it.
+                        self.retained.extend(batch)
+                        await self._send_frame(stream, reader, batch)
+                await stream.write({"type": "end"})
+                await reader  # the end_ack, or the reader's failure
+                return
             except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                # Worker died (failover in progress): the batch being sent
-                # may or may not have arrived.  Re-retain it and replay;
-                # seq deduplication makes the overlap harmless.
-                if stream is not None:
-                    await stream.close()
-                    stream = None
-                if pending:
-                    self.retained.extend(pending)
-                    pending = []
-                # Frames lost with the connection re-time on replay.
+                # Worker died (failover in progress): frames in flight
+                # may or may not have arrived.  The retained tail still
+                # holds them; seq deduplication makes the overlap
+                # harmless.  Frames lost with the connection re-time on
+                # replay.
                 self.outstanding.clear()
                 self.stats.reconnects += 1
+            finally:
+                if reader is not None:
+                    reader.cancel()
+                    await asyncio.gather(reader, return_exceptions=True)
+                if stream is not None:
+                    await stream.close()
+
+
+def _int_field(payload: dict, name: str, minimum: Optional[int] = None) -> int:
+    """A worker control frame's integer field (ProtocolError otherwise)."""
+    value = payload.get(name)
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        wanted = "an int" if minimum is None else f"an int >= {minimum}"
+        found = "missing" if name not in payload else f"got {value!r}"
+        raise ProtocolError(
+            f"{payload['type']} frame: {name!r} must be {wanted}, {found}"
+        )
+    return value
 
 
 class InstanceClient:
@@ -321,6 +365,13 @@ class InstanceClient:
             )
         if set(socket_paths) != set(ring.shards):
             raise ValueError("socket_paths must cover exactly the ring's shards")
+        if rate_events_per_s is not None and not (
+            math.isfinite(rate_events_per_s) and rate_events_per_s > 0
+        ):
+            raise ValueError(
+                "rate_events_per_s must be a finite number > 0 (or None "
+                f"for unpaced), got {rate_events_per_s!r}"
+            )
         self.spec = spec
         self.events = events
         self.ring = ring
@@ -342,41 +393,47 @@ class InstanceClient:
         }
 
     async def run(self) -> StreamStats:
-        link_tasks = [
+        tasks = [asyncio.create_task(self._produce())] + [
             asyncio.create_task(link.run()) for link in self.links.values()
         ]
         try:
-            ring = self.ring
-            instance = self.spec.instance
-            links = self.links
-            start = time.monotonic()
-            gap = 1.0 / self.rate if self.rate else 0.0
-            for index, event in enumerate(self.events):
-                if gap:
-                    scheduled = start + index * gap
-                    delay = scheduled - time.monotonic()
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                else:
-                    scheduled = time.monotonic()
-                record = event.to_dict()
-                if event.request_id is None:
-                    for link in links.values():
-                        await link.offer(record, scheduled)
-                else:
-                    shard = ring.shard_for(instance, event.request_id)
-                    await links[shard].offer(record, scheduled)
-            for link in links.values():
-                await link.finish()
-            await asyncio.gather(*link_tasks)
+            # A link that fails fatally must not leave the producer
+            # blocked on its full queue: the first failure ends the run.
+            await asyncio.gather(*tasks)
         except BaseException:
-            for task in link_tasks:
+            for task in tasks:
                 task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
             raise
         for link in self.links.values():
             self.stats.merge(link.stats)
         self._publish_metrics()
         return self.stats
+
+    async def _produce(self) -> None:
+        """Route every event to its shard's link, paced if asked."""
+        ring = self.ring
+        instance = self.spec.instance
+        links = self.links
+        start = time.monotonic()
+        gap = 1.0 / self.rate if self.rate else 0.0
+        for index, event in enumerate(self.events):
+            if gap:
+                scheduled = start + index * gap
+                delay = scheduled - time.monotonic()
+                if delay > 0:
+                    await asyncio.sleep(delay)
+            else:
+                scheduled = time.monotonic()
+            record = event.to_dict()
+            if event.request_id is None:
+                for link in links.values():
+                    await link.offer(record, scheduled)
+            else:
+                shard = ring.shard_for(instance, event.request_id)
+                await links[shard].offer(record, scheduled)
+        for link in links.values():
+            await link.finish()
 
     def _publish_metrics(self) -> None:
         if self.registry is None:

@@ -332,24 +332,25 @@ async def run_load_test(
     total_events = sum(len(events) for events in event_streams)
 
     pool = WorkerPool(pool_config)
-    await pool.start()
     registry = MetricsRegistry()
+    # Clients validate their options before any worker process starts.
+    clients = [
+        InstanceClient(
+            spec,
+            events,
+            pool.ring,
+            pool.socket_paths,
+            batch=options.batch,
+            queue_limit=options.queue_limit,
+            backpressure=options.backpressure,
+            rate_events_per_s=options.rate_events_per_s,
+            registry=registry,
+        )
+        for spec, events in zip(specs, event_streams)
+    ]
+    await pool.start()
     kill_task: Optional[asyncio.Task] = None
     try:
-        clients = [
-            InstanceClient(
-                spec,
-                events,
-                pool.ring,
-                pool.socket_paths,
-                batch=options.batch,
-                queue_limit=options.queue_limit,
-                backpressure=options.backpressure,
-                rate_events_per_s=options.rate_events_per_s,
-                registry=registry,
-            )
-            for spec, events in zip(specs, event_streams)
-        ]
         if options.kill is not None:
             kill_task = asyncio.create_task(
                 _kill_after_checkpoint(pool, options.kill)

@@ -11,6 +11,7 @@ run at the same seeds.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 from types import SimpleNamespace
 
@@ -171,3 +172,41 @@ def test_kill_returns_only_once_the_shard_serves_again(tmp_path):
         return pool.killed, returned_while_serving
 
     assert asyncio.run(scenario()) == (True, True)
+
+
+def test_serve_failover_smoke(tmp_path):
+    """The CLI end to end: 3 tpcc instances stream to a 2-worker pool;
+    one run SIGKILLs worker 0 after its first durable checkpoint.  The
+    killed run must restart a worker, and its fleet report must be
+    byte-identical to the uninterrupted run's."""
+    from repro.serve.cli import main
+
+    load_test = [
+        "load-test", "--workload", "tpcc", "--instances", "3",
+        "--workers", "2", "--requests", "12",
+        "--faults", "lock_stall:0.25", "--train", "8",
+        "--checkpoint-every", "32", "--quiet",
+    ]
+    clean = tmp_path / "fleet-clean.json"
+    killed = tmp_path / "fleet-killed.json"
+    stats_path = tmp_path / "serve-stats.json"
+    assert main([*load_test, "--report", str(clean)]) == 0
+    assert main([
+        *load_test, "--kill-worker", "0", "--report", str(killed),
+        "--stats-out", str(stats_path),
+    ]) == 0
+
+    assert clean.read_bytes() == killed.read_bytes()
+    stats = json.loads(stats_path.read_text())
+    restarts = sum(stats["worker_restarts"].values())
+    assert restarts >= 1, "kill run never restarted a worker"
+    assert stats["events_shed"] == 0, "block mode must not shed"
+    summary = json.loads(clean.read_text())["summary"]
+    assert summary["population"] == 36 and summary["injected"] > 0
+    print(
+        "serve smoke ok:",
+        {key: summary[key] for key in
+         ("workers", "instances", "population", "injected", "flagged")},
+        f"restarts={restarts}",
+        f"reconnects={stats['reconnects']}",
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import statistics
 
 import pytest
 
@@ -21,7 +22,12 @@ from repro.serve.instance import (
     StreamStats,
     generate_instance_events,
 )
-from repro.serve.protocol import FrameStream, ProtocolError, hello
+from repro.serve.protocol import (
+    FrameStream,
+    ProtocolError,
+    hello,
+    server_handshake,
+)
 from repro.serve.router import HashRing
 from repro.serve.service import (
     LoadTestOptions,
@@ -64,6 +70,75 @@ async def stream_instance_to(worker: ShardWorker, spec, events, **kwargs):
         await server
 
 
+async def stream_to_fake_worker(tmp_path, serve, spec, events, **kwargs):
+    """Stream one instance at a scripted unix-socket worker.
+
+    ``serve(stream, index)`` plays the worker's side of the link's
+    ``index``-th connection.  The client run is bounded, so a link that
+    hangs fails the test instead of blocking the suite.
+    """
+    path = str(tmp_path / "fake.sock")
+    streams = []
+
+    async def handle(reader, writer):
+        stream = FrameStream(reader, writer)
+        streams.append(stream)
+        try:
+            await serve(stream, len(streams) - 1)
+        except (ConnectionError, ProtocolError):
+            pass
+        finally:
+            await stream.close()
+
+    server = await asyncio.start_unix_server(handle, path=path)
+    try:
+        client = InstanceClient(
+            spec, events, HashRing(["w0"]), {"w0": path}, **kwargs
+        )
+        return await asyncio.wait_for(client.run(), timeout=10)
+    finally:
+        for stream in streams:
+            stream.writer.close()
+        server.close()
+        await server.wait_closed()
+
+
+async def serve_like_a_worker(stream, received, bad_checkpoint=None):
+    """Credit every events frame; checkpoint and end_ack on ``end``.
+
+    ``bad_checkpoint``, when given, is sent as a checkpoint frame right
+    after the first events frame.
+    """
+    while True:
+        payload = await stream.read()
+        if payload is None:
+            return
+        if payload["type"] == "events":
+            seqs = [event["seq"] for event in payload["events"]]
+            received.extend(seqs)
+            if bad_checkpoint is not None:
+                await stream.write({"type": "checkpoint", **bad_checkpoint})
+                bad_checkpoint = None
+            await stream.write({"type": "credit", "n": 1, "ack_seq": seqs[-1]})
+        elif payload["type"] == "end":
+            last = received[-1] if received else -1
+            await stream.write({"type": "checkpoint", "through_seq": last})
+            await stream.write(
+                {
+                    "type": "end_ack",
+                    "events_seen": len(received),
+                    "records": 0,
+                    "last_seq": last,
+                }
+            )
+            return
+
+
+def spin_events(requests=1):
+    spec = InstanceSpec(instance=0, workload="mbench_spin", requests=requests)
+    return spec, generate_instance_events(spec)
+
+
 class TestInstanceEvents:
     def test_generation_is_deterministic(self):
         spec = InstanceSpec(instance=0, workload="mbench_spin", requests=4)
@@ -85,6 +160,149 @@ class TestInstanceEvents:
         assert a.events_shed == 4
         assert a.reconnects == 1
         assert a.ack_latencies == [0.1, 0.2]
+
+
+class TestPacingRate:
+    @pytest.mark.parametrize(
+        "rate", [0, 0.0, -100.0, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_client_rejects_rates_that_cannot_pace(self, rate):
+        spec, events = spin_events()
+        with pytest.raises(ValueError, match="rate_events_per_s"):
+            InstanceClient(
+                spec, events, HashRing(["w0"]), {"w0": "w0.sock"},
+                rate_events_per_s=rate,
+            )
+
+    def test_load_test_rejects_a_negative_rate(self, tmp_path):
+        options = LoadTestOptions(
+            workload="mbench_spin", instances=1, workers=1, requests=1,
+            rate_events_per_s=-100.0,
+        )
+        with pytest.raises(ValueError, match="rate_events_per_s"):
+            asyncio.run(run_load_test(options, str(tmp_path)))
+        # Rejected before any worker started.
+        assert not os.path.exists(tmp_path / "w0.sock")
+
+    @pytest.mark.parametrize("rate", ["0", "-100", "nan", "inf", "fast"])
+    def test_cli_rejects_rates_that_cannot_pace(self, rate, capsys):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "load-test", "--workload", "mbench_spin", "--instances",
+                "1", "--workers", "1", "--requests", "3", "--quiet",
+                "--rate", rate,
+            ])
+        assert excinfo.value.code == 2
+        assert "--rate" in capsys.readouterr().err
+
+
+class TestWorkerLink:
+    def test_acks_are_read_as_they_arrive(self, tmp_path):
+        """At a 5 ms gap each event is its own frame.  A credit read
+        only once the link runs out of credit would wait ~7 gaps."""
+        spec, events = spin_events()
+        stats = asyncio.run(
+            stream_instance_to(
+                make_worker(tmp_path), spec, events[:64],
+                rate_events_per_s=200.0,
+            )
+        )
+        assert stats.events_sent == 64
+        assert len(stats.ack_latencies) == stats.frames_sent
+        assert statistics.median(stats.ack_latencies) * 1e3 < 10.0
+
+    def test_failover_while_waiting_for_credit(self, tmp_path):
+        """A worker that grants one credit, takes one frame and dies
+        leaves the link waiting for credit; the link must reconnect and
+        replay instead of hanging."""
+        spec, events = spin_events()
+        received = []
+
+        async def serve(stream, index):
+            if index == 0:
+                await server_handshake(stream, credit=1)
+                await stream.expect("events")
+                return  # close without acking
+            await server_handshake(stream, credit=8)
+            await serve_like_a_worker(stream, received)
+
+        stats = asyncio.run(
+            stream_to_fake_worker(tmp_path, serve, spec, events, batch=8)
+        )
+        assert stats.reconnects == 1
+        # The replay resends the lost frame, then every later event once.
+        assert received == [event.seq for event in events]
+        assert stats.events_sent == len(events) + 8
+        assert stats.checkpoint_acks == 1
+
+    def test_connection_lost_mid_replay_loses_nothing(self, tmp_path):
+        """A second worker death while the tail is being replayed must
+        not drop the part of the tail not yet resent."""
+        spec, events = spin_events()
+        received = []
+
+        async def serve(stream, index):
+            if index < 2:
+                # Die after two frames, then again one frame into the
+                # replay, without acking anything.
+                await server_handshake(stream, credit=8 if index == 0 else 1)
+                for _ in range(2 - index):
+                    await stream.expect("events")
+                return
+            await server_handshake(stream, credit=8)
+            await serve_like_a_worker(stream, received)
+
+        stats = asyncio.run(
+            stream_to_fake_worker(tmp_path, serve, spec, events, batch=8)
+        )
+        assert stats.reconnects == 2
+        assert received == [event.seq for event in events]
+
+    @pytest.mark.parametrize(
+        "ack",
+        [
+            {"credit": 0},
+            {"credit": -1},
+            {"credit": "eight"},
+            {"credit": True},
+            {"credit": 8.0},
+            {},
+        ],
+        ids=["zero", "negative", "string", "bool", "float", "missing"],
+    )
+    def test_malformed_credit_grant_is_a_protocol_error(self, tmp_path, ack):
+        spec, events = spin_events()
+
+        async def serve(stream, index):
+            await server_handshake(stream, **ack)
+            while await stream.read() is not None:
+                pass  # never credits anything
+
+        with pytest.raises(ProtocolError, match="hello_ack frame: 'credit'"):
+            asyncio.run(stream_to_fake_worker(tmp_path, serve, spec, events))
+
+    @pytest.mark.parametrize(
+        "checkpoint",
+        [{}, {"through_seq": "12"}, {"through_seq": None}],
+        ids=["missing", "string", "null"],
+    )
+    def test_malformed_checkpoint_is_a_protocol_error(
+        self, tmp_path, checkpoint
+    ):
+        spec, events = spin_events()
+
+        async def serve(stream, index):
+            await server_handshake(stream, credit=8)
+            await serve_like_a_worker(stream, [], bad_checkpoint=checkpoint)
+
+        with pytest.raises(
+            ProtocolError, match="checkpoint frame: 'through_seq'"
+        ):
+            asyncio.run(
+                stream_to_fake_worker(tmp_path, serve, spec, events, batch=8)
+            )
 
 
 class TestShardWorker:
