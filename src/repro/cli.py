@@ -35,6 +35,7 @@ from repro.workloads.registry import (
     available_workloads,
     make_faulted_workload,
     make_workload,
+    parse_workload_faults,
 )
 
 
@@ -258,6 +259,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.faults:
+        try:
+            parse_workload_faults(args.workload, args.faults)
+        except ValueError as error:
+            parser.error(str(error))
 
     if args.checkpoint and not args.online:
         parser.error("--checkpoint requires --online")

@@ -33,7 +33,7 @@ WINDOW = 50_000
 def build_drift_pair(seed: int = 91):
     """A new-order request and its drifted twin (stall at ~0.8 M ins)."""
     workload = TpccWorkload()
-    base = workload.build_transaction(np.random.default_rng(seed), 0, "new_order")
+    base = workload.build(np.random.default_rng(seed), 0, "new_order")
 
     phases = list(base.phases())
     drifted_phases = []
@@ -62,7 +62,7 @@ def build_drift_pair(seed: int = 91):
         kind="new_order",
         stages=single_stage("mysql", drifted_phases),
     )
-    control = workload.build_transaction(np.random.default_rng(seed + 7), 2, "payment")
+    control = workload.build(np.random.default_rng(seed + 7), 2, "payment")
     return base, drifted, control
 
 

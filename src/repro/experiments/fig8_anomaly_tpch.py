@@ -57,7 +57,7 @@ class _FocusMixWorkload:
             kind = self.HEAVY  # scan-heavy antagonist
         else:
             kind = self.LIGHT[int(rng.integers(len(self.LIGHT)))]
-        return self._inner.build_query(rng, request_id, kind)
+        return self._inner.build(rng, request_id, kind)
 
 
 def collect_group(kind: str = "Q20", n: int = 120, seed: int = 7):

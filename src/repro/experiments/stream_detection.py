@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import scaled
+from repro.faults.taxonomy import LEGACY_FAULT_KINDS
 from repro.kernel.sampling import SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.obs.trace import TraceCollector
@@ -25,7 +26,6 @@ from repro.online.pipeline import (
     train_identifier,
 )
 from repro.online.report import build_report
-from repro.workloads.faults import FAULT_KINDS
 from repro.workloads.registry import make_faulted_workload, make_workload
 
 APP = "tpcc"
@@ -61,7 +61,7 @@ def run(scale: float = 1.0, seed: int = 11) -> ExperimentResult:
         seed=seed + 10_000,
     )
     reports = {}
-    for fault_kind in FAULT_KINDS:
+    for fault_kind in LEGACY_FAULT_KINDS:
         report = stream_run(fault_kind, num_requests, seed, identifier)
         reports[fault_kind] = report
         s = report.summary

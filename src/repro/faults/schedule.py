@@ -21,10 +21,11 @@ Examples::
     slow_replica:0.3%kind=new_order      # targeted at one request kind
 
 :class:`ScheduledFaultWorkload` wraps any workload generator and applies
-the schedule per sampled request.  The single-clause legacy specs keep
-the exact RNG draw order of the original ``FaultInjectingWorkload`` (one
-uniform draw for the fire decision, then the injector's draws), so old
-specs produce byte-identical request streams — the property pinned by
+the schedule per sampled request; it is the one fault wrapper.  The
+single-clause legacy specs keep the exact RNG draw order of the original
+single-kind wrapper (one uniform draw for the fire decision, then the
+injector's draws), so old specs produce byte-identical request streams —
+pinned by frozen digests of that wrapper's streams in
 ``tests/workloads/test_fault_schedules.py``.
 
 Malformed specs raise :class:`ValueError` naming the offending token;

@@ -3,12 +3,14 @@
 Each injector is a pure function ``(spec, rng, **params) -> RequestSpec``
 that perturbs one sampled request with a known behavioral fault and tags
 it with ground truth (``metadata["injected_fault"]``).  The three legacy
-kinds (``lock_stall``, ``cache_thrash``, ``slowdown``) are extracted from
-the original :class:`~repro.workloads.faults.FaultInjectingWorkload`
-verbatim — same RNG draw order, same span sizing, same metadata — so the
-old wrapper and the new :class:`~repro.faults.schedule.
-ScheduledFaultWorkload` produce byte-identical specs for the old
-``kind:rate`` syntax.  Five further kinds widen the taxonomy along the
+kinds (``lock_stall``, ``cache_thrash``, ``slowdown``) were extracted
+verbatim from the original single-kind fault wrapper — same RNG draw
+order, same span sizing, same metadata — so
+:class:`~repro.faults.schedule.ScheduledFaultWorkload` reproduces its
+byte streams for the old ``kind:rate`` syntax.  That wrapper is gone;
+frozen sha256 digests of its streams in
+``tests/workloads/test_fault_schedules.py`` keep the identity pinned.
+Five further kinds widen the taxonomy along the
 signature axes the online :class:`~repro.online.attribution.
 CauseAttributor` discriminates on:
 

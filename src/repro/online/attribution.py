@@ -60,6 +60,7 @@ __all__ = [
     "AttributionThresholds",
     "CauseAttributor",
     "score_attribution",
+    "score_detection",
 ]
 
 #: Attribution verdict when no feature clears its gate.
@@ -444,6 +445,20 @@ def _overall_mean(centroid) -> Optional[float]:
             total += mean * count
             weight += count
     return total / weight if weight else None
+
+
+def score_detection(flagged_ids, injected_ids, population: int) -> dict:
+    """Recall/precision of an anomaly detector against injected ground truth."""
+    flagged = set(flagged_ids)
+    injected = set(injected_ids)
+    true_positives = len(flagged & injected)
+    return {
+        "recall": true_positives / len(injected) if injected else 1.0,
+        "precision": true_positives / len(flagged) if flagged else 1.0,
+        "flagged": len(flagged),
+        "injected": len(injected),
+        "population": population,
+    }
 
 
 def score_attribution(records: Sequence[dict]) -> dict:

@@ -36,6 +36,7 @@ from repro.workloads.registry import (
     available_workloads,
     make_faulted_workload,
     make_workload,
+    parse_workload_faults,
 )
 
 
@@ -155,6 +156,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.faults:
+        try:
+            parse_workload_faults(args.workload, args.faults)
+        except ValueError as error:
+            parser.error(str(error))
 
     registry = MetricsRegistry()
 

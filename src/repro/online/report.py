@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
-from repro.workloads.faults import score_detection
+from repro.online.attribution import score_detection
 
 
 def _median(values: List[float]) -> Optional[float]:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
+from repro.online.attribution import score_detection
 from repro.online.report import _median
-from repro.workloads.faults import score_detection
 
 #: What each shard worker writes / reports over the control socket.
 #: Defined here (not in worker.py) so importing the package does not

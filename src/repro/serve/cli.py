@@ -37,7 +37,7 @@ from repro.serve.service import (
     save_worker_reports,
     shard_name,
 )
-from repro.workloads.registry import available_workloads
+from repro.workloads.registry import available_workloads, parse_workload_faults
 
 
 def _positive_int(text: str) -> int:
@@ -221,6 +221,11 @@ def _mode_load_test(args, parser) -> int:
             f"unknown workload {args.workload!r}; "
             f"available: {', '.join(available_workloads())}"
         )
+    if args.faults:
+        try:
+            parse_workload_faults(args.workload, args.faults)
+        except ValueError as error:
+            parser.error(str(error))
     if args.kill_worker is not None and args.kill_worker >= args.workers:
         parser.error(
             f"--kill-worker {args.kill_worker} out of range "

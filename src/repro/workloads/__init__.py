@@ -9,7 +9,6 @@ system-call distance distributions).
 
 from repro.workloads.base import Phase, RequestSpec, Stage, WorkloadGenerator
 from repro.workloads.describe import describe, describe_table
-from repro.workloads.faults import FaultInjectingWorkload, score_detection
 from repro.workloads.microbench import MbenchData, MbenchSpin
 from repro.workloads.registry import (
     FixedKindWorkload,
@@ -24,14 +23,12 @@ from repro.workloads.webserver import WebServerWorkload
 from repro.workloads.webwork import WeBWorKWorkload
 
 __all__ = [
-    "FaultInjectingWorkload",
     "FixedKindWorkload",
     "MbenchData",
     "MbenchSpin",
     "Phase",
     "describe",
     "describe_table",
-    "score_detection",
     "RequestSpec",
     "RubisWorkload",
     "Stage",

@@ -1,26 +1,29 @@
 """Block-stamping request generation: batched RNG, interned templates,
 block-ahead specs.
 
-Request *generation* — not the event loop — bounds the simulator's
-end-to-end speed on the server workloads: every reference request draws
-two or three scalar normals per phase and rebuilds frozen
+Request *generation* — not the event loop — would bound the simulator's
+end-to-end speed on the server workloads if every request drew two or
+three scalar normals per phase and rebuilt frozen
 ``Phase``/``PhaseBehavior``/``RequestSpec`` dataclasses from scratch.
-The generators here, which :func:`~repro.workloads.registry.make_workload`
-returns for the five server workloads, remove that bound while staying
-draw-for-draw identical to the reference generators they subclass
+This module holds the machinery the five server generators
+(:mod:`~repro.workloads.webserver`, :mod:`~repro.workloads.tpcc`,
+:mod:`~repro.workloads.tpch`, :mod:`~repro.workloads.rubis`,
+:mod:`~repro.workloads.webwork`) share to avoid that, while staying
+draw-for-draw identical to the scalar reference generators kept as the
+test oracle in ``tests/workloads/reference.py``
 (``tests/workloads/test_genfast.py`` pins specs and RNG state against
 them).  Three layers:
 
-* **batched RNG** — each request kind's phase-def plan (the same
-  :class:`~repro.workloads.util.PhaseDef` tables the reference
-  materializer consumes) is compiled once into a :class:`PhaseBlock`:
-  flat jitter arrays in exact reference draw order.  Stamping a request
-  draws one ``standard_normal(n)`` block and applies three vectorized
-  IEEE-754 operations that are elementwise identical to the scalar
-  ``jittered``/``jittered_int`` chain, so the bitstream and every
-  downstream float are unchanged.  Mid-plan draws that *gate* structure
-  (tpcc's item count, rubis's GC coin flips, every kind/catalog pick)
-  stay scalar at their reference positions.
+* **batched RNG** — each request kind's phase-def plan (the
+  :class:`~repro.workloads.util.PhaseDef` tables the generator modules
+  produce) is compiled once into a :class:`PhaseBlock`: flat jitter
+  arrays in exact reference draw order.  Stamping a request draws one
+  ``standard_normal(n)`` block and applies three vectorized IEEE-754
+  operations that are elementwise identical to the reference's scalar
+  jitter chain, so the bitstream and every downstream float are
+  unchanged.  Mid-plan draws that *gate* structure (tpcc's item count,
+  rubis's GC coin flips, every kind/catalog pick) stay scalar at their
+  reference positions.
 * **interned phase templates** — constant fields live in the compiled
   block; per-request values are stamped into lightweight ``__slots__``
   spec objects (:class:`FastPhase`/:class:`FastStage`/
@@ -31,17 +34,18 @@ them).  Three layers:
   which reuses a core's cached values while its behavior is the same
   object, hits whenever a value recurs.  Skipping dataclass validation
   is sound because every def's nominal values are validated
-  through the reference constructor at template build, and the jitter
+  through the ``Phase`` constructor at template build, and the jitter
   floors (``max(0.5·nominal, ...)``) keep stamped values in the
   validated domain.
 * **block-ahead synthesis** — when the arrival side exposes its
   schedule (every eager arrival process; closed loops trivially), the
-  simulator calls :meth:`prepare_block` to synthesize the next N specs
-  ahead of simulation into a deque that admission pops from.  Safe
-  exactly when no simulation-side draw interleaves with generation
-  draws, which the simulator checks before calling (syscall-sampling
-  policies draw mid-run and disable it; fault/fixed-kind wrappers don't
-  expose ``prepare_block`` and fall back to per-request synthesis).
+  simulator calls :meth:`BlockAheadGenerator.prepare_block` to
+  synthesize the next N specs ahead of simulation into a deque that
+  admission pops from.  Safe exactly when no simulation-side draw
+  interleaves with generation draws, which the simulator checks before
+  calling (syscall-sampling policies draw mid-run and disable it;
+  fault/fixed-kind wrappers don't expose ``prepare_block`` and fall back
+  to per-request synthesis).
 """
 
 from __future__ import annotations
@@ -52,28 +56,8 @@ import numpy as np
 
 from repro.hardware.cpu import PhaseBehavior
 from repro.workloads.base import Phase, RequestSpec
-from repro.workloads.rubis import (
-    GC_PROBABILITY,
-    INTERACTION_MIX,
-    RubisWorkload,
-    interaction_segments,
-)
-from repro.workloads.tpcc import (
-    NEW_ORDER_HEAD,
-    TRANSACTION_MIX,
-    TpccWorkload,
-    new_order_body_defs,
-    transaction_phase_defs,
-)
-from repro.workloads.tpch import TpchWorkload, query_phase_defs
 from repro.workloads.util import Jit, phase as phase_probe
-from repro.workloads.webserver import (
-    FILE_CLASSES,
-    WebServerWorkload,
-    file_fingerprint,
-    request_phase_defs,
-)
-from repro.workloads.webwork import NUM_PROBLEMS, WeBWorKWorkload, problem_phase_defs
+
 
 class FastPhase:
     """``__slots__`` stand-in for :class:`Phase` on the generation path."""
@@ -119,9 +103,9 @@ class FastStage:
 class FastRequestSpec:
     """``__slots__`` stand-in for :class:`RequestSpec`.
 
-    Borrows the reference spec's derived-view methods unchanged, so
+    Borrows :class:`RequestSpec`'s derived-view methods unchanged, so
     everything downstream of generation (tracker, syscall sequences,
-    solo series) runs the exact reference code.
+    solo series) runs the same code for both spec types.
     """
 
     __slots__ = ("request_id", "app", "kind", "stages", "metadata",
@@ -181,7 +165,7 @@ class BehaviorInterner:
         return behavior
 
 
-def _choice_cdf(p) -> np.ndarray:
+def choice_cdf(p) -> np.ndarray:
     """The cumulative table ``Generator.choice(n, p=p)`` searches.
 
     ``int(cdf.searchsorted(rng.random(), side="right"))`` consumes one
@@ -196,7 +180,7 @@ def _choice_cdf(p) -> np.ndarray:
     return cdf
 
 
-#: Floor applied by ``jittered_int`` (all generators use the default).
+#: Instruction-count floor of the jitter chain (every def uses it).
 _INT_FLOOR = 1000.0
 
 
@@ -205,7 +189,8 @@ class PhaseBlock:
 
     One :meth:`stamp` call draws a single ``standard_normal(n)`` block —
     bit-equal to the n scalar draws the reference materializer makes, in
-    the same order — and applies the jitter chain vectorized:
+    the same (instructions, cpi, refs?) order per def — and applies the
+    jitter chain vectorized:
     ``j = base·(1 + frac·z)`` then ``maximum(0.5·base, j)`` elementwise,
     each operation in the scalar chain's IEEE-754 order.  Instruction
     draws additionally get ``maximum(1000, rint(j))`` — ``rint`` matches
@@ -238,7 +223,7 @@ class PhaseBlock:
         refs_const, refs_jittered = [], []
         for d in defs:
             # Validation probe: run the nominal values through the
-            # reference constructor so bad constants fail at template
+            # validating constructor so bad constants fail at template
             # build with the phase name attached, and stamped values
             # (floored at half-nominal) inherit a validated domain.
             phase_probe(
@@ -325,23 +310,38 @@ _SHARED_INTERN = BehaviorInterner()
 _TEMPLATE_CACHE: dict = {}
 
 
-def _cached(key, build):
+def template(key, build):
     """Fetch a compiled template by key, building it on first use."""
-    template = _TEMPLATE_CACHE.get(key)
-    if template is None:
-        template = build()
-        _TEMPLATE_CACHE[key] = template
-    return template
+    compiled = _TEMPLATE_CACHE.get(key)
+    if compiled is None:
+        compiled = build()
+        _TEMPLATE_CACHE[key] = compiled
+    return compiled
 
 
-class _BlockAheadMixin:
-    """Deque-fed ``sample_request`` with an optional block-ahead fill.
+def phase_block(defs) -> PhaseBlock:
+    """Compile ``defs`` against the shared behavior interner."""
+    return PhaseBlock(defs, _SHARED_INTERN)
 
-    ``prepare_block`` synthesizes specs for a contiguous id range in one
-    pass; ``sample_request`` pops them when ids line up and falls back to
-    direct synthesis otherwise (clearing a stale block, e.g. after a
-    caller re-samples the same id during rejection sampling).
+
+class BlockAheadGenerator:
+    """Base of the server generators: kind draw, ``build``, block-ahead.
+
+    A subclass defines ``_draw_kind(rng)`` (the request-kind draw) and
+    ``build(rng, request_id, kind)`` (everything the reference draws
+    after it), so :meth:`sample_request` keeps the reference draw order
+    by construction and ``build`` alone serves callers that need one
+    chosen kind.  ``prepare_block`` synthesizes specs for a contiguous
+    id range in one pass; ``sample_request`` pops them when ids line up
+    and falls back to direct synthesis otherwise (clearing a stale
+    block, e.g. after a caller re-samples an id out of order).
     """
+
+    def __init__(self):
+        self._block = deque()
+
+    def _no_kind(self, kind) -> ValueError:
+        return ValueError(f"workload {self.name!r} has no kind {kind!r}")
 
     def sample_request(self, rng: np.random.Generator, request_id: int):
         block = self._block
@@ -349,7 +349,7 @@ class _BlockAheadMixin:
             if block[0].request_id == request_id:
                 return block.popleft()
             block.clear()
-        return self._synthesize(rng, request_id)
+        return self.build(rng, request_id, self._draw_kind(rng))
 
     def prepare_block(self, rng: np.random.Generator, start_id: int, count: int):
         """Pre-synthesize specs for ids ``start_id .. start_id+count-1``.
@@ -361,179 +361,6 @@ class _BlockAheadMixin:
         """
         block = self._block
         block.clear()
-        synthesize = self._synthesize
+        build, draw_kind = self.build, self._draw_kind
         for request_id in range(start_id, start_id + count):
-            block.append(synthesize(rng, request_id))
-
-
-class FastWebServerWorkload(_BlockAheadMixin, WebServerWorkload):
-    """Batched-generation webserver: per-file interned phase templates."""
-
-    def __init__(self, catalog_seed: int = 909_009):
-        super().__init__(catalog_seed)
-        self._block = deque()
-        self._catalog_seed = catalog_seed
-        mix = np.array([c[3] for c in FILE_CLASSES])
-        self._cls_cdf = _choice_cdf(mix / mix.sum())
-        self._file_cdf = _choice_cdf(self._popularity)
-
-    def _build_template(self, cls_idx, file_idx):
-        cls_name = FILE_CLASSES[cls_idx][0]
-        file_bytes, file_seed = self._catalog[cls_name][file_idx]
-        block = PhaseBlock(
-            request_phase_defs(file_bytes, file_fingerprint(file_seed)),
-            _SHARED_INTERN,
-        )
-        return (block, cls_name, file_bytes, f"{cls_name}/{file_idx}")
-
-    def _synthesize(self, rng, request_id):
-        cls_idx = int(self._cls_cdf.searchsorted(rng.random(), side="right"))
-        file_idx = int(self._file_cdf.searchsorted(rng.random(), side="right"))
-        block, cls_name, file_bytes, file_id = _cached(
-            ("webserver", self._catalog_seed, cls_idx, file_idx),
-            lambda: self._build_template(cls_idx, file_idx),
-        )
-        return FastRequestSpec(
-            request_id,
-            self.name,
-            cls_name,
-            (FastStage("apache", block.stamp(rng)),),
-            {"file_bytes": file_bytes, "file_id": file_id},
-        )
-
-
-class FastTpccWorkload(_BlockAheadMixin, TpccWorkload):
-    """Batched-generation TPC-C: per-kind blocks, new-order head/body split."""
-
-    def __init__(self):
-        self._block = deque()
-        self._mix_cdf = _choice_cdf(np.array([t[1] for t in TRANSACTION_MIX]))
-        self._fixed = {
-            kind: _cached(
-                ("tpcc", kind),
-                lambda k=kind: PhaseBlock(transaction_phase_defs(k), _SHARED_INTERN),
-            )
-            for kind in ("payment", "order_status", "delivery", "stock_level")
-        }
-        self._new_order_head = _cached(
-            ("tpcc", "new_order_head"),
-            lambda: PhaseBlock(NEW_ORDER_HEAD, _SHARED_INTERN),
-        )
-
-    def _synthesize(self, rng, request_id):
-        idx = int(self._mix_cdf.searchsorted(rng.random(), side="right"))
-        kind = TRANSACTION_MIX[idx][0]
-        if kind == "new_order":
-            phases = self._new_order_head.stamp(rng)
-            n_items = int(rng.integers(8, 13))
-            body = _cached(
-                ("tpcc", "new_order_body", n_items),
-                lambda: PhaseBlock(new_order_body_defs(n_items), _SHARED_INTERN),
-            )
-            phases += body.stamp(rng)
-        else:
-            phases = self._fixed[kind].stamp(rng)
-        return FastRequestSpec(
-            request_id, self.name, kind, (FastStage("mysql", phases),), {}
-        )
-
-
-class FastTpchWorkload(_BlockAheadMixin, TpchWorkload):
-    """Batched-generation TPC-H: one interned block per query kind."""
-
-    def __init__(self):
-        self._block = deque()
-
-    def _synthesize(self, rng, request_id):
-        kind = self.kinds[int(rng.integers(len(self.kinds)))]
-        block = _cached(
-            ("tpch", kind),
-            lambda: PhaseBlock(query_phase_defs(kind), _SHARED_INTERN),
-        )
-        return FastRequestSpec(
-            request_id, self.name, kind, (FastStage("mysql", block.stamp(rng)),), {}
-        )
-
-
-class FastRubisWorkload(_BlockAheadMixin, RubisWorkload):
-    """Batched-generation RUBiS: segmented blocks around the GC coin flips."""
-
-    def __init__(self):
-        self._block = deque()
-        mix = np.array([i[1] for i in INTERACTION_MIX])
-        self._mix_cdf = _choice_cdf(mix / mix.sum())
-
-    @staticmethod
-    def _build_template(idx):
-        head, comp_pairs, tail = interaction_segments(idx)
-        return (
-            PhaseBlock(head, _SHARED_INTERN),
-            tuple(
-                (PhaseBlock((c,), _SHARED_INTERN), PhaseBlock((g,), _SHARED_INTERN))
-                for c, g in comp_pairs
-            ),
-            PhaseBlock(tail, _SHARED_INTERN),
-        )
-
-    def _synthesize(self, rng, request_id):
-        idx = int(self._mix_cdf.searchsorted(rng.random(), side="right"))
-        kind, _, components, _, _ = INTERACTION_MIX[idx]
-        category = int(rng.integers(20))
-        head_block, pair_blocks, tail_block = _cached(
-            ("rubis", idx), lambda: self._build_template(idx)
-        )
-
-        web_in = head_block.stamp(rng)
-        ejb_phases = []
-        for comp_block, gc_block in pair_blocks:
-            ejb_phases += comp_block.stamp(rng)
-            if rng.random() < GC_PROBABILITY:
-                ejb_phases += gc_block.stamp(rng)
-        tail_phases = tail_block.stamp(rng)
-
-        stages = (
-            FastStage("tomcat", web_in),
-            FastStage("jboss", ejb_phases),
-            FastStage("mysql", tail_phases[:2]),
-            FastStage("jboss_render", tail_phases[2:3]),
-            FastStage("tomcat_out", tail_phases[3:4]),
-        )
-        return FastRequestSpec(
-            request_id,
-            self.name,
-            kind,
-            stages,
-            {"category": category, "components": components},
-        )
-
-
-class FastWeBWorKWorkload(_BlockAheadMixin, WeBWorKWorkload):
-    """Batched-generation WeBWorK: one interned block per problem id."""
-
-    def __init__(self):
-        self._block = deque()
-
-    def _synthesize(self, rng, request_id):
-        problem_id = int(rng.integers(NUM_PROBLEMS))
-        block = _cached(
-            ("webwork", problem_id),
-            lambda: PhaseBlock(problem_phase_defs(problem_id), _SHARED_INTERN),
-        )
-        return FastRequestSpec(
-            request_id,
-            self.name,
-            f"problem_{problem_id}",
-            (FastStage("apache_modperl", block.stamp(rng)),),
-            {"problem_id": problem_id},
-        )
-
-
-#: The block-stamping generator of each server workload, by registry name.
-FAST_FACTORIES = {
-    "webserver": FastWebServerWorkload,
-    "tpcc": FastTpccWorkload,
-    "tpch": FastTpchWorkload,
-    "rubis": FastRubisWorkload,
-    "webwork": FastWeBWorKWorkload,
-}
-
+            block.append(build(rng, request_id, draw_kind(rng)))

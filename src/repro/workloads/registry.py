@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
-from repro.faults.schedule import ScheduledFaultWorkload, parse_fault_schedule
+from repro.faults.schedule import (
+    FaultSchedule,
+    ScheduledFaultWorkload,
+    parse_fault_schedule,
+)
 from repro.obs.profiling import profiled_stage
-from repro.workloads.genfast import FAST_FACTORIES
 from repro.workloads.microbench import MbenchData, MbenchSpin
+from repro.workloads.rubis import RubisWorkload
+from repro.workloads.tpcc import TpccWorkload
+from repro.workloads.tpch import TpchWorkload
+from repro.workloads.webserver import WebServerWorkload
+from repro.workloads.webwork import WeBWorKWorkload
 
-#: The five server workloads generate through their block-stamping
-#: generators (:mod:`repro.workloads.genfast`).
 _FACTORIES = {
-    **FAST_FACTORIES,
+    "webserver": WebServerWorkload,
+    "tpcc": TpccWorkload,
+    "tpch": TpchWorkload,
+    "rubis": RubisWorkload,
+    "webwork": WeBWorKWorkload,
     "mbench_spin": MbenchSpin,
     "mbench_data": MbenchData,
 }
@@ -24,26 +34,53 @@ def available_workloads() -> tuple:
     return tuple(_FACTORIES)
 
 
-def make_workload(name: str):
-    """Instantiate a workload generator by name."""
+def _factory(name: str):
     try:
-        factory = _FACTORIES[name]
+        return _FACTORIES[name]
     except KeyError:
         raise ValueError(
             f"unknown workload {name!r}; available: {sorted(_FACTORIES)}"
         ) from None
+
+
+def make_workload(name: str):
+    """Instantiate a workload generator by name."""
+    factory = _factory(name)
     with profiled_stage("generate"):
         return factory()
+
+
+def parse_workload_faults(name: str, fault_spec: str) -> FaultSchedule:
+    """Parse ``fault_spec`` for workload ``name``.
+
+    Beyond the grammar, every ``%kind=`` target must be a request kind
+    the workload draws: a misspelt kind would otherwise never match and
+    inject nothing, silently.
+    """
+    schedule = parse_fault_schedule(fault_spec)
+    kinds = _factory(name).kinds
+    for clause in schedule.clauses:
+        target = clause.target_kind
+        if target is not None and target not in kinds:
+            listed = (
+                ", ".join(kinds) if len(kinds) <= 20
+                else f"{kinds[0]} .. {kinds[-1]}"
+            )
+            raise ValueError(
+                f"fault spec clause {clause.to_spec()!r}: workload {name!r} "
+                f"has no kind {target!r} (kinds: {listed})"
+            )
+    return schedule
 
 
 def make_faulted_workload(name: str, fault_spec: str) -> ScheduledFaultWorkload:
     """Instantiate a workload with ground-truth fault injection.
 
-    ``fault_spec`` is the composable schedule grammar; the legacy
-    ``kind:rate`` syntax is a single-clause schedule and produces a
-    byte-identical request stream to the original single-kind wrapper.
+    ``fault_spec`` is the composable schedule grammar, checked against
+    the workload by :func:`parse_workload_faults`; the legacy
+    ``kind:rate`` syntax is a single-clause schedule.
     """
-    schedule = parse_fault_schedule(fault_spec)
+    schedule = parse_workload_faults(name, fault_spec)
     return ScheduledFaultWorkload(inner=make_workload(name), schedule=schedule)
 
 
@@ -52,11 +89,16 @@ class FixedKindWorkload:
 
     Used by the anomaly case studies, which need a population of requests
     sharing application-level semantics (e.g. all TPC-H Q20, or all
-    WeBWorK renderings of problem 954).
+    WeBWorK renderings of problem 954).  Every request comes from the
+    application's ``build`` entry point with the kind fixed.
     """
 
     def __init__(self, app: str, kind: str):
         self._inner = make_workload(app)
+        if not hasattr(self._inner, "build"):
+            raise ValueError(
+                f"workload {app!r} cannot build requests of a chosen kind"
+            )
         if kind not in self._inner.kinds:
             raise ValueError(f"workload {app!r} has no kind {kind!r}")
         self.kind = kind
@@ -65,17 +107,4 @@ class FixedKindWorkload:
         self.window_instructions = self._inner.window_instructions
 
     def sample_request(self, rng, request_id):
-        inner = self._inner
-        if hasattr(inner, "build_query"):
-            return inner.build_query(rng, request_id, self.kind)
-        if hasattr(inner, "build_problem"):
-            problem_id = int(self.kind.rsplit("_", 1)[1])
-            return inner.build_problem(rng, request_id, problem_id)
-        if hasattr(inner, "build_transaction"):
-            return inner.build_transaction(rng, request_id, self.kind)
-        # Rejection sampling for generators without a kind-specific builder.
-        for _ in range(10_000):
-            spec = inner.sample_request(rng, request_id)
-            if spec.kind == self.kind:
-                return spec
-        raise RuntimeError(f"could not draw kind {self.kind!r} from {inner.name}")
+        return self._inner.build(rng, request_id, self.kind)

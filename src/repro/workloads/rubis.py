@@ -17,12 +17,17 @@ jitters, so the pairs stay separate blocks — and a fixed four-def tail
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.workloads.base import Phase, RequestSpec, Stage
-from repro.workloads.util import Jit, PhaseDef, materialize
+from repro.workloads.genfast import (
+    BlockAheadGenerator,
+    FastRequestSpec,
+    FastStage,
+    choice_cdf,
+    phase_block,
+    template,
+)
+from repro.workloads.util import Jit, PhaseDef
 
 _WEB_POOL = ("read", "writev", "poll")
 _EJB_POOL = ("read", "write", "futex")
@@ -120,7 +125,21 @@ def interaction_segments(idx: int):
     return result
 
 
-class RubisWorkload:
+#: Index of each interaction in :data:`INTERACTION_MIX`, by kind name.
+_INTERACTION_INDEX = {i[0]: idx for idx, i in enumerate(INTERACTION_MIX)}
+
+
+def _compile_segments(idx: int):
+    """Interaction ``idx``'s segments as blocks, one per GC coin-flip gap."""
+    head, comp_pairs, tail = interaction_segments(idx)
+    return (
+        phase_block(head),
+        tuple((phase_block((c,)), phase_block((g,))) for c, g in comp_pairs),
+        phase_block(tail),
+    )
+
+
+class RubisWorkload(BlockAheadGenerator):
     """Generator for RUBiS auction-site interactions."""
 
     name = "rubis"
@@ -128,38 +147,45 @@ class RubisWorkload:
     window_instructions = 100_000
     kinds = tuple(i[0] for i in INTERACTION_MIX)
 
-    def sample_request(self, rng: np.random.Generator, request_id: int) -> RequestSpec:
+    def __init__(self):
+        super().__init__()
         mix = np.array([i[1] for i in INTERACTION_MIX])
-        idx = int(rng.choice(len(INTERACTION_MIX), p=mix / mix.sum()))
-        kind, _, components, _, _ = INTERACTION_MIX[idx]
+        self._mix_cdf = choice_cdf(mix / mix.sum())
+
+    def _draw_kind(self, rng: np.random.Generator) -> str:
+        return self.kinds[int(self._mix_cdf.searchsorted(rng.random(), side="right"))]
+
+    def build(
+        self, rng: np.random.Generator, request_id: int, kind: str
+    ) -> FastRequestSpec:
+        """Stamp one ``kind`` interaction; draws its category and GC bursts."""
+        idx = _INTERACTION_INDEX.get(kind)
+        if idx is None:
+            raise self._no_kind(kind)
         category = int(rng.integers(20))
-        head, comp_pairs, tail = interaction_segments(idx)
+        head_block, pair_blocks, tail_block = template(
+            ("rubis", idx), lambda: _compile_segments(idx)
+        )
 
-        web_in = materialize(rng, head)
-
-        ejb_phases: List[Phase] = []
-        for comp_def, gc_def in comp_pairs:
-            ejb_phases.extend(materialize(rng, (comp_def,)))
+        web_in = head_block.stamp(rng)
+        ejb_phases = []
+        for comp_block, gc_block in pair_blocks:
+            ejb_phases += comp_block.stamp(rng)
             if rng.random() < GC_PROBABILITY:
-                ejb_phases.extend(materialize(rng, (gc_def,)))
-
-        tail_phases = materialize(rng, tail)
-        db_phases = tail_phases[:2]
-        render = tail_phases[2:3]
-        web_out = tail_phases[3:4]
+                ejb_phases += gc_block.stamp(rng)
+        tail_phases = tail_block.stamp(rng)
 
         stages = (
-            Stage(tier="tomcat", phases=tuple(web_in)),
-            Stage(tier="jboss", phases=tuple(ejb_phases)),
-            Stage(tier="mysql", phases=tuple(db_phases)),
-            Stage(tier="jboss_render", phases=tuple(render)),
-            Stage(tier="tomcat_out", phases=tuple(web_out)),
+            FastStage("tomcat", web_in),
+            FastStage("jboss", ejb_phases),
+            FastStage("mysql", tail_phases[:2]),
+            FastStage("jboss_render", tail_phases[2:3]),
+            FastStage("tomcat_out", tail_phases[3:4]),
         )
-        return RequestSpec(
-            request_id=request_id,
-            app=self.name,
-            kind=kind,
-            stages=stages,
-            metadata={"category": category, "components": components},
+        return FastRequestSpec(
+            request_id,
+            self.name,
+            kind,
+            stages,
+            {"category": category, "components": INTERACTION_MIX[idx][2]},
         )
-

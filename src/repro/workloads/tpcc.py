@@ -10,10 +10,10 @@ transaction executes ~1.4 M instructions).
 
 Phase plans are declarative :class:`~repro.workloads.util.PhaseDef`
 tables produced by pure functions (:func:`transaction_phase_defs` and the
-new-order head/body split), shared between the scalar reference
-materializer and the vectorized generation fast path.  New-order is the
-one plan with a mid-plan RNG draw — the item count is drawn *after* the
-parse phase's jitters — so its defs are split into a head block and a
+new-order head/body split), compiled once into the block-stamping
+templates of :mod:`repro.workloads.genfast`.  New-order is the one plan
+with a mid-plan RNG draw — the item count is drawn *after* the parse
+phase's jitters — so its defs are split into a head block and a
 per-item-count body block to keep the reference draw order intact.
 """
 
@@ -23,8 +23,15 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.workloads.base import RequestSpec, single_stage
-from repro.workloads.util import Jit, PhaseDef, materialize
+from repro.workloads.genfast import (
+    BlockAheadGenerator,
+    FastRequestSpec,
+    FastStage,
+    choice_cdf,
+    phase_block,
+    template,
+)
+from repro.workloads.util import Jit, PhaseDef
 
 #: (type name, probability) per the TPC-C mix reported in the paper.
 TRANSACTION_MIX = (
@@ -150,7 +157,7 @@ def transaction_phase_defs(kind: str) -> Tuple[PhaseDef, ...]:
     return _FIXED_PLANS[kind]
 
 
-class TpccWorkload:
+class TpccWorkload(BlockAheadGenerator):
     """Generator for TPC-C transactions."""
 
     name = "tpcc"
@@ -158,26 +165,40 @@ class TpccWorkload:
     window_instructions = 50_000
     kinds = tuple(t[0] for t in TRANSACTION_MIX)
 
-    def sample_request(self, rng: np.random.Generator, request_id: int) -> RequestSpec:
-        mix = np.array([t[1] for t in TRANSACTION_MIX])
-        kind = TRANSACTION_MIX[int(rng.choice(len(TRANSACTION_MIX), p=mix))][0]
-        return self.build_transaction(rng, request_id, kind)
+    def __init__(self):
+        super().__init__()
+        self._mix_cdf = choice_cdf(np.array([t[1] for t in TRANSACTION_MIX]))
+        self._fixed = {
+            kind: template(
+                ("tpcc", kind), lambda k=kind: phase_block(transaction_phase_defs(k))
+            )
+            for kind in _FIXED_PLANS
+        }
+        self._new_order_head = template(
+            ("tpcc", "new_order_head"), lambda: phase_block(NEW_ORDER_HEAD)
+        )
 
-    def build_transaction(
+    def _draw_kind(self, rng: np.random.Generator) -> str:
+        idx = int(self._mix_cdf.searchsorted(rng.random(), side="right"))
+        return TRANSACTION_MIX[idx][0]
+
+    def build(
         self, rng: np.random.Generator, request_id: int, kind: str
-    ) -> RequestSpec:
-        """Materialize one request of a specific transaction type."""
-        if kind not in self.kinds:
-            raise ValueError(f"unknown transaction type {kind!r}")
+    ) -> FastRequestSpec:
+        """Stamp one request of transaction type ``kind``."""
         if kind == "new_order":
-            phases = materialize(rng, NEW_ORDER_HEAD)
+            phases = self._new_order_head.stamp(rng)
             n_items = int(rng.integers(8, 13))
-            phases.extend(materialize(rng, new_order_body_defs(n_items)))
+            body = template(
+                ("tpcc", "new_order_body", n_items),
+                lambda: phase_block(new_order_body_defs(n_items)),
+            )
+            phases += body.stamp(rng)
         else:
-            phases = materialize(rng, transaction_phase_defs(kind))
-        return RequestSpec(
-            request_id=request_id,
-            app=self.name,
-            kind=kind,
-            stages=single_stage("mysql", phases),
+            fixed = self._fixed.get(kind)
+            if fixed is None:
+                raise self._no_kind(kind)
+            phases = fixed.stamp(rng)
+        return FastRequestSpec(
+            request_id, self.name, kind, (FastStage("mysql", phases),), {}
         )

@@ -13,8 +13,7 @@ roughly doubles the 90-percentile request CPI (Figure 1).
 Each query's full phase-def plan is a pure deterministic function of the
 query kind (:func:`query_phase_defs` — the per-query fingerprint RNG is
 seeded from the kind, never from the main stream), so the plan is computed
-once per kind and shared by the scalar reference materializer and the
-vectorized generation fast path.
+and compiled into a block-stamping template once per kind.
 """
 
 from __future__ import annotations
@@ -23,8 +22,14 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.workloads.base import RequestSpec, single_stage
-from repro.workloads.util import Jit, PhaseDef, materialize
+from repro.workloads.genfast import (
+    BlockAheadGenerator,
+    FastRequestSpec,
+    FastStage,
+    phase_block,
+    template,
+)
+from repro.workloads.util import Jit, PhaseDef
 
 _DB_POOL = ("pread64", "read", "lseek")
 
@@ -107,7 +112,7 @@ def query_phase_defs(kind: str) -> Tuple[PhaseDef, ...]:
     return result
 
 
-class TpchWorkload:
+class TpchWorkload(BlockAheadGenerator):
     """Generator for the 17-query TPC-H subset."""
 
     name = "tpch"
@@ -115,18 +120,16 @@ class TpchWorkload:
     window_instructions = 1_000_000
     kinds = tuple(QUERY_PLANS)
 
-    def sample_request(self, rng: np.random.Generator, request_id: int) -> RequestSpec:
-        kind = self.kinds[int(rng.integers(len(self.kinds)))]
-        return self.build_query(rng, request_id, kind)
+    def _draw_kind(self, rng: np.random.Generator) -> str:
+        return self.kinds[int(rng.integers(len(self.kinds)))]
 
-    def build_query(
+    def build(
         self, rng: np.random.Generator, request_id: int, kind: str
-    ) -> RequestSpec:
-        """Materialize one request of a specific query type."""
-        phases = materialize(rng, query_phase_defs(kind))
-        return RequestSpec(
-            request_id=request_id,
-            app=self.name,
-            kind=kind,
-            stages=single_stage("mysql", phases),
+    ) -> FastRequestSpec:
+        """Stamp one request of query type ``kind``."""
+        if kind not in QUERY_PLANS:
+            raise self._no_kind(kind)
+        block = template(("tpch", kind), lambda: phase_block(query_phase_defs(kind)))
+        return FastRequestSpec(
+            request_id, self.name, kind, (FastStage("mysql", block.stamp(rng)),), {}
         )

@@ -1,47 +1,21 @@
-"""Small helpers shared by the workload generators.
+"""The phase-def layer shared by the workload generators.
 
-Beyond the scalar jitter helpers, this module defines the *phase-def*
-layer: a declarative description of one phase's nominal parameters
-(:class:`PhaseDef`), with jittered fields marked by :class:`Jit`.  Each
-generator module exports pure def producers (no main-RNG draws), and two
-materializers turn defs into phases:
-
-* :func:`materialize` — the scalar reference path: one ``jittered`` /
-  ``jittered_int`` draw per field, in pinned (instructions, cpi, refs)
-  order, building validated frozen :class:`~repro.workloads.base.Phase`
-  dataclasses;
-* :class:`repro.workloads.genfast.PhaseBlock` — the generation fast
-  path: the same defs compiled once into vectorized jitter tables that
-  consume one block-drawn normal array per request in the identical
-  bitstream order.
-
-Keeping both consumers on one def table is what makes the fast path's
-byte-identity a structural property instead of a parallel-maintenance
-burden.
+A :class:`PhaseDef` declares one phase's nominal parameters, with the
+fields jittered per request marked by :class:`Jit`.  Each generator
+module exports pure def producers (no main-RNG draws), and
+:class:`repro.workloads.genfast.PhaseBlock` compiles them once into
+vectorized jitter tables that consume one block-drawn normal array per
+request.  :func:`phase` is the validating ``Phase`` constructor: the
+microbenchmarks build their phases with it, and ``PhaseBlock`` runs
+every def's nominal values through it at template build.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.hardware.cpu import PhaseBehavior
 from repro.workloads.base import Phase
-
-
-def jittered(rng: np.random.Generator, value: float, frac: float) -> float:
-    """Multiplicatively jitter ``value`` by a ~N(0, frac) factor.
-
-    Floored at half the nominal value so rare large negative draws cannot
-    produce non-positive rates.
-    """
-    return max(0.5 * value, value * (1.0 + frac * rng.standard_normal()))
-
-
-def jittered_int(rng: np.random.Generator, value: float, frac: float, lo: int = 1000) -> int:
-    """Jittered instruction count, floored to a sane minimum."""
-    return max(lo, int(round(jittered(rng, value, frac))))
 
 
 class Jit(NamedTuple):
@@ -71,37 +45,6 @@ class PhaseDef(NamedTuple):
     entry: Optional[str] = None
     rate: float = 0.0
     pool: Tuple[str, ...] = ()
-
-
-def materialize(rng: np.random.Generator, defs) -> list:
-    """Scalar reference materializer: defs -> jittered ``Phase`` list.
-
-    Draw order per def is pinned to (instructions, cpi, refs?) — the
-    order every generator has always used — so the RNG bitstream is
-    unchanged by the def-table refactor and the generation fast path can
-    reproduce it with one block draw.
-    """
-    phases = []
-    for d in defs:
-        ins = jittered_int(rng, d.instructions, d.ins_frac)
-        cpi = jittered(rng, d.cpi, d.cpi_frac)
-        refs = d.refs
-        if type(refs) is Jit:
-            refs = jittered(rng, refs.base, refs.frac)
-        phases.append(
-            phase(
-                d.name,
-                ins,
-                cpi=cpi,
-                refs=refs,
-                miss=d.miss,
-                footprint=d.footprint,
-                entry=d.entry,
-                rate=d.rate,
-                pool=d.pool,
-            )
-        )
-    return phases
 
 
 def phase(

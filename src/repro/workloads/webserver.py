@@ -12,10 +12,9 @@ jumps up), ``stat``/``lseek`` (metadata / seek work -> CPI drops), ``poll``
 
 The phase plan for a request is produced declaratively by
 :func:`request_phase_defs` — a pure function of the file's size and
-fingerprint with no main-RNG draws — and materialized with per-request
-jitter by :func:`repro.workloads.util.materialize` (reference path) or the
-vectorized :mod:`repro.workloads.genfast` templates (fast path).  Both
-consume the same defs, so the two paths cannot drift apart.
+fingerprint with no main-RNG draws — compiled once per catalog file into
+a :mod:`repro.workloads.genfast` template and stamped with per-request
+jitter.
 """
 
 from __future__ import annotations
@@ -24,8 +23,15 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from repro.workloads.base import RequestSpec, single_stage
-from repro.workloads.util import PhaseDef, materialize
+from repro.workloads.genfast import (
+    BlockAheadGenerator,
+    FastRequestSpec,
+    FastStage,
+    choice_cdf,
+    phase_block,
+    template,
+)
+from repro.workloads.util import PhaseDef
 
 #: SPECweb99 static file classes: (class name, min bytes, max bytes, mix).
 FILE_CLASSES = (
@@ -142,7 +148,11 @@ def request_phase_defs(file_bytes: int, fp: FileFingerprint) -> Tuple[PhaseDef, 
     return tuple(defs)
 
 
-class WebServerWorkload:
+#: Index of each file class in :data:`FILE_CLASSES`, by class name.
+_CLASS_INDEX = {c[0]: idx for idx, c in enumerate(FILE_CLASSES)}
+
+
+class WebServerWorkload(BlockAheadGenerator):
     """Generator for Apache/SPECweb99 static requests.
 
     SPECweb99 serves a *fixed* dataset (200 MB in the paper's setup), so
@@ -164,27 +174,46 @@ class WebServerWorkload:
     zipf_exponent = 1.0
 
     def __init__(self, catalog_seed: int = 909_009):
+        super().__init__()
         catalog_rng = np.random.default_rng(catalog_seed)
         self._catalog = {}
         ranks = np.arange(1, self.files_per_class + 1, dtype=float)
         weights = ranks**-self.zipf_exponent
-        self._popularity = weights / weights.sum()
         for cls_name, lo, hi, _ in FILE_CLASSES:
             sizes = catalog_rng.integers(lo, hi + 1, size=self.files_per_class)
             seeds = catalog_rng.integers(1, 2**31, size=self.files_per_class)
             self._catalog[cls_name] = list(zip(sizes.tolist(), seeds.tolist()))
-
-    def sample_request(self, rng: np.random.Generator, request_id: int) -> RequestSpec:
+        self._catalog_seed = catalog_seed
         mix = np.array([c[3] for c in FILE_CLASSES])
-        cls_idx = int(rng.choice(len(FILE_CLASSES), p=mix / mix.sum()))
-        cls_name = FILE_CLASSES[cls_idx][0]
-        file_idx = int(rng.choice(self.files_per_class, p=self._popularity))
-        file_bytes, file_seed = self._catalog[cls_name][file_idx]
-        phases = materialize(rng, request_phase_defs(file_bytes, file_fingerprint(file_seed)))
-        return RequestSpec(
-            request_id=request_id,
-            app=self.name,
-            kind=cls_name,
-            stages=single_stage("apache", phases),
-            metadata={"file_bytes": file_bytes, "file_id": f"{cls_name}/{file_idx}"},
+        self._cls_cdf = choice_cdf(mix / mix.sum())
+        self._file_cdf = choice_cdf(weights / weights.sum())
+
+    def _draw_kind(self, rng: np.random.Generator) -> str:
+        return self.kinds[int(self._cls_cdf.searchsorted(rng.random(), side="right"))]
+
+    def _build_template(self, kind, file_idx):
+        file_bytes, file_seed = self._catalog[kind][file_idx]
+        block = phase_block(
+            request_phase_defs(file_bytes, file_fingerprint(file_seed))
+        )
+        return (block, file_bytes, f"{kind}/{file_idx}")
+
+    def build(
+        self, rng: np.random.Generator, request_id: int, kind: str
+    ) -> FastRequestSpec:
+        """Stamp one request for a file of class ``kind``; draws the file."""
+        cls_idx = _CLASS_INDEX.get(kind)
+        if cls_idx is None:
+            raise self._no_kind(kind)
+        file_idx = int(self._file_cdf.searchsorted(rng.random(), side="right"))
+        block, file_bytes, file_id = template(
+            ("webserver", self._catalog_seed, cls_idx, file_idx),
+            lambda: self._build_template(kind, file_idx),
+        )
+        return FastRequestSpec(
+            request_id,
+            self.name,
+            kind,
+            (FastStage("apache", block.stamp(rng)),),
+            {"file_bytes": file_bytes, "file_id": file_id},
         )

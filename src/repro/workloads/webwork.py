@@ -28,8 +28,14 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.workloads.base import RequestSpec, single_stage
-from repro.workloads.util import PhaseDef, materialize
+from repro.workloads.genfast import (
+    BlockAheadGenerator,
+    FastRequestSpec,
+    FastStage,
+    phase_block,
+    template,
+)
+from repro.workloads.util import PhaseDef
 
 _PERL_POOL = ("brk", "mmap", "stat")
 
@@ -58,7 +64,7 @@ def problem_phase_defs(problem_id: int) -> Tuple[PhaseDef, ...]:
     The problem script is fixed content, so requests for the same problem
     share macro structure: which modules run, their lengths and inherent
     CPIs, and where graphics bursts fall are all determined here, while
-    per-request jitter stays small (applied by the materializer).
+    per-request jitter stays small (applied when a request is stamped).
     """
     cached = _DEF_CACHE.get(problem_id)
     if cached is not None:
@@ -123,27 +129,36 @@ def problem_phase_defs(problem_id: int) -> Tuple[PhaseDef, ...]:
     return result
 
 
-class WeBWorKWorkload:
+#: Problem id of each request kind, ``"problem_<id>"`` -> id.
+_PROBLEM_IDS = {f"problem_{i}": i for i in range(NUM_PROBLEMS)}
+
+
+class WeBWorKWorkload(BlockAheadGenerator):
     """Generator for WeBWorK problem-rendering requests."""
 
     name = "webwork"
     sampling_period_us = 1_000.0
     window_instructions = 2_000_000
-    kinds = tuple(f"problem_{i}" for i in range(NUM_PROBLEMS))
+    kinds = tuple(_PROBLEM_IDS)
 
-    def sample_request(self, rng: np.random.Generator, request_id: int) -> RequestSpec:
-        problem_id = int(rng.integers(NUM_PROBLEMS))
-        return self.build_problem(rng, request_id, problem_id)
+    def _draw_kind(self, rng: np.random.Generator) -> str:
+        return self.kinds[int(rng.integers(NUM_PROBLEMS))]
 
-    def build_problem(
-        self, rng: np.random.Generator, request_id: int, problem_id: int
-    ) -> RequestSpec:
-        """Materialize one request rendering a specific problem."""
-        phases = materialize(rng, problem_phase_defs(problem_id))
-        return RequestSpec(
-            request_id=request_id,
-            app=self.name,
-            kind=f"problem_{problem_id}",
-            stages=single_stage("apache_modperl", phases),
-            metadata={"problem_id": problem_id},
+    def build(
+        self, rng: np.random.Generator, request_id: int, kind: str
+    ) -> FastRequestSpec:
+        """Stamp one request rendering problem ``kind`` (``problem_<id>``)."""
+        problem_id = _PROBLEM_IDS.get(kind)
+        if problem_id is None:
+            raise self._no_kind(kind)
+        block = template(
+            ("webwork", problem_id),
+            lambda: phase_block(problem_phase_defs(problem_id)),
+        )
+        return FastRequestSpec(
+            request_id,
+            self.name,
+            kind,
+            (FastStage("apache_modperl", block.stamp(rng)),),
+            {"problem_id": problem_id},
         )

@@ -11,8 +11,9 @@ in a run shows up as a digest mismatch.  Every digest in
 the reference event loop it replaced, under both the block-stamping and
 the scalar reference request generators.  The workload-grid and fault
 cells of the server apps still run under both generator families: the
-registry's block-stamping generators and the scalar reference classes
-they subclass must drive the engine to the same digest.
+registry's block-stamping generators and the scalar oracle in
+``tests/workloads/reference.py`` must drive the engine to the same
+digest.
 
 The grid crosses the axes that exercise different parts of the engine:
 all registry workloads under all four sampling techniques (interrupt
@@ -60,7 +61,7 @@ from repro.workloads.registry import (
     make_faulted_workload,
     make_workload,
 )
-from tests.workloads.test_genfast import REFERENCE_FACTORIES
+from tests.workloads.reference import REFERENCE_FACTORIES
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "golden", "engine_grid.json"

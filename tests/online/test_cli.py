@@ -83,6 +83,14 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    def test_unknown_kind_target_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tpcc", "--faults", "slowdown:0.5%kind=neworder"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "workload 'tpcc' has no kind 'neworder'" in err
+        assert "Traceback" not in err
+
     def test_quantile_domain(self, capsys):
         with pytest.raises(SystemExit):
             main(["tpcc", "--quantile", "1.0"])

@@ -522,6 +522,19 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["load-test", "--workers", "2", "--kill-worker", "5"])
 
+    def test_unknown_kind_target_is_usage_error(self, capsys):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "load-test", "--workload", "tpcc",
+                "--faults", "lock_stall:0.2%kind=neworder",
+            ])
+        assert excinfo.value.code == 2
+        assert "workload 'tpcc' has no kind 'neworder'" in (
+            capsys.readouterr().err
+        )
+
     def test_unknown_workload_rejected(self):
         from repro.serve.cli import main
 

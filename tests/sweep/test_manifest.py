@@ -115,6 +115,28 @@ class TestExecutorSettlement:
         assert manifest.counts()["done"] == 1
         assert calls.count(doomed) == 2
 
+    def test_unknown_fault_kind_target_is_quarantined(self):
+        """A ``%kind=`` target the workload lacks passes spec validation
+        (its grammar is fine), then quarantines its scenario with the
+        constructor's message; the rest of the sweep still runs."""
+        manifest = SweepManifest.plan(
+            tiny_spec(
+                workloads=("tpcc",),
+                seeds=(0,),
+                faults=("none", "lock_stall:1%kind=neworder"),
+            )
+        )
+        run_sweep(manifest, options=SweepOptions(retries=0))
+        counts = manifest.counts()
+        assert counts["done"] == 1 and counts["quarantined"] == 1
+        (error,) = [
+            entry["error"]
+            for entry in manifest.scenarios.values()
+            if entry["status"] == "quarantined"
+        ]
+        assert "'lock_stall:1%kind=neworder'" in error
+        assert "workload 'tpcc' has no kind 'neworder'" in error
+
     def test_retry_recovers_flaky_scenario(self, monkeypatch):
         manifest = SweepManifest.plan(tiny_spec())
         flaky_id = manifest.order[0]

@@ -221,6 +221,15 @@ class TestFaultAndOnlineFlags:
         assert "Traceback" not in err
 
 
+    def test_unknown_kind_target_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tpcc", "--faults", "lock_stall:1%kind=neworder"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "'lock_stall:1%kind=neworder'" in err
+        assert "workload 'tpcc' has no kind 'neworder'" in err
+
+
 class TestArgumentValidation:
     """Malformed specs exit with an argparse error, not a raw traceback."""
 

@@ -1,9 +1,9 @@
 """Property-based suite for the jitter primitives (hypothesis).
 
-The generation fast path's batched stamping is only sound if the scalar
-chain in :func:`repro.workloads.util.jittered` /
-:func:`~repro.workloads.util.jittered_int` has the exact properties the
-vectorized replay assumes: the half-nominal floor always holds (so
+Block stamping is only sound if the scalar reference chain in
+:func:`tests.workloads.reference.jittered` /
+:func:`~tests.workloads.reference.jittered_int` has the exact properties
+the vectorized replay assumes: the half-nominal floor always holds (so
 skipping dataclass validation is safe), the ``lo`` floor always holds,
 same-seed draws are bit-deterministic, and one ``standard_normal(n)``
 block is bit-for-bit the same stream as n scalar ``standard_normal()``
@@ -19,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.workloads.util import jittered, jittered_int  # noqa: E402
+from tests.workloads.reference import jittered, jittered_int  # noqa: E402
 
 finite_values = st.floats(
     min_value=1e-6, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -74,7 +74,7 @@ def test_batched_normals_equal_scalar_stream(seed, n):
     params=st.lists(st.tuples(finite_values, fracs), min_size=1, max_size=32),
 )
 def test_vectorized_chain_equals_scalar_chain(seed, params):
-    """The fast path's three vector ops replay the scalar chain exactly."""
+    """PhaseBlock's three vector ops replay the scalar chain exactly."""
     base = np.array([p[0] for p in params])
     frac = np.array([p[1] for p in params])
 

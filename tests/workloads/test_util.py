@@ -1,9 +1,10 @@
-"""Tests for workload construction helpers."""
+"""Tests for workload construction helpers and the reference jitter chain."""
 
 import numpy as np
 import pytest
 
-from repro.workloads.util import jittered, jittered_int, phase
+from repro.workloads.util import phase
+from tests.workloads.reference import jittered, jittered_int
 
 
 class TestJittered:
