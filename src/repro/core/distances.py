@@ -16,6 +16,8 @@
 
 from __future__ import annotations
 
+import sys
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -84,82 +86,133 @@ def levenshtein_distance(a: Sequence, b: Sequence) -> int:
     return int(previous[-1])
 
 
-#: Pairs per block of :func:`levenshtein_pairwise`: bounds the working
-#: ``(block, L + 1)`` rows to a few MB at figure 7's sequence lengths.
+#: Pairs per block of :func:`levenshtein_pairwise`: bounds each block's
+#: bit vectors to ``block x (len(b) // 64 + 1)`` 64-bit words, a few
+#: hundred KB at figure 7's sequence lengths.
 LEVENSHTEIN_BLOCK = 2048
 
 
-def _token_matrix(sequences, vocab) -> np.ndarray:
-    """Sequences as rows of vocabulary ids, padded with -1."""
-    width = max((len(s) for s in sequences), default=0)
-    tokens = np.full((len(sequences), width), -1, dtype=np.int32)
-    for row, seq in zip(tokens, sequences):
-        row[: len(seq)] = [vocab.setdefault(t, len(vocab)) for t in seq]
-    return tokens
+def _words_to_int(words: np.ndarray) -> int:
+    return int.from_bytes(words.tobytes(), sys.byteorder)
+
+
+def _popcounts(parts: list, firsts: np.ndarray) -> np.ndarray:
+    """Set bits of each field of the little-endian words in ``parts``."""
+    bits = np.unpackbits(np.frombuffer(b"".join(parts), dtype=np.uint8))
+    return np.add.reduceat(bits, 64 * firsts, dtype=np.int64)
 
 
 def levenshtein_pairwise(items_a: Sequence, items_b: Sequence, pairs) -> np.ndarray:
     """``levenshtein_distance(items_a[i], items_b[j])`` for every ``(i, j)``.
 
-    The batched form of :func:`levenshtein_distance`: one token
-    vocabulary for the whole call, and the same row recurrence run over
-    ``(P, L + 1)`` blocks of pairs sorted by first-operand length, so a
-    block drops each pair once its row ``len(a)`` is reached.  A pair's
-    value is read at column ``len(b)``; column ``j`` depends only on
-    columns ``<= j``, so the ``-1`` padding beyond it cannot reach the
-    answer, and empty operands fall out of row/column 0 unchanged.  All
-    arithmetic is integer, so every value equals the per-pair call.
+    The batched form of :func:`levenshtein_distance`, computed with
+    Myers' bit-vector algorithm in Hyyro's edit-distance form.  Row ``i``
+    of a pair's DP is held as two bit vectors over the positions of
+    ``b``: ``pv`` marks the columns where the row steps up by one from
+    its left neighbour, ``mv`` where it steps down.  Row 0 is ``0, 1,
+    ..., len(b)`` (``pv`` all ones), and the last cell of row ``len(a)``
+    is ``len(a) + popcount(pv) - popcount(mv)``.  One row costs a fixed
+    handful of integer operations, whatever ``len(b)`` is.
+
+    Pairs are sorted by first-operand length and cut into blocks of
+    ``LEVENSHTEIN_BLOCK``, and a block runs as one Python integer per bit
+    vector.  Each pair owns a field of ``len(b) // 64 + 1`` words: one
+    bit per position of ``b`` and at least one zero guard bit above
+    them.  So the carry of ``(eq & pv) + pv`` out of a field's top
+    position stops in its guard bit, complements are ``MASK ^ x`` (MASK
+    covers every field's positions), and one ``& MASK`` a row clears the
+    guard bits a carry or left shift set.  The bit a left shift moves
+    into a field's bit 0 is overwritten by the shift-in ``ONES``: column
+    0 of the DP is ``0, 1, ..., len(a)``, so it steps up every row.  Row
+    ``i`` reads each pair's match mask for ``a[i]`` from a per-``b``
+    table.  A pair whose row reaches ``len(a)`` leaves the block: its
+    field is among the lowest (``len(a)`` ascends), so it is copied out
+    and shifted off.  Every step is exact integer arithmetic, so every
+    value equals the per-pair call.
     """
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     out = np.empty(len(pairs), dtype=np.int64)
     if not len(pairs):
         return out
-    # Encode only the operands the pairs reference.
+    # Encode only the operands the pairs reference, with one vocabulary
+    # of the second operands' tokens; any other token reads the all-zero
+    # mask row ``absent``.
     used_a, rows_a = np.unique(pairs[:, 0], return_inverse=True)
     used_b, rows_b = np.unique(pairs[:, 1], return_inverse=True)
     seqs_a = [items_a[i] for i in used_a]
     seqs_b = [items_b[j] for j in used_b]
-    vocab: dict = {}
-    tokens_a = _token_matrix(seqs_a, vocab)
-    tokens_b = _token_matrix(seqs_b, vocab)
-    lengths_a = np.array([len(s) for s in seqs_a])[rows_a]
-    lengths_b = np.array([len(s) for s in seqs_b])[rows_b]
+    flat_b = list(chain.from_iterable(seqs_b))
+    vocab = {token: k for k, token in enumerate(dict.fromkeys(flat_b))}
+    absent = len(vocab)
+    ids_b = np.fromiter(map(vocab.__getitem__, flat_b), np.intp, len(flat_b))
+    lengths_a = np.array([len(s) for s in seqs_a])
+    lengths_b = np.array([len(s) for s in seqs_b])
+    tokens_a = np.full((len(seqs_a), lengths_a.max()), absent, dtype=np.intp)
+    flat_a = list(chain.from_iterable(seqs_a))
+    tokens_a[np.arange(tokens_a.shape[1]) < lengths_a[:, None]] = np.fromiter(
+        map(vocab.get, flat_a, repeat(absent)), np.intp, len(flat_a)
+    )
 
-    order = np.argsort(lengths_a, kind="stable")
+    # Operand u's match mask for token t: the widths_b[u] words from
+    # starts_b[u] + t * widths_b[u] of ``table``.
+    widths_b = lengths_b // 64 + 1
+    starts_b = np.concatenate(([0], np.cumsum(widths_b * (absent + 1))[:-1]))
+    table = np.zeros(int(widths_b.sum()) * (absent + 1), dtype=np.uint64)
+    owner = np.repeat(np.arange(len(seqs_b)), lengths_b)
+    position = np.arange(owner.size) - np.repeat(
+        np.cumsum(lengths_b) - lengths_b, lengths_b
+    )
+    np.bitwise_or.at(
+        table,
+        starts_b[owner] + ids_b * widths_b[owner] + position // 64,
+        np.uint64(1) << (position % 64).astype(np.uint64),
+    )
+
+    order = np.argsort(lengths_a[rows_a], kind="stable")
     for start in range(0, order.size, LEVENSHTEIN_BLOCK):
         block = order[start : start + LEVENSHTEIN_BLOCK]
-        len_a = lengths_a[block]
-        len_b = lengths_b[block]
-        a = tokens_a[rows_a[block], : len_a[-1]]
-        b = tokens_b[rows_b[block], : len_b.max()]
-        # Rows are held column-shifted, row[j] - j: substitution is then
-        # shifted[j-1] - match, deletion shifted[j] + 1, and the insertion
-        # unroll row[j] = j + min(i, min_{k<=j}(best[k] - k)) a running
-        # minimum from shifted[0] = i.  Two buffers alternate as previous
-        # and current row; pairs [done:] are still running (len_a ascends).
-        previous = np.zeros((block.size, b.shape[1] + 1), dtype=np.int32)
-        current = np.empty_like(previous)
-        match = np.empty(b.shape, dtype=bool)
-        substitution = np.empty(b.shape, dtype=np.int32)
-        done = 0
-        for i in range(a.shape[1] + 1):
-            finished = int(np.searchsorted(len_a, i, side="right"))
+        ua, ub = rows_a[block], rows_b[block]
+        len_a, len_b, width = lengths_a[ua], lengths_b[ub], widths_b[ub]
+        ends = np.cumsum(width)
+        firsts = ends - width
+        # Word w of the block is word offset[w] of pair field[w]; at row i
+        # it reads table[fixed[w] + steps[i, field[w]]].
+        field = np.repeat(np.arange(block.size), width)
+        offset = np.arange(ends[-1]) - firsts[field]
+        fixed = starts_b[ub][field] + offset
+        steps = np.ascontiguousarray((tokens_a[ua] * width[:, None]).T)
+        # MASK: each field's len(b) position bits; ONES: each field's bit 0.
+        words = np.where(offset < (len_b // 64)[field], ~np.uint64(0), np.uint64(0))
+        words[ends - 1] = (np.uint64(1) << (len_b % 64).astype(np.uint64)) - 1
+        mask = _words_to_int(words)
+        words[:] = 0
+        words[firsts] = 1
+        ones = _words_to_int(words)
+        pv, mv = mask, 0
+        pv_out, mv_out = [], []  # the fields of finished pairs, in order
+        done = dropped = 0  # pairs finished, words shifted off
+        finishing = np.searchsorted(len_a, np.arange(len_a[-1] + 1), side="right")
+        for i, finished in enumerate(finishing.tolist()):
             if finished > done:
-                ends = len_b[done:finished]
-                out[block[done:finished]] = (
-                    previous[np.arange(done, finished), ends] + ends
-                )
-                done = finished
-            if done == block.size:
-                break
-            prev, cur = previous[done:], current[done:]
-            np.equal(b[done:], a[done:, i : i + 1], out=match[done:])
-            np.subtract(prev[:, :-1], match[done:], out=substitution[done:])
-            np.add(prev[:, 1:], 1, out=cur[:, 1:])
-            np.minimum(substitution[done:], cur[:, 1:], out=cur[:, 1:])
-            cur[:, 0] = i + 1
-            np.minimum.accumulate(cur, axis=1, out=cur)
-            previous, current = current, previous
+                nbits = 64 * (int(ends[finished - 1]) - dropped)
+                low = (1 << nbits) - 1
+                pv_out.append((pv & low).to_bytes(nbits // 8, "little"))
+                mv_out.append((mv & low).to_bytes(nbits // 8, "little"))
+                pv, mv, mask, ones = (v >> nbits for v in (pv, mv, mask, ones))
+                done, dropped = finished, int(ends[finished - 1])
+                if done == block.size:
+                    break
+            eq = _words_to_int(
+                table.take(fixed[dropped:] + steps[i].take(field[dropped:]))
+            )
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (mask ^ (xh | pv))
+            mh = (pv & xh) << 1
+            ph = (ph << 1) | ones
+            pv = (mh | (mask ^ (xv | ph))) & mask
+            mv = ph & xv
+        out[block] = len_a + _popcounts(pv_out, firsts) - _popcounts(mv_out, firsts)
     return out
 
 

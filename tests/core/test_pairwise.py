@@ -7,7 +7,8 @@ exactly —
 
 * :func:`repro.core.distances.levenshtein_pairwise` against
   :func:`~repro.core.distances.levenshtein_distance`, over arbitrary pair
-  lists (non-triangular, repeated, unsorted, across block boundaries);
+  lists (non-triangular, repeated, unsorted, across block boundaries)
+  and at the edges of the bit-parallel kernel's 64-bit-word fields;
 * :func:`repro.core.kernels.dtw_pairwise` (which
   :meth:`~repro.core.kernels.PenaltyDtw.pairwise` delegates to) against
   :func:`repro.core.dtw.dtw_distance`, over arbitrary pair lists with
@@ -88,6 +89,38 @@ def dtw_problems(draw):
     return items_a, items_b, pairs, p
 
 
+#: Operand lengths at and around the bit-parallel Levenshtein kernel's
+#: field edges.  A pair's field is ``len(b) // 64 + 1`` words, so 63, 127
+#: and 191 positions leave exactly one guard bit, and 64, 128 and 192
+#: open a new word.
+EDGE_LENGTHS = (0, 1, *range(62, 67), *range(126, 131), *range(190, 195))
+edge_lengths = st.sampled_from(EDGE_LENGTHS)
+
+
+@st.composite
+def edge_problems(draw, lengths_a=edge_lengths, lengths_b=edge_lengths):
+    """``(items_a, items_b, pairs)``: every pair of 1-3 sequences a side,
+    in shuffled order, over a one-, two- or four-token vocabulary.
+
+    Tokens switch with probability 0, 0.03 or 0.5 per position, so small
+    vocabularies give long match runs whose carries cross whole fields.
+    """
+    vocab = draw(st.sampled_from([["read"], ["read", 1], ["read", "poll", 2, 3]]))
+    switch = draw(st.sampled_from([0.0, 0.03, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def items(lengths):
+        out = []
+        for _ in range(draw(st.integers(1, 3))):
+            flips = np.cumsum(rng.random(draw(lengths)) < switch)
+            out.append([vocab[k] for k in (flips + rng.integers(4)) % len(vocab)])
+        return out
+
+    items_a, items_b = items(lengths_a), items(lengths_b)
+    pairs = [(i, j) for i in range(len(items_a)) for j in range(len(items_b))]
+    return items_a, items_b, [pairs[k] for k in rng.permutation(len(pairs))]
+
+
 def serial_dtw(items_a, items_b, pairs, p):
     return [dtw_distance(items_a[i], items_b[j], p) for i, j in pairs]
 
@@ -153,6 +186,33 @@ class TestLevenshteinPairwise:
         pairs = [(i, j) for i in range(len(items)) for j in range(len(items))]
         got = levenshtein_pairwise(items, items, pairs)
         assert got.tolist() == serial_levenshtein(items, items, pairs)
+
+    @given(edge_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_field_edge_lengths(self, problem):
+        items_a, items_b, pairs = problem
+        got = levenshtein_pairwise(items_a, items_b, pairs)
+        assert got.tolist() == serial_levenshtein(items_a, items_b, pairs)
+
+    @given(
+        st.one_of(
+            edge_problems(st.integers(0, 3), st.integers(126, 194)),
+            edge_problems(st.integers(126, 194), st.integers(0, 3)),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lopsided_lengths(self, problem):
+        items_a, items_b, pairs = problem
+        got = levenshtein_pairwise(items_a, items_b, pairs)
+        assert got.tolist() == serial_levenshtein(items_a, items_b, pairs)
+
+    @given(edge_problems(), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_field_edge_lengths_in_small_blocks(self, problem, block):
+        items_a, items_b, pairs = problem
+        with mock.patch.object(distances, "LEVENSHTEIN_BLOCK", block):
+            got = levenshtein_pairwise(items_a, items_b, pairs)
+        assert got.tolist() == serial_levenshtein(items_a, items_b, pairs)
 
     def test_crosses_the_default_block_boundary(self):
         rng = np.random.default_rng(4)
