@@ -259,12 +259,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.faults:
-        try:
-            parse_workload_faults(args.workload, args.faults)
-        except ValueError as error:
-            parser.error(str(error))
-
     if args.checkpoint and not args.online:
         parser.error("--checkpoint requires --online")
     if args.offered_load is not None and args.arrivals is not None:
@@ -284,6 +278,12 @@ def main(argv=None) -> int:
                 dispatch=parse_dispatch(args.dispatch or "rr"),
                 admission_limit=args.admission_limit,
             )
+        except ValueError as error:
+            parser.error(str(error))
+    arrivals = traffic.arrivals if traffic is not None else None
+    if args.faults:
+        try:
+            parse_workload_faults(args.workload, args.faults, arrivals)
         except ValueError as error:
             parser.error(str(error))
 
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
         collector.subscribe(pipeline.process_event)
     with activated(profiler):
         workload = (
-            make_faulted_workload(args.workload, args.faults)
+            make_faulted_workload(args.workload, args.faults, arrivals)
             if args.faults
             else make_workload(args.workload)
         )

@@ -82,16 +82,18 @@ class InstanceSpec:
 
 def generate_instance_events(spec: InstanceSpec) -> List[ObsEvent]:
     """Run the instance's simulator; return its canonical event stream."""
-    workload = (
-        make_faulted_workload(spec.workload, spec.faults)
-        if spec.faults
-        else make_workload(spec.workload)
-    )
     traffic = None
     if spec.arrivals and spec.arrivals != "closed":
         from repro.traffic import TrafficConfig, parse_arrivals
 
         traffic = TrafficConfig(arrivals=parse_arrivals(spec.arrivals))
+    workload = (
+        make_faulted_workload(
+            spec.workload, spec.faults, traffic and traffic.arrivals
+        )
+        if spec.faults
+        else make_workload(spec.workload)
+    )
     collector = TraceCollector(capacity=None, kinds=SUBSCRIBED_KINDS)
     config = SimConfig(
         sampling=SamplingPolicy.interrupt(workload.sampling_period_us),

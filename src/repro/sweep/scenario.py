@@ -124,8 +124,11 @@ def run_scenario(scenario: Scenario) -> Dict:
     streaming online pipeline all run from the scenario's seed with no
     wall-clock or filesystem dependence.
     """
+    traffic = build_traffic(scenario)
     workload = (
-        make_faulted_workload(scenario.workload, scenario.faults)
+        make_faulted_workload(
+            scenario.workload, scenario.faults, traffic and traffic.arrivals
+        )
         if scenario.faults != NO_FAULTS
         else make_workload(scenario.workload)
     )

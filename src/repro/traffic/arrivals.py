@@ -90,6 +90,10 @@ class ArrivalProcess:
         """Long-run mean offered load (None when undefined, e.g. replay)."""
         return None
 
+    def tenant_tags(self) -> frozenset:
+        """Every tenant tag an arrival of this process can carry."""
+        return frozenset()
+
 
 class ClosedLoop(ArrivalProcess):
     """The paper's closed generative loop, as an arrival process.
@@ -302,6 +306,9 @@ class ZipfArrivals(ArrivalProcess):
     def mean_rate_per_s(self):
         return self.rate_per_s
 
+    def tenant_tags(self):
+        return frozenset(range(self.tenants))
+
 
 SCHEDULE_FORMAT = "repro-arrival-schedule"
 SCHEDULE_VERSION = 1
@@ -392,6 +399,11 @@ class TraceReplay(ArrivalProcess):
 
     def describe(self):
         return {"kind": self.kind, "path": self.path}
+
+    def tenant_tags(self):
+        return frozenset(
+            tenant for _, tenant in load_schedule(self.path) if tenant is not None
+        )
 
 
 def _floats(args: str, spec: str, count: int) -> List[float]:

@@ -535,6 +535,36 @@ class TestCli:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        (
+            ([], "'closed' arrivals tag no tenants"),
+            (["--arrivals", "zipf:400,1.1,4"], "'zipf' arrivals tag tenants"),
+        ),
+    )
+    def test_unreachable_tenant_target_is_usage_error(
+        self, extra, message, capsys
+    ):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "load-test", "--workload", "tpcc",
+                "--faults", "lock_stall:0.2%tenant=9", *extra,
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "fault spec clause 'lock_stall:0.2%tenant=9'" in err
+        assert message in err
+
+    def test_malformed_arrivals_is_usage_error(self, capsys):
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["load-test", "--workload", "tpcc", "--arrivals", "zipf:1"])
+        assert excinfo.value.code == 2
+        assert "arrival spec 'zipf:1'" in capsys.readouterr().err
+
     def test_unknown_workload_rejected(self):
         from repro.serve.cli import main
 

@@ -137,6 +137,27 @@ class TestExecutorSettlement:
         assert "'lock_stall:1%kind=neworder'" in error
         assert "workload 'tpcc' has no kind 'neworder'" in error
 
+    def test_unreachable_tenant_target_is_quarantined(self):
+        """A ``%tenant=`` target the scenario's arrival process never tags
+        quarantines that scenario; the zipf scenario that tags it runs."""
+        manifest = SweepManifest.plan(
+            tiny_spec(
+                workloads=("tpcc",),
+                seeds=(0,),
+                faults=("slowdown:1%tenant=1",),
+                arrivals=("closed", "zipf:400,1.1,2"),
+            )
+        )
+        run_sweep(manifest, options=SweepOptions(retries=0))
+        counts = manifest.counts()
+        assert counts["done"] == 1 and counts["quarantined"] == 1
+        (error,) = [
+            entry["error"]
+            for entry in manifest.scenarios.values()
+            if entry["status"] == "quarantined"
+        ]
+        assert "'slowdown:1%tenant=1': 'closed' arrivals tag no tenants" in error
+
     def test_retry_recovers_flaky_scenario(self, monkeypatch):
         manifest = SweepManifest.plan(tiny_spec())
         flaky_id = manifest.order[0]

@@ -229,6 +229,32 @@ class TestFaultAndOnlineFlags:
         assert "'lock_stall:1%kind=neworder'" in err
         assert "workload 'tpcc' has no kind 'neworder'" in err
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        (
+            ([], "'closed' arrivals tag no tenants, so tenant 3 never arrives"),
+            (["--offered-load", "400"], "'poisson' arrivals tag no tenants"),
+            (["--arrivals", "zipf:400,1.1,2"],
+             "'zipf' arrivals tag tenants [0, 1], so tenant 3 never arrives"),
+        ),
+    )
+    def test_unreachable_tenant_target_is_usage_error(
+        self, extra, message, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tpcc", "--requests", "4", "--faults", "slowdown:1%tenant=3",
+                  "--online", *extra])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "fault spec clause 'slowdown:1%tenant=3'" in err
+        assert message in err
+
+    def test_drawn_tenant_target_injects(self, capsys):
+        assert main(["tpcc", "--requests", "20", "--seed", "1", "--online",
+                     "--arrivals", "zipf:400,1.1,4",
+                     "--faults", "slowdown:1%tenant=3"]) == 0
+        assert "injected=4 " in capsys.readouterr().out
+
 
 class TestArgumentValidation:
     """Malformed specs exit with an argparse error, not a raw traceback."""
