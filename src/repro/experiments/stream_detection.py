@@ -79,7 +79,12 @@ def run(scale: float = 1.0, seed: int = 11) -> ExperimentResult:
             }
         )
 
-    recalls = [r.summary["recall"] for r in reports.values()]
+    # Kinds that injected nothing have no recall.
+    recalls = [
+        r.summary["recall"] for r in reports.values()
+        if r.summary["recall"] is not None
+    ]
+    mean_recall = f"{sum(recalls) / len(recalls):.2f}" if recalls else "n/a"
     result.notes.append(
         "detector: incremental per-kind centroids + adaptive P-square "
         "quantile threshold over the live event stream (bounded memory, "
@@ -87,7 +92,7 @@ def run(scale: float = 1.0, seed: int = 11) -> ExperimentResult:
     )
     result.notes.append(
         f"faults injected at rate {FAULT_RATE} into {APP}; mean recall "
-        f"across kinds {sum(recalls) / len(recalls):.2f}; time-to-detect "
+        f"across kinds {mean_recall}; time-to-detect "
         "counts retired instructions from request admission to flag"
     )
     result.notes.append(

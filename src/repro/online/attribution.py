@@ -448,12 +448,16 @@ def _overall_mean(centroid) -> Optional[float]:
 
 
 def score_detection(flagged_ids, injected_ids, population: int) -> dict:
-    """Recall/precision of an anomaly detector against injected ground truth."""
+    """Recall/precision of an anomaly detector against injected ground truth.
+
+    Recall is ``None`` when nothing was injected: there was nothing to
+    find, so no share of it was found.
+    """
     flagged = set(flagged_ids)
     injected = set(injected_ids)
     true_positives = len(flagged & injected)
     return {
-        "recall": true_positives / len(injected) if injected else 1.0,
+        "recall": true_positives / len(injected) if injected else None,
         "precision": true_positives / len(flagged) if flagged else 1.0,
         "flagged": len(flagged),
         "injected": len(injected),

@@ -64,7 +64,7 @@ class DetectionReport:
             f"  requests={s['population']}  periods={s['periods']}  "
             f"windows={s['windows']}",
             f"  anomaly: injected={s['injected']}  flagged={s['flagged']}  "
-            f"precision={s['precision']:.3f}  recall={s['recall']:.3f}  "
+            f"precision={s['precision']:.3f}  recall={_share(s['recall'])}  "
             f"median_ttd_ins={_fmt(s['median_time_to_detect_instructions'])}",
             f"  identify: committed={s['committed']}/{s['population']}  "
             f"label_accuracy={_fmt(s['label_accuracy'])}  "
@@ -116,6 +116,10 @@ def _fmt(value) -> str:
     if value is None:
         return "n/a"
     return f"{value:.4g}"
+
+
+def _share(value) -> str:
+    return "n/a" if value is None else f"{value:.3f}"
 
 
 def build_report(pipeline) -> DetectionReport:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
 from repro.online.attribution import score_detection
-from repro.online.report import _median
+from repro.online.report import _median, _share
 
 #: What each shard worker writes / reports over the control socket.
 #: Defined here (not in worker.py) so importing the package does not
@@ -99,7 +99,7 @@ class FleetReport:
             f"  requests={s['population']}  events={s['events']}  "
             f"periods={s['periods']}  windows={s['windows']}",
             f"  anomaly: injected={s['injected']}  flagged={s['flagged']}  "
-            f"precision={s['precision']:.3f}  recall={s['recall']:.3f}  "
+            f"precision={s['precision']:.3f}  recall={_share(s['recall'])}  "
             f"median_ttd_ins={_fmt(s['median_time_to_detect_instructions'])}",
             f"  identify: committed={s['committed']}/{s['population']}  "
             f"label_accuracy={_fmt(s['label_accuracy'])}",

@@ -118,6 +118,15 @@ class TestMerge:
         with pytest.raises(ValueError, match="duplicate worker report"):
             merge_worker_reports([document, dict(document)])
 
+    def test_recall_undefined_without_injections(self):
+        fleet = merge_worker_reports([worker_report("w0", {
+            "0": instance_view([record(0), record(1, flagged=True)]),
+        })])
+        assert fleet.summary["injected"] == 0
+        assert fleet.summary["recall"] is None
+        assert '"recall":null' in fleet.to_json()
+        assert "precision=0.000  recall=n/a  " in fleet.render()
+
     def test_summary_counts(self):
         fleet = merge_worker_reports(two_worker_fixture())
         s = fleet.summary
