@@ -19,7 +19,6 @@ from repro.faults.taxonomy import (
     FAULT_TAXONOMY,
     INJECTORS,
     LEGACY_FAULT_KINDS,
-    inject_fault,
 )
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "FaultClause",
     "FaultSchedule",
     "ScheduledFaultWorkload",
-    "inject_fault",
     "parse_fault_schedule",
 ]

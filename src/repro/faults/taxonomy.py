@@ -50,7 +50,6 @@ __all__ = [
     "LEGACY_FAULT_KINDS",
     "INJECTORS",
     "fault_position",
-    "inject_fault",
 ]
 
 #: Every fault kind, in taxonomy (and documentation) order.  The first
@@ -374,14 +373,3 @@ INJECTORS = {
 }
 
 assert tuple(INJECTORS) == FAULT_TAXONOMY
-
-
-def inject_fault(kind: str, spec: RequestSpec, rng) -> RequestSpec:
-    """Apply one taxonomy injector with its default parameters."""
-    try:
-        injector = INJECTORS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown fault kind {kind!r}; choose from {FAULT_TAXONOMY}"
-        ) from None
-    return injector(spec, rng)
