@@ -14,9 +14,10 @@ reports the measured ratio and skips.
 A second, single-process workload covers figure 7's Levenshtein baseline:
 60 syscall-name sequences of 150-300 names (1,770 pairs), the per-pair
 `levenshtein_distance` loop against `DistanceEngine(jobs=1)`, which
-batches every pair through `levenshtein_pairwise`.  The matrices must be
-bit-identical and the engine >= 3x faster (CPU-gated like the DTW kernel
-bench: needs >= 2 usable CPUs, otherwise reports and skips).
+hands every pair to the bit-parallel `levenshtein_pairwise` kernel.  The
+matrices must be bit-identical and the engine >= 3x faster (CPU-gated
+like the DTW kernel bench: needs >= 2 usable CPUs, otherwise reports and
+skips).
 
 A third, single-process workload covers the lane-scheduled DTW kernel:
 40 CPI series with figure 7's heavy-tailed lengths (mostly tens of
