@@ -24,19 +24,19 @@ def distance_matrix(
     distance: Callable,
     symmetric: bool = True,
     *,
-    jobs: int = 1,
     engine: Optional[DistanceEngine] = None,
     distance_key: Optional[str] = None,
 ) -> np.ndarray:
     """Dense pairwise distance matrix for ``items``.
 
-    Computed through the distance engine: ``jobs > 1`` (or an explicit
-    ``engine``) parallelizes the pair evaluations, and an engine with an
-    attached cache memoizes them under ``distance_key``.  All paths return
-    matrices bit-identical to the serial double loop.
+    Computed through the distance engine (the shared serial one unless
+    ``engine`` is given): an engine with ``jobs > 1`` parallelizes the
+    pair evaluations, and one with an attached cache memoizes them under
+    ``distance_key``.  All paths return matrices bit-identical to the
+    serial double loop.
     """
     if engine is None:
-        engine = get_default_engine() if jobs == 1 else DistanceEngine(jobs=jobs)
+        engine = get_default_engine()
     return engine.matrix(
         items, distance, symmetric=symmetric, distance_key=distance_key
     )

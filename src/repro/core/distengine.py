@@ -6,20 +6,21 @@ over syscall sequences — and the experiments compute O(n^2) of those
 distances per application and measure.  This module centralizes that work:
 
 * :class:`DistanceEngine` computes dense matrices, explicit pair lists,
-  and one-to-many sweeps, optionally fanning the pair computations out to
-  a :class:`~concurrent.futures.ProcessPoolExecutor` in index chunks;
-  batchable measures — any callable with a ``pairwise(items_a, items_b,
-  pairs)`` attribute, such as :class:`~repro.core.kernels.PenaltyDtw`
-  and :func:`~repro.core.distances.levenshtein_distance` — instead get
-  all their pairs in one ``pairwise`` call, with no per-pair Python
-  dispatch at all;
+  and one-to-many sweeps, optionally fanning the pair computations out
+  to forked workers in ``jobs`` contiguous slices through
+  :func:`repro.parallel.ordered_map`; batchable measures — any callable
+  with a ``pairwise(items_a, items_b, pairs)`` attribute, such as
+  :class:`~repro.core.kernels.PenaltyDtw` and
+  :func:`~repro.core.distances.levenshtein_distance` — instead get all
+  their pairs in one ``pairwise`` call, with no per-pair Python dispatch
+  at all;
 * :class:`DistanceCache` memoizes distances keyed by *content* (a stable
   hash of both operands plus a caller-supplied distance key), optionally
   persisted as JSON under ``results/.cache/`` so repeated experiments and
   k-sweeps never recompute a pair.
 
 Determinism: each matrix cell is one independent distance evaluation, so
-chunked parallel execution performs exactly the same arithmetic as the
+sliced parallel execution performs exactly the same arithmetic as the
 serial loop and the assembled matrix is bit-identical to it (given a
 deterministic distance callable).  There is no cross-pair reduction whose
 order could differ.  The batched path is likewise bit-identical: the
@@ -27,18 +28,16 @@ lane-scheduled DTW performs exactly the serial DP's elementwise
 operations per pair (see :func:`repro.core.kernels.dtw_pairwise`), and
 batched Levenshtein is integer arithmetic.
 
-Parallel execution uses the ``fork`` start method so non-picklable
-distance callables (the experiments use parameter-capturing lambdas) and
-large item lists are inherited by the workers instead of serialized; when
-``fork`` is unavailable, or the pair count is too small to amortize pool
-startup, the engine transparently falls back to the serial path.
+Workers are forked, so non-picklable distance callables (the experiments
+use parameter-capturing lambdas) and large item lists are inherited
+instead of serialized; when ``fork`` is unavailable, or the pair count
+is too small to amortize a fork, the slices run in-process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import struct
 import tempfile
@@ -47,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs.profiling import profiled_stage
+from repro.parallel import ordered_map
 
 __all__ = [
     "ContentCache",
@@ -56,7 +56,7 @@ __all__ = [
     "sequence_key",
 ]
 
-#: Below this many uncached pairs a process pool cannot pay for its own
+#: Below this many uncached pairs forked workers cannot pay for their own
 #: startup; the engine stays serial regardless of ``jobs``.
 MIN_PARALLEL_PAIRS = 32
 
@@ -199,30 +199,8 @@ class DistanceCache(ContentCache):
         return f"{distance_key}|{key_a}|{key_b}"
 
 
-# Worker-process state, installed by the fork initializer.  With the fork
-# start method these travel by address-space inheritance, so lambdas and
-# large sequence lists never cross a pickle boundary.
-_WORKER_ITEMS_A: Sequence = ()
-_WORKER_ITEMS_B: Sequence = ()
-_WORKER_DISTANCE: Optional[Callable] = None
-
-
-def _init_worker(items_a, items_b, distance) -> None:
-    global _WORKER_ITEMS_A, _WORKER_ITEMS_B, _WORKER_DISTANCE
-    _WORKER_ITEMS_A = items_a
-    _WORKER_ITEMS_B = items_b
-    _WORKER_DISTANCE = distance
-
-
-def _compute_chunk(pairs: List[Tuple[int, int]]) -> List[float]:
-    return [
-        float(_WORKER_DISTANCE(_WORKER_ITEMS_A[i], _WORKER_ITEMS_B[j]))
-        for i, j in pairs
-    ]
-
-
 class DistanceEngine:
-    """Chunked, multiprocess, memoizing pairwise-distance computer.
+    """Sliced, multiprocess, memoizing pairwise-distance computer.
 
     ``jobs`` bounds worker processes (1 = serial); ``cache`` attaches a
     :class:`DistanceCache`.  Caching only activates for calls that supply
@@ -232,19 +210,11 @@ class DistanceEngine:
     collision between differently-parameterized measures.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache: Optional[DistanceCache] = None,
-        chunk_pairs: int = 256,
-    ):
+    def __init__(self, jobs: int = 1, cache: Optional[DistanceCache] = None):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if chunk_pairs < 1:
-            raise ValueError("chunk_pairs must be at least 1")
         self.jobs = jobs
         self.cache = cache
-        self.chunk_pairs = chunk_pairs
 
     # -- public API ----------------------------------------------------
 
@@ -378,13 +348,18 @@ class DistanceEngine:
         batched = self._compute_batched(items_a, items_b, pairs, distance)
         if batched is not None:
             return batched
-        if (
-            self.jobs <= 1
-            or len(pairs) < MIN_PARALLEL_PAIRS
-            or "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            return [float(distance(items_a[i], items_b[j])) for i, j in pairs]
-        return self._compute_parallel(items_a, items_b, pairs, distance)
+        slices = 1 if len(pairs) < MIN_PARALLEL_PAIRS else self.jobs
+        step = -(-len(pairs) // slices)
+
+        def compute(chunk: List[Tuple[int, int]]) -> List[float]:
+            return [float(distance(items_a[i], items_b[j])) for i, j in chunk]
+
+        chunks = [pairs[k : k + step] for k in range(0, len(pairs), step)]
+        return [
+            value
+            for values in ordered_map(compute, chunks, self.jobs)
+            for value in values
+        ]
 
     def _compute_batched(
         self,
@@ -398,44 +373,13 @@ class DistanceEngine:
         Any distance callable carrying a ``pairwise(items_a, items_b,
         pairs)`` attribute is batched this way (penalty-DTW and
         Levenshtein do); the attribute's contract is values equal to the
-        per-pair calls.  It is fast enough to be preferred over the
-        process pool whenever available.
+        per-pair calls.  It is fast enough to be preferred over forked
+        workers whenever available.
         """
         pairwise = getattr(distance, "pairwise", None)
         if pairwise is None or len(pairs) < 2:
             return None
         return np.asarray(pairwise(items_a, items_b, pairs), dtype=float).tolist()
-
-    def _compute_parallel(
-        self,
-        items_a: Sequence,
-        items_b: Sequence,
-        pairs: List[Tuple[int, int]],
-        distance: Callable,
-    ) -> List[float]:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, min(self.chunk_pairs, len(pairs) // self.jobs or 1))
-        chunks = [pairs[k : k + chunk] for k in range(0, len(pairs), chunk)]
-        context = multiprocessing.get_context("fork")
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(items_a, items_b, distance),
-            ) as pool:
-                futures = [pool.submit(_compute_chunk, c) for c in chunks]
-                values: List[float] = []
-                # Collect in submission order: assembly order never
-                # depends on worker completion order.
-                for future in futures:
-                    values.extend(future.result())
-            return values
-        except (OSError, RuntimeError):
-            # Pool startup can fail in constrained sandboxes; the serial
-            # path is always available and produces identical results.
-            return [float(distance(items_a[i], items_b[j])) for i, j in pairs]
 
 
 #: Shared serial engine for call sites that do not thread one through.

@@ -10,17 +10,17 @@ throughput-vs-percentile curve, including the overload regime where the
 bounded admission queue starts shedding.
 
 Every cell is an independent seeded simulation, so cells run in forked
-workers under ``--jobs N``; rows are collected in ladder order, making
-the rendered table byte-identical for any jobs count.
+workers under ``--jobs N`` through :func:`repro.parallel.ordered_map`;
+rows are collected in ladder order, making the rendered table
+byte-identical for any jobs count.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-
 from repro.experiments.base import ExperimentResult
 from repro.hardware.platform import WOODCREST
 from repro.kernel.simulator import ServerSimulator, SimConfig
+from repro.parallel import ordered_map
 from repro.traffic import PoissonArrivals, TrafficConfig, parse_dispatch
 from repro.workloads.registry import make_workload
 
@@ -56,7 +56,7 @@ def _cell_config(rate_per_s: float, policy: str, requests: int) -> SimConfig:
 
 
 def _run_cell(args) -> dict:
-    """One (offered load, policy) grid cell; top-level for fork pickling."""
+    """One (offered load, policy) grid cell."""
     rate_per_s, policy, requests = args
     workload = make_workload(WORKLOAD)
     result = ServerSimulator(
@@ -87,23 +87,7 @@ def run(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
         for rate in OFFERED_LOADS
         for policy in POLICIES
     ]
-    parallel = (
-        jobs > 1
-        and len(cells) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    if parallel:
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(cells)), mp_context=context
-        ) as pool:
-            # map() preserves submission order, so rows come out in
-            # ladder order regardless of worker completion order.
-            rows = list(pool.map(_run_cell, cells))
-    else:
-        rows = [_run_cell(cell) for cell in cells]
+    rows = list(ordered_map(_run_cell, cells, jobs))
 
     knee = next(
         (row for row in rows if row["dispatch"] == "rr" and row["shed"] > 0),

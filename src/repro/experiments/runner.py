@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import multiprocessing
 import os
 import sys
 import tempfile
@@ -22,6 +21,7 @@ import time
 
 from repro.experiments.base import EXPERIMENTS, get_experiment
 from repro.obs.profiling import StageProfiler, activated
+from repro.parallel import ordered_map
 
 
 def positive_float(text: str) -> float:
@@ -107,53 +107,32 @@ def _call_run(module, scale: float, jobs: int, cache_dir, profile: bool = False)
     return result
 
 
-def _run_one(exp_id: str, scale: float, jobs: int, cache_dir, profile: bool):
-    """Worker entry point for experiment-level parallelism."""
-    module = get_experiment(exp_id)
-    start = time.perf_counter()
-    result = _call_run(module, scale, jobs, cache_dir, profile)
-    return result, time.perf_counter() - start
-
-
 def run_experiments(exp_ids, scale: float, jobs: int = 1, cache_dir=None,
                     profile: bool = False):
     """Run experiments by id, yielding (exp_id, result, seconds).
 
     With ``jobs > 1`` and several ids, independent experiments run in
-    worker processes (one experiment each, so inner distance work stays
-    serial); a single experiment instead receives the whole ``jobs``
+    forked workers through :func:`repro.parallel.ordered_map` (one
+    experiment each, so inner distance work stays serial); a single
+    experiment instead runs in-process and receives the whole ``jobs``
     budget for its pairwise-distance matrices.  Yield order always
     follows ``exp_ids``.  ``profile`` attaches per-stage wall-clock
     timings to each result (captured inside the worker for parallel runs,
     so timings stay per-experiment).
     """
     exp_ids = list(exp_ids)
-    parallel = (
-        jobs > 1
-        and len(exp_ids) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    if not parallel:
-        for exp_id in exp_ids:
-            module = get_experiment(exp_id)
-            start = time.perf_counter()
-            result = _call_run(module, scale, jobs, cache_dir, profile)
-            yield exp_id, result, time.perf_counter() - start
-        return
+    inner_jobs = jobs if len(exp_ids) == 1 else 1
 
-    from concurrent.futures import ProcessPoolExecutor
+    def run_one(exp_id: str):
+        module = get_experiment(exp_id)
+        start = time.perf_counter()
+        result = _call_run(module, scale, inner_jobs, cache_dir, profile)
+        return result, time.perf_counter() - start
 
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(exp_ids)), mp_context=context
-    ) as pool:
-        futures = [
-            pool.submit(_run_one, exp_id, scale, 1, cache_dir, profile)
-            for exp_id in exp_ids
-        ]
-        for exp_id, future in zip(exp_ids, futures):
-            result, elapsed = future.result()
-            yield exp_id, result, elapsed
+    for exp_id, (result, elapsed) in zip(
+        exp_ids, ordered_map(run_one, exp_ids, jobs)
+    ):
+        yield exp_id, result, elapsed
 
 
 def _format_profile(exp_id: str, stage_seconds: dict) -> str:

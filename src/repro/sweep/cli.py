@@ -69,7 +69,7 @@ def _add_execution_arguments(sub) -> None:
                      help="worker processes (forked, one per scenario)")
     sub.add_argument("--timeout", type=positive_float, default=None,
                      metavar="SECONDS",
-                     help="per-scenario wall-clock limit (needs --jobs > 1)")
+                     help="per-scenario wall-clock limit")
     sub.add_argument("--retries", type=nonnegative_int, default=1,
                      help="extra attempts before quarantining a scenario")
     sub.add_argument("--stop-after", type=positive_int, default=None,

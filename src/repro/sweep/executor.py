@@ -8,25 +8,22 @@ The manifest is saved (atomically) after every settled scenario, so a
 ``SIGKILL`` at any point loses at most the scenarios in flight; resuming
 re-plans from the embedded spec and re-runs exactly the pending ids.
 
-Parallel execution reuses the ``fork`` start-method pattern of
-:mod:`repro.core.distengine`: scenario descriptions travel to workers by
-address-space inheritance and only the result documents cross a pipe.
-Unlike the distance engine's pool, each scenario gets its *own* forked
-process — a timed-out or crashed scenario is killed without poisoning a
-shared pool, which is what makes per-scenario timeouts enforceable.
-Because every scenario is an independent pure function of its
-description, shard count cannot change any result; jobs=1 and jobs=N
-manifests are byte-identical.
+Scenarios run through :func:`repro.parallel.fork_map`: with ``jobs > 1``
+or a timeout, each scenario gets its *own* forked process, its
+description travels there by address-space inheritance and only the
+result document crosses a pipe, so a timed-out or crashed scenario is
+killed without harming the others.  Because every scenario is an
+independent pure function of its description, shard count cannot change
+any result; jobs=1 and jobs=N manifests are byte-identical.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
+import math
 from dataclasses import dataclass
-from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional
 
+from repro.parallel import LostTask, fork_map
 from repro.sweep.cache import ScenarioCache
 from repro.sweep.manifest import SweepManifest
 from repro.sweep.scenario import run_scenario
@@ -34,19 +31,16 @@ from repro.sweep.spec import Scenario
 
 __all__ = ["SweepOptions", "run_sweep"]
 
-#: How long the parallel loop blocks waiting for worker output before
-#: re-checking deadlines (seconds).
-_POLL_INTERVAL = 0.05
-
 
 @dataclass
 class SweepOptions:
     """Execution knobs for one :func:`run_sweep` call."""
 
-    #: Worker processes; 1 (or no fork support) runs scenarios in-process.
+    #: Worker processes alive at once; 1 without a timeout (or no fork
+    #: support) runs scenarios in-process.
     jobs: int = 1
-    #: Per-scenario wall-clock limit; enforced only on forked workers
-    #: (the in-process path cannot interrupt a running scenario).
+    #: Per-scenario wall-clock limit; setting it runs every scenario in a
+    #: forked worker, even at ``jobs=1``, so a hung one can be killed.
     timeout_s: Optional[float] = None
     #: Additional attempts after a scenario's first failure.
     retries: int = 1
@@ -61,39 +55,18 @@ class SweepOptions:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
+        if self.timeout_s is not None and not (
+            math.isfinite(self.timeout_s) and self.timeout_s > 0
+        ):
+            raise ValueError(
+                f"timeout_s must be finite and > 0, got {self.timeout_s}"
+            )
         if self.stop_after is not None and self.stop_after < 1:
             raise ValueError(f"stop_after must be >= 1, got {self.stop_after}")
 
 
-def _child_run(scenario: Scenario, conn) -> None:
-    """Forked worker: run one scenario, ship ('ok', doc) or ('error', text)."""
-    try:
-        document = run_scenario(scenario)
-    except BaseException as error:  # quarantine wants the reason, whatever it is
-        try:
-            conn.send(("error", f"{type(error).__name__}: {error}"))
-        finally:
-            conn.close()
-        return
-    conn.send(("ok", document))
-    conn.close()
-
-
-@dataclass
-class _Shard:
-    """One in-flight forked scenario."""
-
-    scenario: Scenario
-    attempts: int
-    process: object
-    conn: object
-    deadline: Optional[float]
-
-
 class _Progress:
-    """Settlement bookkeeping shared by the serial and parallel paths."""
+    """Settlement bookkeeping: manifest, cache, progress callback."""
 
     def __init__(self, manifest: SweepManifest, manifest_path, options, progress):
         self.manifest = manifest
@@ -174,97 +147,23 @@ def run_sweep(
     if options.stop_after is not None:
         remaining = remaining[: options.stop_after - tracker.settled]
 
-    use_fork = (
-        options.jobs > 1
-        and len(remaining) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    if use_fork:
-        _run_forked(remaining, tracker, options)
-    else:
-        _run_serial(remaining, tracker, options)
-    return manifest
-
-
-def _run_serial(scenarios: List[Scenario], tracker: _Progress,
-                options: SweepOptions) -> None:
-    for scenario in scenarios:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                document = run_scenario(scenario)
-            except Exception as error:
-                if attempts > options.retries:
-                    tracker.quarantined(
-                        scenario, attempts, f"{type(error).__name__}: {error}"
-                    )
-                    break
-                continue
-            tracker.done(scenario, document, attempts)
-            break
-
-
-def _run_forked(scenarios: List[Scenario], tracker: _Progress,
-                options: SweepOptions) -> None:
-    ctx = multiprocessing.get_context("fork")
-    queue: List[tuple] = [(scenario, 1) for scenario in scenarios]
-    shards: List[_Shard] = []
-
-    def spawn(scenario: Scenario, attempts: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_child_run, args=(scenario, child_conn), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        deadline = (
-            time.monotonic() + options.timeout_s
-            if options.timeout_s is not None
-            else None
-        )
-        shards.append(_Shard(scenario, attempts, process, parent_conn, deadline))
-
-    def reap(shard: _Shard, outcome: str, payload) -> None:
-        shards.remove(shard)
-        shard.conn.close()
-        shard.process.join(timeout=5.0)
-        if shard.process.is_alive():
-            shard.process.kill()
-            shard.process.join()
-        if outcome == "ok":
-            tracker.done(shard.scenario, payload, shard.attempts)
-        elif shard.attempts > options.retries:
-            tracker.quarantined(shard.scenario, shard.attempts, payload)
+    # run_scenario is looked up here, at call time, so a monkeypatched
+    # copy reaches the forked workers too.
+    for index, ok, value, attempts in fork_map(
+        run_scenario,
+        remaining,
+        options.jobs,
+        timeout_s=options.timeout_s,
+        retries=options.retries,
+    ):
+        scenario = remaining[index]
+        if ok:
+            tracker.done(scenario, value, attempts)
         else:
-            queue.insert(0, (shard.scenario, shard.attempts + 1))
-
-    try:
-        while queue or shards:
-            while queue and len(shards) < options.jobs:
-                scenario, attempts = queue.pop(0)
-                spawn(scenario, attempts)
-            ready = connection_wait(
-                [shard.conn for shard in shards], timeout=_POLL_INTERVAL
+            reason = (
+                str(value)
+                if isinstance(value, LostTask)
+                else f"{type(value).__name__}: {value}"
             )
-            for shard in [s for s in shards if s.conn in ready]:
-                try:
-                    outcome, payload = shard.conn.recv()
-                except (EOFError, OSError):
-                    outcome, payload = "error", "worker exited without a result"
-                reap(shard, outcome, payload)
-            now = time.monotonic()
-            for shard in [
-                s for s in shards if s.deadline is not None and now >= s.deadline
-            ]:
-                shard.process.kill()
-                reap(
-                    shard,
-                    "error",
-                    f"timeout after {options.timeout_s:g}s",
-                )
-    finally:
-        for shard in shards:
-            shard.process.kill()
-            shard.process.join()
-            shard.conn.close()
+            tracker.quarantined(scenario, attempts, reason)
+    return manifest

@@ -58,7 +58,7 @@ class TestBitIdentity:
         items = make_series(16, rng)
         assert 16 * 15 // 2 >= MIN_PARALLEL_PAIRS
         fn = lambda a, b: dtw_distance(a, b, asynchrony_penalty=0.3)
-        engine = DistanceEngine(jobs=4, chunk_pairs=7)
+        engine = DistanceEngine(jobs=4)
         assert np.array_equal(engine.matrix(items, fn), serial_reference(items, fn))
 
     def test_parallel_non_symmetric_matches_reference(self):
@@ -66,7 +66,7 @@ class TestBitIdentity:
         items = make_series(14, rng)
         # Deliberately order-sensitive: d(a, b) != d(b, a).
         fn = lambda a, b: float(a.sum() - 0.5 * b.sum())
-        engine = DistanceEngine(jobs=3, chunk_pairs=5)
+        engine = DistanceEngine(jobs=3)
         assert np.array_equal(
             engine.matrix(items, fn, symmetric=False),
             serial_reference(items, fn, symmetric=False),
@@ -228,7 +228,3 @@ class TestValidation:
     def test_bad_jobs(self):
         with pytest.raises(ValueError):
             DistanceEngine(jobs=0)
-
-    def test_bad_chunk(self):
-        with pytest.raises(ValueError):
-            DistanceEngine(chunk_pairs=0)

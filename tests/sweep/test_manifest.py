@@ -215,6 +215,30 @@ class TestExecutorSettlement:
         assert "timeout" in entry["error"]
         assert manifest.counts()["done"] == 1
 
+    def test_timeout_holds_at_one_job(self, monkeypatch):
+        """A timeout forks each scenario even at jobs=1, so a slow one is
+        killed instead of running to completion in-process."""
+        manifest = SweepManifest.plan(tiny_spec())
+        from repro.sweep import executor as executor_module
+
+        real = executor_module.run_scenario
+        slow_id = manifest.order[0]
+
+        def slow(scenario):
+            if scenario.scenario_id == slow_id:
+                time.sleep(3.0)
+            return real(scenario)
+
+        monkeypatch.setattr(executor_module, "run_scenario", slow)
+        run_sweep(
+            manifest,
+            options=SweepOptions(jobs=1, timeout_s=1.0, retries=0),
+        )
+        entry = manifest.scenarios[slow_id]
+        assert entry["status"] == "quarantined"
+        assert entry["error"] == "timeout after 1s"
+        assert manifest.counts()["done"] == 1
+
 
 class TestScenarioCache:
     def test_hits_skip_execution_and_preserve_bytes(self, tmp_path, monkeypatch):
