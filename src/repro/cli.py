@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from repro.analysis.report import format_table
+from repro.cliargs import fault_spec, positive_int
 from repro.core.clustering import distance_matrix, k_medoids
 from repro.core.distances import l1_distance, unequal_length_penalty
 from repro.core.distengine import DistanceEngine
@@ -74,29 +75,6 @@ def parse_scheduler(text: str, threshold: float):
             high_usage_threshold=threshold, adaptive_threshold=True
         )
     raise ValueError(f"unknown scheduler {text!r}")
-
-
-def fault_spec(text: str) -> str:
-    """argparse type for ``--faults``: validate the composable schedule
-    grammar, keep the text.  Malformed specs exit with a usage error
-    naming the offending clause or option token."""
-    from repro.faults.schedule import parse_fault_schedule
-
-    try:
-        parse_fault_schedule(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return text
-
-
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

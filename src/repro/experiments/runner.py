@@ -19,29 +19,10 @@ import sys
 import tempfile
 import time
 
+from repro.cliargs import positive_float, positive_int
 from repro.experiments.base import EXPERIMENTS, get_experiment
 from repro.obs.profiling import StageProfiler, activated
 from repro.parallel import ordered_map
-
-
-def positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
 
 
 def _atomic_write(path: str, text: str) -> None:

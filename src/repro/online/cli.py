@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cliargs import fault_spec, non_negative_int, positive_int
 from repro.kernel.sampling import SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.obs.metrics import MetricsRegistry
@@ -30,7 +31,6 @@ from repro.online.pipeline import (
     train_identifier,
 )
 from repro.online.report import build_report
-from repro.faults.schedule import parse_fault_schedule
 from repro.workloads.registry import (
     SERVER_APPS,
     available_workloads,
@@ -38,37 +38,6 @@ from repro.workloads.registry import (
     make_workload,
     parse_workload_faults,
 )
-
-
-def fault_spec(text: str) -> str:
-    """argparse type for ``--faults``: validate the schedule grammar,
-    keep the raw spec.  Malformed specs exit with a usage error naming
-    the offending clause or option token."""
-    try:
-        parse_fault_schedule(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return text
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,10 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("workload", help=f"one of {', '.join(SERVER_APPS)}")
     parser.add_argument(
-        "--requests", type=_positive_int, default=60,
+        "--requests", type=positive_int, default=60,
         help="requests to simulate in live mode (default 60)",
     )
-    parser.add_argument("--concurrency", type=_positive_int, default=8)
+    parser.add_argument("--concurrency", type=positive_int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--faults", type=fault_spec, default=None, metavar="SPEC",
@@ -98,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "injected ground truth in the report",
     )
     parser.add_argument(
-        "--train", type=_non_negative_int, default=24, metavar="N",
+        "--train", type=non_negative_int, default=24, metavar="N",
         help="calibration requests (clean workload, offset seed) used to "
         "fit the signature bank; 0 disables the identification stage "
         "(default 24)",

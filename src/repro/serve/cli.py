@@ -21,12 +21,17 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import math
 import signal
 import sys
 import tempfile
 
 from repro.analysis.report import format_metrics
+from repro.cliargs import (
+    fault_spec,
+    non_negative_int,
+    positive_float,
+    positive_int,
+)
 from repro.serve.aggregator import load_worker_report, merge_worker_reports
 from repro.serve.service import (
     KillSpec,
@@ -41,48 +46,6 @@ from repro.traffic import parse_arrivals
 from repro.workloads.registry import available_workloads, parse_workload_faults
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
-def _pacing_rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0, got {text!r}"
-        )
-    return value
-
-
-def _fault_spec(text: str) -> str:
-    from repro.faults.schedule import parse_fault_schedule
-
-    try:
-        parse_fault_schedule(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return text
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
@@ -93,12 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve = modes.add_parser(
         "serve", help="run a worker pool in the foreground"
     )
-    serve.add_argument("--workers", type=_positive_int, default=2)
+    serve.add_argument("--workers", type=positive_int, default=2)
     serve.add_argument("--run-dir", required=True, metavar="DIR")
     serve.add_argument("--bank", default=None, metavar="PATH",
                        help="shared signature-bank file (repro-serve-bank)")
-    serve.add_argument("--checkpoint-every", type=_positive_int, default=256)
-    serve.add_argument("--credit", type=_positive_int, default=8)
+    serve.add_argument("--checkpoint-every", type=positive_int, default=256)
+    serve.add_argument("--credit", type=positive_int, default=8)
     serve.add_argument("--window", type=float, default=100_000.0)
     serve.add_argument("--quantile", type=float, default=0.9)
     serve.add_argument("--decisions", action="store_true",
@@ -112,13 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument("--workload", default="tpcc",
                       help=f"one of {', '.join(available_workloads())}")
-    load.add_argument("--instances", type=_positive_int, default=3)
-    load.add_argument("--workers", type=_positive_int, default=2)
-    load.add_argument("--requests", type=_positive_int, default=20,
+    load.add_argument("--instances", type=positive_int, default=3)
+    load.add_argument("--workers", type=positive_int, default=2)
+    load.add_argument("--requests", type=positive_int, default=20,
                       help="requests per instance (default 20)")
-    load.add_argument("--concurrency", type=_positive_int, default=8)
+    load.add_argument("--concurrency", type=positive_int, default=8)
     load.add_argument("--seed", type=int, default=0)
-    load.add_argument("--faults", type=_fault_spec, default=None,
+    load.add_argument("--faults", type=fault_spec, default=None,
                       metavar="SPEC",
                       help="composable fault schedule per instance, e.g. "
                       "lock_stall:0.2 or 'gc_pause:0.2+cache_thrash:0.1"
@@ -126,23 +89,23 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--arrivals", default=None, metavar="SPEC",
                       help="arrival process per instance "
                       "(poisson:<rps>, onoff:..., zipf:...)")
-    load.add_argument("--train", type=_non_negative_int, default=0,
+    load.add_argument("--train", type=non_negative_int, default=0,
                       metavar="N",
                       help="calibration requests for a shared signature "
                       "bank (0 disables identification; default 0)")
-    load.add_argument("--rate", type=_pacing_rate, default=None,
+    load.add_argument("--rate", type=positive_float, default=None,
                       metavar="EV/S",
                       help="pace each instance's stream at this many "
                       "events/sec (default: as fast as credit allows)")
     load.add_argument("--backpressure", choices=("block", "shed"),
                       default="block")
-    load.add_argument("--queue-limit", type=_positive_int, default=64)
-    load.add_argument("--batch", type=_positive_int, default=32)
-    load.add_argument("--checkpoint-every", type=_positive_int, default=256)
-    load.add_argument("--credit", type=_positive_int, default=8)
+    load.add_argument("--queue-limit", type=positive_int, default=64)
+    load.add_argument("--batch", type=positive_int, default=32)
+    load.add_argument("--checkpoint-every", type=positive_int, default=256)
+    load.add_argument("--credit", type=positive_int, default=8)
     load.add_argument("--window", type=float, default=100_000.0)
     load.add_argument("--quantile", type=float, default=0.9)
-    load.add_argument("--kill-worker", type=_non_negative_int, default=None,
+    load.add_argument("--kill-worker", type=non_negative_int, default=None,
                       metavar="INDEX",
                       help="SIGKILL worker INDEX once it has checkpointed "
                       "(failover exercise; decisions must not change)")

@@ -24,6 +24,7 @@ import tempfile
 from typing import List, Optional
 
 from repro.analysis.report import format_table
+from repro.cliargs import non_negative_int, positive_float, positive_int
 from repro.sweep.cache import ScenarioCache, default_scenario_cache_path
 from repro.sweep.executor import SweepOptions, run_sweep
 from repro.sweep.golden import GOLDEN_DIR, regenerate_golden
@@ -34,43 +35,13 @@ from repro.sweep.spec import SweepSpec
 __all__ = ["main"]
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
-
-
-def nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
-def positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
 def _add_execution_arguments(sub) -> None:
     sub.add_argument("--jobs", type=positive_int, default=1,
                      help="worker processes (forked, one per scenario)")
     sub.add_argument("--timeout", type=positive_float, default=None,
                      metavar="SECONDS",
                      help="per-scenario wall-clock limit")
-    sub.add_argument("--retries", type=nonnegative_int, default=1,
+    sub.add_argument("--retries", type=non_negative_int, default=1,
                      help="extra attempts before quarantining a scenario")
     sub.add_argument("--stop-after", type=positive_int, default=None,
                      metavar="N", help="settle N scenarios, then stop")

@@ -65,7 +65,7 @@ class TestMainArguments:
         assert main(["all", "nope"]) == 2
         assert "unknown experiment ids" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scale", ["0", "-1", "-0.5"])
+    @pytest.mark.parametrize("scale", ["0", "-1", "-0.5", "nan", "inf"])
     def test_rejects_non_positive_scale(self, scale, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["fig6", "--scale", scale])

@@ -239,6 +239,18 @@ class TestExecutorSettlement:
         assert entry["error"] == "timeout after 1s"
         assert manifest.counts()["done"] == 1
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_cli_rejects_non_finite_timeout(self, timeout, capsys):
+        from repro.sweep.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "spec.json", "--manifest", "m.json",
+                  "--timeout", timeout])
+        assert excinfo.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="timeout_s"):
+            SweepOptions(timeout_s=float(timeout))
+
 
 class TestScenarioCache:
     def test_hits_skip_execution_and_preserve_bytes(self, tmp_path, monkeypatch):
