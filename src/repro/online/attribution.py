@@ -451,14 +451,15 @@ def score_detection(flagged_ids, injected_ids, population: int) -> dict:
     """Recall/precision of an anomaly detector against injected ground truth.
 
     Recall is ``None`` when nothing was injected: there was nothing to
-    find, so no share of it was found.
+    find, so no share of it was found.  Precision is ``None`` when nothing
+    was flagged, for the same reason.
     """
     flagged = set(flagged_ids)
     injected = set(injected_ids)
     true_positives = len(flagged & injected)
     return {
         "recall": true_positives / len(injected) if injected else None,
-        "precision": true_positives / len(flagged) if flagged else 1.0,
+        "precision": true_positives / len(flagged) if flagged else None,
         "flagged": len(flagged),
         "injected": len(injected),
         "population": population,

@@ -64,7 +64,7 @@ class DetectionReport:
             f"  requests={s['population']}  periods={s['periods']}  "
             f"windows={s['windows']}",
             f"  anomaly: injected={s['injected']}  flagged={s['flagged']}  "
-            f"precision={s['precision']:.3f}  recall={_share(s['recall'])}  "
+            f"precision={_share(s['precision'])}  recall={_share(s['recall'])}  "
             f"median_ttd_ins={_fmt(s['median_time_to_detect_instructions'])}",
             f"  identify: committed={s['committed']}/{s['population']}  "
             f"label_accuracy={_fmt(s['label_accuracy'])}  "

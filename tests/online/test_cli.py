@@ -34,6 +34,17 @@ class TestLiveMode:
         document = json.loads(report_path.read_text())
         assert document["summary"]["recall"] is None
 
+    def test_precision_undefined_when_nothing_flagged(self, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        assert main(
+            ["webwork", "--requests", "6", "--train", "24", "--seed", "6",
+             "--faults", "lock_stall:0.3", "--report", str(report_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "flagged=0 " in out and " precision=n/a " in out
+        document = json.loads(report_path.read_text())
+        assert document["summary"]["precision"] is None
+
     def test_train_zero_disables_identification(self, capsys):
         assert main(
             ["tpcc", "--requests", "6", "--seed", "3", "--train", "0"]

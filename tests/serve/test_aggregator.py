@@ -127,6 +127,15 @@ class TestMerge:
         assert '"recall":null' in fleet.to_json()
         assert "precision=0.000  recall=n/a  " in fleet.render()
 
+    def test_precision_undefined_without_flags(self):
+        fleet = merge_worker_reports([worker_report("w0", {
+            "0": instance_view([record(0), record(1, injected="slowdown")]),
+        })])
+        assert fleet.summary["flagged"] == 0
+        assert fleet.summary["precision"] is None
+        assert '"precision":null' in fleet.to_json()
+        assert "precision=n/a  recall=0.000  " in fleet.render()
+
     def test_summary_counts(self):
         fleet = merge_worker_reports(two_worker_fixture())
         s = fleet.summary

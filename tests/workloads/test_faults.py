@@ -257,7 +257,7 @@ class TestScore:
     def test_empty_edges(self):
         assert score_detection(set(), set(), 5)["recall"] is None
         assert score_detection(set(), {1}, 5)["recall"] == 0.0
-        assert score_detection(set(), {1}, 5)["precision"] == 1.0
+        assert score_detection(set(), {1}, 5)["precision"] is None
 
 
 class _CoinFlipFaults:
