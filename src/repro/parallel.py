@@ -57,6 +57,21 @@ def _child(fn: Callable, item, conn) -> None:
         conn.close()
 
 
+def _start(context, fn: Callable, item):
+    """Fork a child running ``fn(item)``: ``(reader, process)``, or None
+    when the fork is refused (e.g. by a process-count limit)."""
+    reader, writer = context.Pipe(duplex=False)
+    process = context.Process(target=_child, args=(fn, item, writer), daemon=True)
+    try:
+        process.start()
+    except OSError:
+        reader.close()
+        return None
+    finally:
+        writer.close()
+    return reader, process
+
+
 def fork_map(
     fn: Callable,
     items: Sequence,
@@ -80,19 +95,10 @@ def fork_map(
     alive at once, and a task whose child cannot be started (``OSError``)
     runs in-process.  Closing the generator early kills every live child.
     """
-    if "fork" not in multiprocessing.get_all_start_methods() or (
+    in_process = "fork" not in multiprocessing.get_all_start_methods() or (
         timeout_s is None and (jobs == 1 or len(items) < 2)
-    ):
-        for index, item in enumerate(items):
-            attempts = 1
-            ok, value = _call(fn, item)
-            while not ok and attempts <= retries:
-                attempts += 1
-                ok, value = _call(fn, item)
-            yield index, ok, value, attempts
-        return
-
-    context = multiprocessing.get_context("fork")
+    )
+    context = None if in_process else multiprocessing.get_context("fork")
     queue = deque((index, 1) for index in range(len(items)))
     # reader -> (index, attempts, process, deadline), in start order
     live = {}
@@ -107,24 +113,14 @@ def fork_map(
         while queue or live:
             while queue and len(live) < jobs:
                 index, attempts = queue.popleft()
-                reader, writer = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_child, args=(fn, items[index], writer), daemon=True
-                )
-                try:
-                    process.start()
-                except OSError:
-                    # Fork refused (e.g. a process-count limit): the task
-                    # still runs, in-process.
-                    reader.close()
-                    writer.close()
+                child = None if in_process else _start(context, fn, items[index])
+                if child is None:
                     outcome = settle(index, attempts, *_call(fn, items[index]))
                     if outcome is not None:
                         yield outcome
                     continue
-                writer.close()
                 deadline = None if timeout_s is None else time.monotonic() + timeout_s
-                live[reader] = (index, attempts, process, deadline)
+                live[child[0]] = (index, attempts, child[1], deadline)
             if not live:
                 continue
 
