@@ -4,7 +4,8 @@ A fig7-style workload — DTW with asynchrony penalty over 150 request CPI
 variation sequences (11,175 pairs) — computed three ways:
 
 * serial double loop (the pre-engine baseline),
-* `DistanceEngine(jobs=4)` fanning pair chunks to worker processes,
+* `DistanceEngine(jobs=4)` fanning four contiguous pair slices to
+  forked workers through `repro.parallel.ordered_map`,
 * a 100%-hit rerun against the engine's on-disk cache.
 
 All three matrices must be bit-identical.  The >= 2x speedup assertion is

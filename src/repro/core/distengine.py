@@ -348,16 +348,16 @@ class DistanceEngine:
         batched = self._compute_batched(items_a, items_b, pairs, distance)
         if batched is not None:
             return batched
-        slices = 1 if len(pairs) < MIN_PARALLEL_PAIRS else self.jobs
-        step = -(-len(pairs) // slices)
+        parts = 1 if len(pairs) < MIN_PARALLEL_PAIRS else self.jobs
+        size = -(-len(pairs) // parts)
+        slices = [pairs[k : k + size] for k in range(0, len(pairs), size)]
 
-        def compute(chunk: List[Tuple[int, int]]) -> List[float]:
-            return [float(distance(items_a[i], items_b[j])) for i, j in chunk]
+        def compute(part: List[Tuple[int, int]]) -> List[float]:
+            return [float(distance(items_a[i], items_b[j])) for i, j in part]
 
-        chunks = [pairs[k : k + step] for k in range(0, len(pairs), step)]
         return [
             value
-            for values in ordered_map(compute, chunks, self.jobs)
+            for values in ordered_map(compute, slices, self.jobs)
             for value in values
         ]
 
