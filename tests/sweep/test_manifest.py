@@ -239,6 +239,40 @@ class TestExecutorSettlement:
         assert entry["error"] == "timeout after 1s"
         assert manifest.counts()["done"] == 1
 
+    def test_raising_settlement_kills_workers_in_flight(
+        self, tmp_path, monkeypatch
+    ):
+        manifest = SweepManifest.plan(tiny_spec())
+        from repro.sweep import executor as executor_module
+
+        real = executor_module.run_scenario
+        slow_id = manifest.order[1]
+        pid_file = tmp_path / "slow.pid"
+
+        def slow(scenario):
+            if scenario.scenario_id == slow_id:
+                staged = tmp_path / "slow.pid.tmp"
+                staged.write_text(str(os.getpid()))
+                staged.rename(pid_file)
+                time.sleep(30.0)
+            # The fast scenario settles only once the slow one is running.
+            deadline = time.monotonic() + 10.0
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return real(scenario)
+
+        def progress(scenario_id, status):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(executor_module, "run_scenario", slow)
+        start = time.monotonic()
+        with pytest.raises(OSError, match="disk full"):
+            run_sweep(manifest, options=SweepOptions(jobs=2), progress=progress)
+        assert time.monotonic() - start < 10.0
+        pid = int(pid_file.read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
     @pytest.mark.parametrize("timeout", ["nan", "inf"])
     def test_cli_rejects_non_finite_timeout(self, timeout, capsys):
         from repro.sweep.cli import main
