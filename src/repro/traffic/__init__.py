@@ -42,7 +42,6 @@ from repro.traffic.dispatch import (
     QueueView,
     RandomDispatch,
     RoundRobinDispatch,
-    class_map_from_identifier,
     parse_dispatch,
 )
 from repro.traffic.latency import LatencyStore, RequestLatency
@@ -66,7 +65,6 @@ __all__ = [
     "TraceReplay",
     "TrafficConfig",
     "ZipfArrivals",
-    "class_map_from_identifier",
     "load_schedule",
     "parse_arrivals",
     "parse_dispatch",

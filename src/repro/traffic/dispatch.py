@@ -12,9 +12,8 @@ round-robin placement exactly, so the default configuration is
 byte-identical to the pre-traffic-layer simulator.  The class-aware
 policy is the PowerTracer-style placement the paper's online signatures
 enable: requests of behavior classes with heavy observed service demand
-are segregated from light ones, either from a supplied class map (e.g.
-derived from a trained :class:`repro.core.identification.OnlineIdentifier`
-bank) or learned online from completion feedback.
+are segregated from light ones, either from a supplied kind -> class map
+or learned online from completion feedback.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "QueueView",
     "RandomDispatch",
     "RoundRobinDispatch",
-    "class_map_from_identifier",
     "parse_dispatch",
 ]
 
@@ -152,9 +150,7 @@ class ClassAwareDispatch(DispatchPolicy):
 
     Two ways to know a request's class:
 
-    * an explicit ``classes`` map (request kind -> class index), e.g.
-      built from a trained signature bank via
-      :func:`class_map_from_identifier`;
+    * an explicit ``classes`` map (request kind -> class index);
     * learned online — per-kind EWMA of observed CPU time from
       :meth:`observe_completion`, with kinds split into a heavy and a
       light class around the running median.
@@ -227,23 +223,6 @@ class ClassAwareDispatch(DispatchPolicy):
             ),
             "ewma_alpha": self.ewma_alpha,
         }
-
-
-def class_map_from_identifier(identifier) -> Dict[str, int]:
-    """Dense class indices from a fitted signature bank's labels.
-
-    ``identifier`` is a :class:`repro.core.identification.OnlineIdentifier`
-    (PR 3's online runtime trains one from a clean calibration run); the
-    returned map feeds :class:`ClassAwareDispatch`, closing the loop from
-    online signature identification to placement.
-    """
-    labels = getattr(identifier, "bank", None)
-    labels = getattr(labels, "labels", None)
-    if labels is None:
-        raise ValueError(
-            "identifier has no fitted signature bank; call fit() first"
-        )
-    return {label: index for index, label in enumerate(sorted(set(labels)))}
 
 
 _POLICIES = {

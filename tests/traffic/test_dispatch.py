@@ -8,7 +8,6 @@ from repro.traffic import (
     LeastOutstandingWork,
     RandomDispatch,
     RoundRobinDispatch,
-    class_map_from_identifier,
     parse_dispatch,
 )
 
@@ -149,25 +148,6 @@ class TestClassAware:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="ewma_alpha"):
             ClassAwareDispatch(ewma_alpha=0.0)
-
-
-class TestClassMapFromIdentifier:
-    def test_dense_indices_from_bank_labels(self):
-        class Bank:
-            labels = ["payment", "new_order", "payment", "delivery"]
-
-        class Identifier:
-            bank = Bank()
-
-        assert class_map_from_identifier(Identifier()) == {
-            "delivery": 0,
-            "new_order": 1,
-            "payment": 2,
-        }
-
-    def test_unfitted_identifier_raises(self):
-        with pytest.raises(ValueError, match="no fitted signature bank"):
-            class_map_from_identifier(object())
 
 
 class TestParseDispatch:
