@@ -15,7 +15,6 @@ Quick start::
 """
 
 from repro.core import (
-    Ewma,
     LastValue,
     MetricSeries,
     RunningAverage,
@@ -51,7 +50,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ContentionEasingScheduler",
-    "Ewma",
     "LastValue",
     "MachineConfig",
     "MetricSeries",

@@ -122,20 +122,3 @@ def format_series_plot(
     )
     lines.append(" " * 11 + legend)
     return "\n".join(lines)
-
-
-def format_bar_chart(
-    labels: Sequence[str], values: Sequence[float], width: int = 40, title: str = ""
-) -> str:
-    """Horizontal ASCII bar chart (used for distribution-style figures)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    if not labels:
-        return "(empty chart)"
-    peak = max(values) or 1.0
-    label_width = max(len(str(label)) for label in labels)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        bar = "#" * max(0, int(round(width * value / peak)))
-        lines.append(f"{str(label).rjust(label_width)} |{bar} {format_value(value)}")
-    return "\n".join(lines)

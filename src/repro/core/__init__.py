@@ -3,17 +3,12 @@
 Submodules implement request time-series construction, differencing
 measures (L1, dynamic time warping with asynchrony penalty, Levenshtein),
 k-medoids classification, anomaly detection, online signature
-identification, online behavior predictors (EWMA / variable-aging EWMA),
-and behavior-transition-signal training.
+identification, online behavior predictors (last value, running average,
+variable-aging EWMA), and behavior-transition-signal training.
 """
 
 from repro.core.centroids import GroupCentroids, IncrementalCentroid
-from repro.core.clustering import (
-    KMedoidsResult,
-    choose_k,
-    k_medoids,
-    silhouette_score,
-)
+from repro.core.clustering import KMedoidsResult, k_medoids
 from repro.core.distances import (
     average_metric_distance,
     l1_distance,
@@ -22,10 +17,9 @@ from repro.core.distances import (
 )
 from repro.core.distengine import DistanceCache, DistanceEngine, sequence_key
 from repro.core.dtw import dtw_distance
-from repro.core.identification import Identification, OnlineIdentifier
+from repro.core.identification import OnlineIdentifier
 from repro.core.kernels import PaddedBank, PenaltyDtw, dtw_one_to_many
 from repro.core.prediction import (
-    Ewma,
     LastValue,
     RunningAverage,
     VaEwma,
@@ -39,9 +33,7 @@ from repro.core.variation import captured_variation, inter_request_variation
 __all__ = [
     "DistanceCache",
     "DistanceEngine",
-    "Ewma",
     "GroupCentroids",
-    "Identification",
     "IncrementalCentroid",
     "KMedoidsResult",
     "LastValue",
@@ -54,7 +46,6 @@ __all__ = [
     "VaEwma",
     "average_metric_distance",
     "captured_variation",
-    "choose_k",
     "detect_change_points",
     "dtw_distance",
     "dtw_one_to_many",
@@ -65,6 +56,5 @@ __all__ = [
     "l1_distance",
     "levenshtein_distance",
     "sequence_key",
-    "silhouette_score",
     "unequal_length_penalty",
 ]

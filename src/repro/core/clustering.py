@@ -155,69 +155,6 @@ def _k_medoids(
     )
 
 
-def silhouette_score(matrix: np.ndarray, result: KMedoidsResult) -> float:
-    """Mean silhouette coefficient of a clustering over a distance matrix.
-
-    For each request: a = mean distance to its own cluster's other members,
-    b = smallest mean distance to another cluster; silhouette =
-    (b - a) / max(a, b).  Singleton clusters contribute 0 (the standard
-    convention).  Higher is better; useful for choosing k when the paper's
-    k = 10 is not obviously right for a new workload.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    labels = np.asarray(result.labels)
-    present = np.unique(labels)
-    if present.size < 2:
-        raise ValueError("silhouette needs at least two clusters")
-    # Grouped label sums: member_sums[i, c] = sum of matrix[i, j] over
-    # members j of cluster c (one matmul instead of a per-request loop).
-    membership = (labels == present[:, None]).T.astype(float)
-    member_sums = matrix @ membership
-    counts = membership.sum(axis=0)
-    own_column = np.searchsorted(present, labels)
-    own_count = counts[own_column]
-    # a: mean distance to the own cluster's *other* members (the own row's
-    # diagonal term is excluded; it is zero for a distance matrix but is
-    # subtracted explicitly so arbitrary square inputs stay correct).
-    own_sums = member_sums[np.arange(n), own_column] - np.diagonal(matrix)
-    with np.errstate(invalid="ignore"):
-        a = own_sums / (own_count - 1)
-    # b: smallest mean distance to another cluster.
-    other_means = member_sums / counts
-    other_means[np.arange(n), own_column] = np.inf
-    b = other_means.min(axis=1)
-    denominator = np.maximum(a, b)
-    scores = np.zeros(n)
-    valid = (own_count > 1) & (denominator > 0)  # singletons contribute 0
-    scores[valid] = (b[valid] - a[valid]) / denominator[valid]
-    return float(scores.mean())
-
-
-def choose_k(
-    matrix: np.ndarray,
-    k_range=range(2, 11),
-    rng: Optional[np.random.Generator] = None,
-) -> KMedoidsResult:
-    """Cluster with the k from ``k_range`` maximizing the silhouette."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    best = None
-    best_score = -np.inf
-    n = np.asarray(matrix).shape[0]
-    for k in k_range:
-        if not 2 <= k <= max(2, n - 1):
-            continue
-        result = k_medoids(matrix, k=k, rng=np.random.default_rng(rng.integers(2**31)))
-        score = silhouette_score(matrix, result)
-        if score > best_score:
-            best_score = score
-            best = result
-    if best is None:
-        raise ValueError("no feasible k in range")
-    return best
-
-
 def divergence_from_centroid(
     properties: np.ndarray, result: KMedoidsResult
 ) -> float:

@@ -268,8 +268,9 @@ class DistanceEngine:
     ) -> np.ndarray:
         """``distance(item, other)`` for every element of ``others``.
 
-        The workhorse of online bank matching: one partial pattern against
-        every bank signature prefix.
+        Its one caller is :meth:`~repro.core.signatures.SignatureBank.match`
+        on an ``"average"`` bank (Figure 10's average-value signatures): one
+        partial pattern against every bank signature prefix.
         """
         pairs = [(0, j) for j in range(len(others))]
         values = self._pair_values(

@@ -1,47 +1,36 @@
-"""End-to-end online request identification pipeline (Section 4.4).
+"""The trained state of online request identification (Section 4.4).
 
-:class:`OnlineIdentifier` packages the paper's signature workflow — build
-a bank of representative request signatures from completed traces, then
-identify incoming requests from their partial executions and predict
-request properties — behind one object, so server-management code does not
-re-derive windows, penalties, and thresholds every time.
+:class:`OnlineIdentifier` fits a bank of representative request
+signatures from completed traces, fixing the metric, window size,
+unequal-length penalty and expensive/cheap threshold once, and hands the
+bank to the streaming pipeline in the two forms its per-window prefix
+sweep reads (:meth:`~OnlineIdentifier.prefix_rows`,
+:meth:`~OnlineIdentifier.prefix_sweeper`).  Its state round-trips through
+online checkpoints and serve bank files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.distances import unequal_length_penalty
-from repro.core.signatures import BankMatch, SignatureBank
-
-
-@dataclass(frozen=True)
-class Identification:
-    """Outcome of identifying one partial request execution.
-
-    ``has_evidence`` is False when the partial pattern was empty (nothing
-    observed yet): the prediction then falls back to the no-information
-    prior — CPU time at the population threshold, not expensive, no label.
-    """
-
-    predicted_cpu_time_us: float
-    predicted_expensive: bool
-    matched_label: Optional[str]
-    windows_used: int
-    has_evidence: bool = True
+from repro.core.signatures import SignatureBank
 
 
 class OnlineIdentifier:
-    """Identify requests online from partial variation patterns.
+    """A signature bank trained for online identification.
 
     Parameters mirror the paper's choices: the signature metric defaults
     to L2 references per instruction (it reflects inherent behavior rather
     than dynamic contention), differencing defaults to the cheap L1
     distance, and the expensive/cheap threshold defaults to the median CPU
-    time of the training population.
+    time of the training population.  The streaming pipeline
+    (:class:`repro.online.pipeline.OnlinePipeline`) keeps one running L1
+    prefix distance per signature, extended once per completed window,
+    from the rows of :meth:`prefix_rows`, or from :meth:`prefix_sweeper`
+    on banks of ``SWEEP_MIN_BANK`` signatures or more.
     """
 
     def __init__(
@@ -86,62 +75,6 @@ class OnlineIdentifier:
         self._bank = bank
         return self
 
-    def pattern_of(self, trace) -> np.ndarray:
-        """The signature pattern of a (possibly partial) trace."""
-        return trace.series(self.metric, self.window_instructions).values
-
-    def identify(self, partial_pattern) -> Identification:
-        """Identify a request from its observed partial pattern.
-
-        An empty partial pattern (no execution observed yet) is valid
-        online input, not an error: the result is a defined "no evidence"
-        identification predicting the population prior.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("identifier not fitted; call fit() first")
-        partial = np.asarray(partial_pattern, dtype=float)
-        if partial.size == 0:
-            return Identification(
-                predicted_cpu_time_us=float(self.threshold_us),
-                predicted_expensive=False,
-                matched_label=None,
-                windows_used=0,
-                has_evidence=False,
-            )
-        match = self._bank.identify(partial)
-        return Identification(
-            predicted_cpu_time_us=match.cpu_time_us,
-            predicted_expensive=match.cpu_time_us > self.threshold_us,
-            matched_label=match.label,
-            windows_used=int(partial.size),
-        )
-
-    def match(self, partial_pattern) -> Optional[BankMatch]:
-        """Scored prefix identification (None on an empty pattern).
-
-        This is the streaming pipeline's per-window poll: it needs the
-        best/runner-up distances to build a commit-confidence margin, not
-        just the winning label.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("identifier not fitted; call fit() first")
-        partial = np.asarray(partial_pattern, dtype=float)
-        if partial.size == 0:
-            return None
-        return self._bank.match(partial)
-
-    def nearest_label(self, partial_pattern) -> Optional[str]:
-        """Winning signature label only (None on an empty pattern).
-
-        The cheap per-window variant of :meth:`match` for pollers that
-        drive commitment off label stability rather than distance margins.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("identifier not fitted; call fit() first")
-        if len(partial_pattern) == 0:
-            return None
-        return self._bank.nearest_label(partial_pattern)
-
     def prefix_rows(self) -> tuple:
         """Bank rows + penalty for incremental per-window prefix sweeps
         (see :meth:`repro.core.signatures.SignatureBank.prefix_rows`)."""
@@ -156,12 +89,6 @@ class OnlineIdentifier:
         if not self.is_fitted:
             raise RuntimeError("identifier not fitted; call fit() first")
         return self._bank.prefix_sweeper()
-
-    def identify_trace_prefix(self, trace, max_instructions: float) -> Identification:
-        """Identify from the first ``max_instructions`` of a trace."""
-        pattern = self.pattern_of(trace)
-        windows = max(1, int(max_instructions // self.window_instructions))
-        return self.identify(pattern[:windows])
 
     def to_state(self) -> dict:
         """JSON-ready snapshot of the fitted identifier (for checkpoints)."""
@@ -189,21 +116,3 @@ class OnlineIdentifier:
             identifier._bank = SignatureBank.from_state(state["bank"])
         return identifier
 
-    def evaluate(
-        self, traces: Sequence, prefix_windows: Sequence[int]
-    ) -> List[float]:
-        """Misprediction rate of expensive/cheap at each prefix length."""
-        if not self.is_fitted:
-            raise RuntimeError("identifier not fitted; call fit() first")
-        errors = []
-        patterns = [self.pattern_of(t) for t in traces]
-        actual = [t.cpu_time_us() > self.threshold_us for t in traces]
-        for windows in prefix_windows:
-            if windows < 1:
-                raise ValueError("prefix windows must be positive")
-            wrong = sum(
-                self.identify(pattern[:windows]).predicted_expensive != truth
-                for pattern, truth in zip(patterns, actual)
-            )
-            errors.append(wrong / len(traces))
-        return errors

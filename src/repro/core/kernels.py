@@ -1,8 +1,7 @@
-"""Batched distance kernels beneath the DTW consumers.
+"""Batched distance kernels beneath the DTW and L1-prefix consumers.
 
-Every differencing decision in the repro — Figure 7 classification,
-Figure 8/9 anomaly scans, signature-bank matching, the online pipeline's
-per-window identification — bottoms out in the penalty-DTW dynamic
+The DTW differencing decisions in the repro — Figure 7 classification and
+the Figure 8/9 anomaly scans — bottom out in the penalty-DTW dynamic
 program of :mod:`repro.core.dtw`.  This module is the batching layer
 between those consumers and the O(m*n) DP:
 
@@ -13,12 +12,15 @@ between those consumers and the O(m*n) DP:
   :class:`PenaltyDtw` matrix, pair list and one-to-many request;
 * **batched one-vs-many DP** (:func:`dtw_one_to_many`): the same row
   recurrence run vectorized across a zero-padded bank of sequences
-  (:class:`PaddedBank`);
-* the shared **pad-and-mask bank machinery** also backs the cheap online
-  L1 prefix matching (:func:`l1_prefix_distances`,
-  :class:`PrefixL1Sweeper`) used by
-  :class:`~repro.core.signatures.SignatureBank` and the streaming
-  pipeline.
+  (:class:`PaddedBank`).  Its one caller, :meth:`PenaltyDtw.one_to_many`,
+  is reached by no entry point; it stays while the benchmark's layer
+  tracer (``benchmarks/e2e/layertrace.py``) wraps that method.
+
+Online signature identification is L1, not DTW: the shared pad-and-mask
+bank machinery also backs its prefix matching,
+:func:`l1_prefix_distances` behind
+:meth:`~repro.core.signatures.SignatureBank.match` and
+:class:`PrefixL1Sweeper` behind the streaming pipeline on large banks.
 
 Both batched DPs return results *bit-identical* to the serial reference
 DP: they perform exactly the same IEEE-754 operations per pair as the

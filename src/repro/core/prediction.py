@@ -79,38 +79,13 @@ class RunningAverage(Predictor):
 
 
 @dataclass
-class Ewma(Predictor):
-    """Classic exponentially weighted moving average (Equation 4)."""
-
-    alpha: float = 0.6
-    _estimate: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-
-    def observe(self, value, length=1.0):
-        value = float(value)
-        if self._estimate is None:
-            self._estimate = value
-        else:
-            self._estimate = self.alpha * self._estimate + (1 - self.alpha) * value
-
-    def predict(self):
-        return self._estimate
-
-    def reset(self):
-        self._estimate = None
-
-
-@dataclass
 class VaEwma(Predictor):
     """Variable-aging EWMA (Equation 5).
 
     A sample of length ``t`` ages prior history by ``alpha ** (t/t_hat)``,
     so that long observation periods displace more history than short ones.
-    With all periods equal to ``unit_length`` this reduces exactly to
-    :class:`Ewma`.
+    With all periods equal to ``unit_length`` this reduces exactly to the
+    classic EWMA of Equation 4, ``E_k = alpha * E_{k-1} + (1 - alpha) * O_k``.
     """
 
     alpha: float = 0.6

@@ -67,9 +67,8 @@ class SignatureBank:
           signature form the paper compares against).
 
         ``engine`` routes ``"average"`` matching through a shared distance
-        engine; ``"variation"`` matching runs on a vectorized in-process
-        prefix sweep (one numpy pass over the whole bank), which beats any
-        memoization at streaming rates where every poll is a new prefix.
+        engine; ``"variation"`` matching runs one vectorized numpy pass
+        over the whole bank (:func:`~repro.core.kernels.l1_prefix_distances`).
         """
         if method not in ("variation", "average"):
             raise ValueError(f"unknown method {method!r}")
@@ -133,9 +132,11 @@ class SignatureBank:
     def match(self, partial_values) -> BankMatch:
         """Identify with scores: best signature, distance, and runner-up.
 
-        The prefix API the streaming pipeline polls window by window; the
-        runner-up distance lets callers turn raw distances into a
-        confidence margin without a second bank sweep.
+        Every prefix is matched from scratch, as Figure 10's evaluation
+        does; the streaming pipeline instead extends running distances
+        window by window from :meth:`prefix_rows` or
+        :meth:`prefix_sweeper`.  The runner-up distance lets callers turn
+        raw distances into a confidence margin without a second sweep.
         """
         if not self._signatures:
             raise ValueError("empty signature bank")
@@ -170,15 +171,6 @@ class SignatureBank:
             runner_up_distance=runner_up,
         )
 
-    def _signature_rows(self) -> list:
-        """Signatures as plain ``(values_list, length, label)`` rows."""
-        if self._rows is None:
-            self._rows = [
-                (s.values.tolist(), s.values.size, s.label)
-                for s in self._signatures
-            ]
-        return self._rows
-
     def prefix_rows(self) -> tuple:
         """``(rows, penalty)`` for caller-maintained incremental sweeps.
 
@@ -191,7 +183,12 @@ class SignatureBank:
         """
         if not self._signatures:
             raise ValueError("empty signature bank")
-        return self._signature_rows(), self._penalty
+        if self._rows is None:
+            self._rows = [
+                (s.values.tolist(), s.values.size, s.label)
+                for s in self._signatures
+            ]
+        return self._rows, self._penalty
 
     def prefix_sweeper(self) -> tuple:
         """``(sweeper, labels)`` for vectorized incremental prefix sweeps.
@@ -203,48 +200,6 @@ class SignatureBank:
         """
         sweeper = PrefixL1Sweeper(self.padded_bank(), self._penalty)
         return sweeper, [s.label for s in self._signatures]
-
-    def nearest_label(self, partial_values) -> Optional[str]:
-        """Label of the best-matching signature, skipping runner-up scoring.
-
-        The streaming pipeline polls this once per completed window until
-        its label streak commits; it needs only the winner, so the
-        runner-up sweep and match-record construction of :meth:`match`
-        are dead weight on that path.  Tie-breaking is the same first-
-        minimum rule as :meth:`match`.
-
-        Small "variation" banks (the streaming case: a handful of short
-        signatures) are swept in plain Python — at those sizes interpreter
-        arithmetic beats numpy dispatch by an order of magnitude, and the
-        partial (a growing Python list on the streaming path) never has to
-        become an array.
-        """
-        if not self._signatures:
-            raise ValueError("empty signature bank")
-        width = len(partial_values)
-        if width == 0:
-            raise ValueError("empty partial pattern")
-        if self._method != "variation":
-            return self.match(partial_values).signature.label
-        rows = self._signature_rows()
-        if len(rows) * width > 2048:
-            partial = np.asarray(partial_values, dtype=float)
-            best = int(np.argmin(self._variation_distances(partial)))
-            return self._signatures[best].label
-        penalty = self._penalty
-        best_label: Optional[str] = None
-        best = float("inf")
-        for values, length, label in rows:
-            total = 0.0
-            for x, s in zip(partial_values, values):
-                d = x - s
-                total += d if d >= 0.0 else -d
-            if width > length:
-                total += (width - length) * penalty
-            if total < best:
-                best = total
-                best_label = label
-        return best_label
 
     def predict_cpu_above(self, partial_values, threshold_us: float) -> bool:
         """Predict whether the request's CPU usage will exceed ``threshold_us``."""

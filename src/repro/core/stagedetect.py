@@ -13,7 +13,7 @@ per-stage hardware annotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -117,34 +117,3 @@ def identify_stages(
             )
         )
     return stages
-
-
-def stage_agreement(
-    detected: List[DetectedStage],
-    true_boundaries_windows,
-    tolerance_windows: int = 1,
-) -> Tuple[float, float]:
-    """(recall, precision) of detected stage boundaries vs. ground truth.
-
-    A true boundary counts as found when a detected boundary lies within
-    ``tolerance_windows``.  Useful for evaluating the detector against the
-    workload model's known phase structure.
-    """
-    detected_cuts = [s.start_window for s in detected[1:]]
-    true_cuts = list(true_boundaries_windows)
-    if not true_cuts:
-        return (1.0, 1.0 if not detected_cuts else 0.0)
-    found = sum(
-        1
-        for t in true_cuts
-        if any(abs(t - d) <= tolerance_windows for d in detected_cuts)
-    )
-    recall = found / len(true_cuts)
-    if not detected_cuts:
-        return (recall, 1.0)
-    precise = sum(
-        1
-        for d in detected_cuts
-        if any(abs(t - d) <= tolerance_windows for t in true_cuts)
-    )
-    return (recall, precise / len(detected_cuts))

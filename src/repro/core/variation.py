@@ -11,7 +11,7 @@ of variation (Equation 1) over execution periods.  Two views:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,14 +56,3 @@ def captured_variation(traces: Sequence, metric: str) -> float:
     return coefficient_of_variation(
         values, weights, overall=_global_overall(traces, metric)
     )
-
-
-def variation_report(traces: Sequence, metrics: Iterable[str]) -> dict:
-    """Inter vs. captured CoV for each metric (one Figure 3 panel group)."""
-    report = {}
-    for metric in metrics:
-        report[metric] = {
-            "inter_request": inter_request_variation(traces, metric),
-            "with_intra_request": captured_variation(traces, metric),
-        }
-    return report

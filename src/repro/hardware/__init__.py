@@ -10,17 +10,12 @@ shared-L2 miss-ratio inflation and memory-bus bandwidth stalls.
 
 from repro.hardware.cache import SharedL2Model
 from repro.hardware.counters import CounterSnapshot, SamplingContext, SamplingCostModel
-from repro.hardware.cpu import (
-    EffectiveRates,
-    PhaseBehavior,
-    compute_effective_rates,
-)
+from repro.hardware.cpu import PhaseBehavior
 from repro.hardware.memory import MemoryBusModel
 from repro.hardware.platform import WOODCREST, MachineConfig
 
 __all__ = [
     "CounterSnapshot",
-    "EffectiveRates",
     "MachineConfig",
     "MemoryBusModel",
     "PhaseBehavior",
@@ -28,5 +23,4 @@ __all__ = [
     "SamplingCostModel",
     "SharedL2Model",
     "WOODCREST",
-    "compute_effective_rates",
 ]

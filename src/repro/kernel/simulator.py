@@ -38,11 +38,11 @@ and every RNG draw keeps one fixed order, so output is byte-deterministic
   co-pressure) pair its miss ratio, reference rate and bus traffic were
   computed for, and recomputes them only when that identity or value
   changes.  Bus totals, penalties and CPIs are rebuilt on every solve in
-  ascending core order, exactly as
-  :func:`~repro.hardware.cpu.compute_effective_rates` does, into plain
-  float slots on the core, and sampling cost snapshots are memoized per
-  run.  Timer resets and RNG draws still run on every recompute — only
-  *values* are reused, never side effects.
+  ascending core order, exactly as the reference solve in
+  ``tests/hardware/reference.py`` does, into plain float slots on the
+  core, and sampling cost snapshots are memoized per run.  Timer resets
+  and RNG draws still run on every recompute — only *values* are reused,
+  never side effects.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ class _CoreRun:
     was last advanced to (an injected stall pushes it past ``now``, and
     the stalled interval then retires no instructions), and ``busy`` its
     busy cycles.  The open period's counters accumulate as four plain
-    floats.  The contention-solve slots cache this core's share of
-    :func:`~repro.hardware.cpu.compute_effective_rates`, keyed by the
+    floats.  The contention-solve slots cache this core's share of the
+    rate solve (:meth:`ServerSimulator._recompute_rates`), keyed by the
     behavior (and co-pressure) they were computed for; holding the
     behavior keeps its identity from being recycled.  ``cpi``,
     ``ref_rate`` and ``miss_ratio`` are the core's current effective
@@ -651,8 +651,8 @@ class ServerSimulator:
         """Accumulate every core's counters up to ``t``.
 
         Cycles re-anchor on wall time (no float drift); instructions,
-        references and misses follow the exact operation order of
-        :meth:`~repro.hardware.cpu.EffectiveRates.counters_for_instructions`
+        references and misses follow the operation order of the reference
+        rates' ``counters_for_instructions`` (``tests/hardware/reference.py``)
         on the core's rate slots.
         A core stalled past ``t`` by an injection makes no progress.
         """
@@ -1262,13 +1262,13 @@ class ServerSimulator:
     def _recompute_rates(self) -> None:
         """Solve every busy core's effective rates and reset its timers.
 
-        A per-core transcription of
-        :func:`~repro.hardware.cpu.compute_effective_rates`, bit-identical
-        by construction: each cached value is the model call that function
-        makes, with the same arguments, and is reused only while those
-        arguments are unchanged (the same behavior object, an equal
-        co-pressure), which in practice leaves just the core that changed
-        phase and its L2 peer to recompute.  Peer pressures sum from int
+        A per-core transcription of the reference solve in
+        ``tests/hardware/reference.py``, bit-identical by construction:
+        each cached value is the model call that function makes, with the
+        same arguments, and is reused only while those arguments are
+        unchanged (the same behavior object, an equal co-pressure), which
+        in practice leaves just the core that changed phase and its L2
+        peer to recompute.  Peer pressures sum from int
         ``0`` in ``l2_peers_of`` order, and bus totals, penalties and CPIs
         are rebuilt on every call in ascending core order — that
         function's accumulation order.  The rates land in each core's

@@ -8,7 +8,6 @@ system-call distance distributions).
 """
 
 from repro.workloads.base import Phase, RequestSpec, Stage, WorkloadGenerator
-from repro.workloads.describe import describe, describe_table
 from repro.workloads.microbench import MbenchData, MbenchSpin
 from repro.workloads.registry import (
     FixedKindWorkload,
@@ -27,8 +26,6 @@ __all__ = [
     "MbenchData",
     "MbenchSpin",
     "Phase",
-    "describe",
-    "describe_table",
     "RequestSpec",
     "RubisWorkload",
     "Stage",

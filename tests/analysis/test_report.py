@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import (
-    format_bar_chart,
-    format_metrics,
-    format_table,
-    format_value,
-)
+from repro.analysis.report import format_metrics, format_table, format_value
 
 
 class TestFormatValue:
@@ -70,24 +65,6 @@ class TestFormatMetrics:
 
     def test_empty_snapshot(self):
         assert "(no metrics)" in format_metrics({})
-
-
-class TestFormatBarChart:
-    def test_bar_lengths_proportional(self):
-        text = format_bar_chart(["a", "b"], [1.0, 2.0], width=10)
-        line_a, line_b = text.splitlines()
-        assert line_b.count("#") == 2 * line_a.count("#")
-
-    def test_mismatched_inputs_raise(self):
-        with pytest.raises(ValueError):
-            format_bar_chart(["a"], [1.0, 2.0])
-
-    def test_empty(self):
-        assert "(empty chart)" in format_bar_chart([], [])
-
-    def test_zero_values_no_crash(self):
-        text = format_bar_chart(["a"], [0.0])
-        assert "a" in text
 
 
 class TestFormatSeriesPlot:

@@ -1,16 +1,45 @@
-"""Tests for the end-to-end online identification pipeline."""
+"""Tests for the trained state of online identification."""
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.identification import OnlineIdentifier
+from repro.core.signatures import SignatureBank, prediction_error_curve
+
+KINDS = ("class0", "class1", "class2", "class3")
+
+
+def pattern_of(identifier, trace):
+    """A trace's signature pattern under the identifier's settings."""
+    return trace.series(identifier.metric, identifier.window_instructions).values
+
+
+def bank_of(identifier):
+    """The identifier's signature bank, rebuilt from its state."""
+    return SignatureBank.from_state(identifier.to_state()["bank"])
+
+
+def sweep_label(identifier, pattern):
+    """The label the pipeline's row sweep picks for ``pattern``: one
+    running L1 distance per row, extended window by window, first
+    minimum wins."""
+    rows, penalty = identifier.prefix_rows()
+    dists = [0.0] * len(rows)
+    for w, x in enumerate(pattern):
+        for i, (values, length, _) in enumerate(rows):
+            dists[i] += abs(x - values[w]) if w < length else penalty
+    return rows[min(range(len(rows)), key=dists.__getitem__)][2]
 
 
 class TestLifecycle:
     def test_unfitted_rejects_identify(self):
         ident = OnlineIdentifier()
         with pytest.raises(RuntimeError):
-            ident.identify([0.01])
+            ident.prefix_rows()
+        with pytest.raises(RuntimeError):
+            ident.prefix_sweeper()
 
     def test_fit_sets_median_threshold(self, web_run):
         ident = OnlineIdentifier(window_instructions=10_000).fit(web_run.traces)
@@ -40,82 +69,76 @@ class TestIdentification:
         ident = OnlineIdentifier(window_instructions=10_000)
         return ident.fit(web_run.traces[:half]), web_run.traces[half:]
 
-    def test_identify_returns_full_record(self, fitted):
-        ident, test_traces = fitted
-        pattern = ident.pattern_of(test_traces[0])
-        result = ident.identify(pattern[:3])
-        assert result.windows_used == 3
-        assert result.predicted_cpu_time_us > 0
-        assert result.matched_label in ("class0", "class1", "class2", "class3")
+    def test_identify_returns_full_record(self, fitted, web_run):
+        """One prefix row per training trace: its pattern, length and kind."""
+        ident, _ = fitted
+        rows, penalty = ident.prefix_rows()
+        training = web_run.traces[: len(web_run.traces) // 2]
+        assert len(rows) == len(training)
+        for (values, length, label), trace in zip(rows, training):
+            assert values == pattern_of(ident, trace).tolist()
+            assert length == len(values) > 0
+            assert label == trace.spec.kind and label in KINDS
+        assert penalty > 0
 
     def test_identify_trace_prefix(self, fitted):
+        """The first 30,000 instructions are 3 windows; the row sweep and
+        the scored match pick the same kind from them."""
         ident, test_traces = fitted
-        result = ident.identify_trace_prefix(test_traces[0], 30_000)
-        assert result.windows_used == 3
+        bank = bank_of(ident)
+        for trace in test_traces:
+            pattern = pattern_of(ident, trace)[: 30_000 // 10_000]
+            assert pattern.size == 3
+            assert sweep_label(ident, pattern) == bank.match(pattern).signature.label
 
     def test_full_pattern_beats_chance(self, fitted):
         ident, test_traces = fitted
-        errors = ident.evaluate(test_traces, prefix_windows=[30])
+        errors = prediction_error_curve(
+            bank_of(ident),
+            [pattern_of(ident, t) for t in test_traces],
+            [t.cpu_time_us() for t in test_traces],
+            ident.threshold_us,
+            [30],
+        )
         assert errors[0] < 0.45
 
     def test_evaluate_prefix_validation(self, fitted):
         ident, test_traces = fitted
         with pytest.raises(ValueError):
-            ident.evaluate(test_traces, prefix_windows=[0])
+            prediction_error_curve(
+                bank_of(ident),
+                [pattern_of(ident, test_traces[0])],
+                [test_traces[0].cpu_time_us()],
+                ident.threshold_us,
+                [0],
+            )
 
     def test_average_method_supported(self, web_run):
         ident = OnlineIdentifier(
             window_instructions=10_000, method="average"
         ).fit(web_run.traces)
-        pattern = ident.pattern_of(web_run.traces[0])
-        assert ident.identify(pattern[:2]).predicted_cpu_time_us > 0
+        assert ident.to_state()["bank"]["method"] == "average"
+        pattern = pattern_of(ident, web_run.traces[0])
+        assert bank_of(ident).identify(pattern[:2]).cpu_time_us > 0
 
-
-class TestNoEvidence:
-    """Regression: an empty partial pattern is valid online input (a request
-    that has not executed a full window yet), not an error."""
-
-    @pytest.fixture()
-    def fitted(self, web_run):
-        return OnlineIdentifier(window_instructions=10_000).fit(web_run.traces)
-
-    def test_empty_pattern_returns_defined_identification(self, fitted):
-        result = fitted.identify([])
-        assert result.has_evidence is False
-        assert result.windows_used == 0
-        assert result.matched_label is None
-        # Falls back to the no-information prior: CPU time at the
-        # population threshold, classified cheap.
-        assert result.predicted_cpu_time_us == fitted.threshold_us
-        assert result.predicted_expensive is False
-        assert np.isfinite(result.predicted_cpu_time_us)
-
-    def test_empty_ndarray_equivalent(self, fitted):
-        assert fitted.identify(np.array([])).has_evidence is False
-
-    def test_nonempty_pattern_has_evidence(self, fitted, web_run):
-        pattern = fitted.pattern_of(web_run.traces[0])
-        assert fitted.identify(pattern[:1]).has_evidence is True
-
-    def test_match_returns_none_on_empty(self, fitted):
-        assert fitted.match([]) is None
-
-    def test_match_scores_best_and_runner_up(self, fitted, web_run):
-        pattern = fitted.pattern_of(web_run.traces[0])
-        match = fitted.match(pattern[:3])
+    def test_match_scores_best_and_runner_up(self, fitted):
+        ident, test_traces = fitted
+        bank = bank_of(ident)
+        pattern = pattern_of(ident, test_traces[0])[:3]
+        match = bank.match(pattern)
         assert match.distance <= match.runner_up_distance
         assert match.margin >= 0.0
-        assert match.signature.label == fitted.identify(pattern[:3]).matched_label
+        assert match.signature is bank.identify(pattern)
 
-    def test_state_round_trip_preserves_decisions(self, fitted, web_run):
-        restored = OnlineIdentifier.from_state(fitted.to_state())
-        assert restored.threshold_us == fitted.threshold_us
-        for trace in web_run.traces[:5]:
-            pattern = fitted.pattern_of(trace)[:4]
-            assert (
-                restored.identify(pattern).matched_label
-                == fitted.identify(pattern).matched_label
-            )
+    def test_state_round_trip_preserves_decisions(self, fitted):
+        """The prefix rows are all the pipeline decides from; they and the
+        state survive a JSON round trip exactly."""
+        ident, _ = fitted
+        state = ident.to_state()
+        restored = OnlineIdentifier.from_state(json.loads(json.dumps(state)))
+        assert restored.threshold_us == ident.threshold_us
+        assert restored.prefix_rows() == ident.prefix_rows()
+        assert restored.to_state() == state
 
 
 class TestCrossKindDiscrimination:
@@ -127,11 +150,10 @@ class TestCrossKindDiscrimination:
         ident = OnlineIdentifier(
             metric="cpi", window_instructions=100_000
         ).fit(traces[:half])
+        bank = bank_of(ident)
         hits = 0
         total = 0
         for trace in traces[half:]:
-            pattern = ident.pattern_of(trace)
-            result = ident.identify(pattern)
             total += 1
-            hits += result.matched_label == trace.spec.kind
+            hits += bank.identify(pattern_of(ident, trace)).label == trace.spec.kind
         assert hits / total > 0.6

@@ -1,17 +1,49 @@
 """Tests for online behavior predictors (EWMA / vaEWMA, Section 5.1)."""
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.prediction import (
-    Ewma,
     LastValue,
+    Predictor,
     RunningAverage,
     VaEwma,
     evaluate_predictor,
 )
+
+
+@dataclass
+class Ewma(Predictor):
+    """Classic exponentially weighted moving average (Equation 4).
+
+    The oracle :class:`VaEwma` must reduce to at unit period lengths.
+    """
+
+    alpha: float = 0.6
+    _estimate: Optional[float] = None
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
+
+    def observe(self, value, length=1.0):
+        value = float(value)
+        if self._estimate is None:
+            self._estimate = value
+        else:
+            self._estimate = self.alpha * self._estimate + (1 - self.alpha) * value
+
+    def predict(self):
+        return self._estimate
+
+    def reset(self):
+        self._estimate = None
+
 
 value_seqs = st.lists(
     st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),

@@ -93,34 +93,66 @@ class TestSignatureBank:
 
 
 class TestNearestLabel:
+    """Every prefix sweep picks the nearest signature's label as match()."""
+
     def test_agrees_with_match_small_bank(self):
-        """The pure-Python streaming sweep picks the same winner as match()."""
+        """The vectorized sweeper, extended window by window."""
         rng = np.random.default_rng(7)
         bank = SignatureBank(penalty=0.41)
         for i, n in enumerate((3, 7, 12, 12, 5)):
             bank.add(rng.uniform(0, 4, size=n), cpu_time_us=1.0, label=f"s{i}")
-        for w in (1, 4, 9, 15):
-            partial = list(rng.uniform(0, 4, size=w))
-            assert bank.nearest_label(partial) == bank.match(partial).signature.label
+        sweeper, labels = bank.prefix_sweeper()
+        partial = list(rng.uniform(0, 4, size=15))
+        dists = sweeper.start(partial[:1])
+        for w in range(len(partial)):
+            if w:
+                sweeper.extend(dists, w, partial[w])
+            expected = bank.match(partial[: w + 1]).signature.label
+            assert labels[int(np.argmin(dists))] == expected
 
     def test_agrees_with_match_above_numpy_threshold(self):
-        """Wide banks route through the vectorized sweep — same winner."""
+        """A bank at the pipeline's sweeper threshold: the sweeper and the
+        plain-Python rows pick the same winner as match()."""
+        from repro.online.pipeline import SWEEP_MIN_BANK
+
         rng = np.random.default_rng(8)
         bank = SignatureBank(penalty=0.2)
-        for i in range(40):
+        for i in range(SWEEP_MIN_BANK):
             bank.add(rng.uniform(0, 4, size=80), cpu_time_us=1.0, label=f"s{i}")
-        partial = rng.uniform(0, 4, size=60)   # 40 * 60 > 2048
-        assert bank.nearest_label(partial) == bank.match(partial).signature.label
+        partial = rng.uniform(0, 4, size=60)
+        expected = bank.match(partial).signature.label
+        sweeper, labels = bank.prefix_sweeper()
+        assert labels[int(np.argmin(sweeper.start(partial)))] == expected
+        rows, penalty = bank.prefix_rows()
+        dists = [
+            sum(
+                abs(x - values[w]) if w < length else penalty
+                for w, x in enumerate(partial)
+            )
+            for values, length, _ in rows
+        ]
+        assert rows[int(np.argmin(dists))][2] == expected
 
     def test_average_method_delegates(self):
+        """An "average" bank scores each prefix by its average-value
+        distance, through the distance engine."""
+        from repro.core.distances import average_metric_distance
+
         bank = make_bank(method="average")
-        assert bank.nearest_label([3.0, 3.0]) == "spiky"
+        partial = np.array([3.0, 2.0, 4.0])
+        flat, spiky = (
+            average_metric_distance(partial, np.array(prefix))
+            for prefix in ([1.0, 1.0, 1.0], [1.0, 5.0, 1.0])
+        )
+        match = bank.match(partial)
+        assert match.signature.label == "spiky"
+        assert (match.distance, match.runner_up_distance) == (spiky, flat)
 
     def test_empty_inputs_raise(self):
         with pytest.raises(ValueError):
-            SignatureBank(penalty=1.0).nearest_label([1.0])
+            SignatureBank(penalty=1.0).prefix_sweeper()
         with pytest.raises(ValueError):
-            make_bank().nearest_label([])
+            make_bank().match([])
 
 
 class TestPrefixRows:
@@ -139,7 +171,7 @@ class TestPrefixRows:
             for i, (values, length, _) in enumerate(rows):
                 dists[i] += abs(x - values[w]) if w < length else penalty
             best = min(range(len(rows)), key=lambda i: dists[i])
-            assert rows[best][2] == bank.nearest_label(partial)
+            assert rows[best][2] == bank.match(partial).signature.label
 
     def test_empty_bank_raises(self):
         with pytest.raises(ValueError):

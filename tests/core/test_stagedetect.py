@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.stagedetect import (
-    DetectedStage,
-    detect_change_points,
-    identify_stages,
-    stage_agreement,
-)
+from repro.core.stagedetect import detect_change_points, identify_stages
 
 
 class TestChangePoints:
@@ -76,34 +71,3 @@ class TestIdentifyStages:
     def test_unknown_metric_rejected(self, web_run):
         with pytest.raises(ValueError):
             identify_stages(web_run.traces[0], 10_000, metric="ipc")
-
-
-class TestStageAgreement:
-    def make_stages(self, cuts, n=20):
-        bounds = [0] + list(cuts) + [n]
-        return [
-            DetectedStage(a, b, 1.0, 0.0, 0.0)
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-
-    def test_perfect_match(self):
-        stages = self.make_stages([5, 10])
-        recall, precision = stage_agreement(stages, [5, 10])
-        assert recall == 1.0 and precision == 1.0
-
-    def test_tolerance_window(self):
-        stages = self.make_stages([6])
-        recall, _ = stage_agreement(stages, [5], tolerance_windows=1)
-        assert recall == 1.0
-        recall, _ = stage_agreement(stages, [5], tolerance_windows=0)
-        assert recall == 0.0
-
-    def test_spurious_cuts_hurt_precision(self):
-        stages = self.make_stages([5, 12])
-        recall, precision = stage_agreement(stages, [5])
-        assert recall == 1.0
-        assert precision == 0.5
-
-    def test_no_true_boundaries(self):
-        stages = self.make_stages([])
-        assert stage_agreement(stages, []) == (1.0, 1.0)

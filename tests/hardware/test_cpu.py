@@ -1,15 +1,12 @@
-"""Tests for phase behavior and effective-rate computation."""
+"""Tests for phase behavior and the reference effective-rate solve."""
 
 import pytest
 
 from repro.hardware.cache import SharedL2Model
-from repro.hardware.cpu import (
-    EffectiveRates,
-    PhaseBehavior,
-    compute_effective_rates,
-)
+from repro.hardware.cpu import PhaseBehavior
 from repro.hardware.memory import MemoryBusModel
 from repro.hardware.platform import WOODCREST, serial_machine
+from tests.hardware.reference import EffectiveRates, compute_effective_rates
 
 SCAN = PhaseBehavior(
     base_cpi=0.95, l2_refs_per_ins=0.024, l2_miss_ratio=0.35, cache_footprint=1.0

@@ -7,9 +7,9 @@ These tests drive the solve directly through sequences of per-core
 changes — phase changes, cores going idle, peers coming back, one
 behavior object on several cores, fully idle L2 domains — and demand
 after every step that each busy core's rate slots (``cpi``, ``ref_rate``,
-``miss_ratio``) equal :func:`repro.hardware.cpu.compute_effective_rates`
-on the same behaviors, bit for bit, and that every idle core's ``cpi`` is
-None.  The reference is recomputed from scratch each step, so any stale
+``miss_ratio``) equal the reference solve ``compute_effective_rates``
+(``tests/hardware/reference.py``) on the same behaviors, bit for bit, and
+that every idle core's ``cpi`` is None.  The reference is recomputed from scratch each step, so any stale
 cache entry shows up as a differing bit.
 """
 
@@ -18,11 +18,12 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.cpu import EffectiveRates, PhaseBehavior, compute_effective_rates
+from repro.hardware.cpu import PhaseBehavior
 from repro.hardware.platform import WOODCREST, cluster_machine, serial_machine
 from repro.kernel.sampling import SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.workloads.registry import make_workload
+from tests.hardware.reference import EffectiveRates, compute_effective_rates
 
 MACHINES = [WOODCREST, cluster_machine(2, 4), serial_machine()]
 

@@ -8,13 +8,14 @@ from repro.analysis.placement import (
     machine_breakdown,
     per_machine_variation,
 )
-from repro.hardware.cpu import PhaseBehavior, compute_effective_rates
+from repro.hardware.cpu import PhaseBehavior
 from repro.hardware.cache import SharedL2Model
 from repro.hardware.memory import MemoryBusModel
 from repro.hardware.platform import MachineConfig, cluster_machine
 from repro.kernel.sampling import SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.workloads.registry import make_workload
+from tests.hardware.reference import compute_effective_rates
 
 SCAN = PhaseBehavior(
     base_cpi=0.95, l2_refs_per_ins=0.024, l2_miss_ratio=0.35, cache_footprint=1.0
