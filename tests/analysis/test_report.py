@@ -1,7 +1,5 @@
 """Tests for ASCII report rendering."""
 
-import pytest
-
 from repro.analysis.report import format_metrics, format_table, format_value
 
 

@@ -21,7 +21,8 @@ from repro.core.prediction import (
 class Ewma(Predictor):
     """Classic exponentially weighted moving average (Equation 4).
 
-    The oracle :class:`VaEwma` must reduce to at unit period lengths.
+    The oracle for :class:`VaEwma`, which must reduce to it at unit
+    period lengths.
     """
 
     alpha: float = 0.6
