@@ -9,8 +9,8 @@ behavior object on several cores, fully idle L2 domains — and demand
 after every step that each busy core's rate slots (``cpi``, ``ref_rate``,
 ``miss_ratio``) equal the reference solve ``compute_effective_rates``
 (``tests/hardware/reference.py``) on the same behaviors, bit for bit, and
-that every idle core's ``cpi`` is None.  The reference is recomputed from scratch each step, so any stale
-cache entry shows up as a differing bit.
+that every idle core's ``cpi`` is None.  The reference is recomputed from
+scratch each step, so any stale cache entry shows up as a differing bit.
 """
 
 from types import SimpleNamespace
