@@ -67,7 +67,6 @@ from repro.obs.profiling import active_profiler, profiled_stage
 from repro.obs.trace import NULL_COLLECTOR, TraceCollector
 from repro.traffic import (
     LatencyStore,
-    PoissonArrivals,
     RoundRobinDispatch as RoundRobinDispatchPolicy,
     TrafficConfig,
 )
@@ -142,11 +141,6 @@ class SimConfig:
     tier_placement: Optional[Dict[str, int]] = None
     #: One-way network latency for a cross-machine stage hand-off.
     network_delay_us: float = 50.0
-    #: Legacy open-loop shorthand: when set, requests arrive as a Poisson
-    #: process at this rate (``concurrency`` no longer throttles
-    #: admissions).  Equivalent to ``traffic`` with
-    #: :class:`repro.traffic.PoissonArrivals`; mutually exclusive with it.
-    arrival_rate_per_s: Optional[float] = None
     #: Open-system traffic layer: arrival process, dispatch policy, and
     #: bounded-admission backpressure (:class:`repro.traffic.TrafficConfig`).
     #: None — or closed-loop arrivals with round-robin dispatch — is
@@ -389,19 +383,9 @@ class ServerSimulator:
         self._shed = 0
         self._next_task_id = 0
         # Traffic layer: arrival process + dispatch policy + latency store.
-        # The legacy arrival_rate_per_s shorthand becomes a Poisson process;
-        # no traffic config at all keeps the closed loop with the historical
+        # No traffic config at all keeps the closed loop with the historical
         # round-robin placement (byte-identical, no latency accounting).
-        traffic = config.traffic
-        if traffic is not None and config.arrival_rate_per_s:
-            raise ValueError(
-                "set either traffic or arrival_rate_per_s, not both"
-            )
-        if traffic is None and config.arrival_rate_per_s:
-            traffic = TrafficConfig(
-                arrivals=PoissonArrivals(config.arrival_rate_per_s)
-            )
-        self.traffic = traffic
+        self.traffic = traffic = config.traffic
         self._open_loop = traffic is not None and not traffic.arrivals.is_closed_loop
         self._admission_limit = traffic.admission_limit if traffic else None
         self.dispatch_policy = (

@@ -23,7 +23,7 @@ from repro.online.checkpoint import (
 )
 from repro.online.pipeline import OnlineConfig, OnlinePipeline, train_identifier
 from repro.online.report import DetectionReport, build_report
-from repro.online.windows import IncrementalWindower, window_metric
+from repro.online.windows import IncrementalWindower
 
 __all__ = [
     "DetectionReport",
@@ -36,5 +36,4 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "train_identifier",
-    "window_metric",
 ]

@@ -146,11 +146,16 @@ class AttributionThresholds:
     baseline_min_requests: int = 6
 
 
+#: The gates every :class:`CauseAttributor` decides with.  They are fixed,
+#: not a setting: a checkpoint carries baselines only, so a restored
+#: attributor could not honour gates chosen at construction.
+THRESHOLDS = AttributionThresholds()
+
+
 class CauseAttributor:
     """Per-kind centroid baselines + signature classifier (deterministic)."""
 
-    def __init__(self, thresholds: Optional[AttributionThresholds] = None):
-        self.thresholds = thresholds or AttributionThresholds()
+    def __init__(self):
         #: Per-kind per-window-index running means, fed only from windows
         #: of requests not yet flagged (event order is part of the
         #: checkpoint byte-identity surface).
@@ -193,7 +198,7 @@ class CauseAttributor:
         """Whether the kind's baselines have absorbed enough requests."""
         return (
             self.cpi_centroids.group(kind).count_at(0)
-            >= self.thresholds.baseline_min_requests
+            >= THRESHOLDS.baseline_min_requests
         )
 
     def _baseline_group(self, kind: str) -> Optional[str]:
@@ -215,7 +220,7 @@ class CauseAttributor:
         baseline_group = self._baseline_group(kind) if features else None
         if baseline_group is None:
             return ATTRIBUTION_UNKNOWN
-        t = self.thresholds
+        t = THRESHOLDS
         cpi_centroid = self.cpi_centroids.group(baseline_group)
         refs_centroid = self.refs_centroids.group(baseline_group)
 

@@ -25,7 +25,7 @@ import json
 from repro.online.pipeline import OnlinePipeline
 
 CHECKPOINT_FORMAT = "repro-online-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):

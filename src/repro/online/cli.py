@@ -198,7 +198,6 @@ def _fresh_pipeline(args, registry) -> OnlinePipeline:
             make_workload(args.workload),
             num_requests=args.train,
             seed=args.seed + 10_000,
-            metric=config.identify_metric,
             window_instructions=config.window_instructions,
         )
     return OnlinePipeline(config=config, identifier=identifier, registry=registry)

@@ -6,22 +6,27 @@ and with bounded per-request state, the paper's three "online" claims on
 live traffic instead of post-hoc trace arrays:
 
 1. **Incremental identification** — each completed fixed-instruction
-   window extends the request's partial variation pattern; the pattern is
-   matched against the signature bank (:class:`repro.core.identification.
-   OnlineIdentifier`) and the match *commits* once the predicted label has
-   been stable for ``commit_streak`` consecutive windows, recording how
-   early (in instructions) the commitment happened (Figure 10, online).
-2. **vaEWMA prediction** — every execution period feeds a per-request
-   variable-aging EWMA (Equation 5); the one-step-ahead error is
-   accumulated per request class and tracked in a
+   window extends the request's partial L2-references-per-instruction
+   pattern; the pattern is matched against the signature bank
+   (:class:`repro.core.identification.OnlineIdentifier`) and the match
+   *commits* once the predicted label has been stable for
+   :data:`COMMIT_STREAK` consecutive windows, recording how early (in
+   instructions) the commitment happened (Figure 10, online).
+2. **vaEWMA prediction** — every execution period's CPI feeds a
+   per-request variable-aging EWMA (Equation 5); the one-step-ahead error
+   is accumulated per request class and tracked in a
    :class:`~repro.obs.metrics.MetricsRegistry` (Figure 11, online).
 3. **Streaming anomaly detection** — per semantic group (request kind),
    an :class:`~repro.core.centroids.IncrementalCentroid` maintains the
-   running mean window pattern; a request whose mean absolute deviation
-   from its group centroid exceeds an adaptive P-square quantile threshold
-   is flagged, and flags are scored for precision / recall / time-to-detect
-   against the injected-fault ground truth carried on the request spec
-   (Figures 8-9, online, validated like Fournier et al.).
+   running mean window CPI pattern; a request whose mean absolute
+   deviation from its group centroid exceeds an adaptive P-square quantile
+   threshold is flagged, and flags are scored for precision / recall /
+   time-to-detect against the injected-fault ground truth carried on the
+   request spec (Figures 8-9, online, validated like Fournier et al.).
+
+The paper fixes these choices once, and so does the pipeline: the three
+settings of :class:`OnlineConfig` are the only ones a caller picks, and
+the rest are the module constants below.
 
 Determinism contract: processing is a pure function of the event stream
 and the pipeline's initial state.  Checkpoint (:mod:`repro.online.
@@ -31,7 +36,7 @@ the final report — is byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -41,7 +46,7 @@ from repro.core.identification import OnlineIdentifier
 from repro.core.prediction import VaEwma
 from repro.core.quantile import OnlineQuantile
 from repro.hardware.counters import SamplingContext, SamplingCostModel
-from repro.online.windows import METRIC_INDICES, IncrementalWindower
+from repro.online.windows import IncrementalWindower
 
 
 #: Event kinds the pipeline consumes.  A live collector restricted to
@@ -60,41 +65,42 @@ SUBSCRIBED_KINDS = frozenset(
 #: never affects decisions.
 SWEEP_MIN_BANK = 64
 
+#: Consecutive windows with a stable predicted label before the
+#: identification commits.
+COMMIT_STREAK = 3
+#: Cap on the partial pattern (and attribution features) kept per
+#: request: bounded memory on arbitrarily long requests.
+MAX_WINDOWS = 256
+#: Cap on the anomaly centroid's length per group.
+CENTROID_MAX_WINDOWS = 512
+#: Minimum observed windows before a request may be flagged.
+ANOMALY_MIN_WINDOWS = 2
+#: Minimum score observations in a group before flagging starts.
+ANOMALY_WARMUP = 24
+#: vaEWMA aging constant (Equation 5); its unit length is the window.
+EWMA_ALPHA = 0.6
+
+#: The minimum per-sample observer cost subtracted from each period, as
+#: the offline trace compensation does: (instructions, cycles, l2_refs,
+#: l2_misses) of an in-kernel sample, then of an interrupt sample.
+_COMPENSATION = tuple(
+    float(getattr(cost, name))
+    for cost in map(
+        SamplingCostModel().minimum_cost,
+        (SamplingContext.IN_KERNEL, SamplingContext.INTERRUPT),
+    )
+    for name in ("instructions", "cycles", "l2_refs", "l2_misses")
+)
+
 
 @dataclass(frozen=True)
 class OnlineConfig:
-    """Tuning knobs for the streaming pipeline (all deterministic)."""
+    """The streaming pipeline's settings (all deterministic)."""
 
     #: Fixed instruction window for patterns (identification + anomaly).
     window_instructions: float = 100_000.0
-    #: Metric matched against the signature bank (the paper's choice:
-    #: L2 references per instruction reflect inherent behavior).
-    identify_metric: str = "l2_refs_per_ins"
-    #: Metric predicted by the per-request vaEWMA.
-    predict_metric: str = "cpi"
-    #: Metric compared against group centroids.
-    anomaly_metric: str = "cpi"
-    #: Consecutive windows with a stable predicted label before the
-    #: identification commits.
-    commit_streak: int = 3
-    #: Cap on the partial pattern length kept per request (bounded memory).
-    max_windows: int = 256
-    #: Cap on centroid length per group.
-    centroid_max_windows: int = 512
     #: Quantile of the per-window anomaly-score stream used as threshold.
     anomaly_quantile: float = 0.9
-    #: Multiplier on the quantile estimate (raise to trade recall for
-    #: precision).
-    anomaly_margin: float = 1.0
-    #: Minimum observed windows before a request may be flagged.
-    anomaly_min_windows: int = 2
-    #: Minimum score observations in a group before flagging starts.
-    anomaly_warmup: int = 24
-    #: vaEWMA aging constant.
-    ewma_alpha: float = 0.6
-    #: Subtract the minimum per-sample observer cost from period counters
-    #: (matching the offline trace compensation).
-    compensate: bool = True
     #: Run the :class:`~repro.online.attribution.CauseAttributor` on
     #: flagged requests (opt-in: records, reports, and checkpoints gain
     #: attribution fields only when enabled, so every pre-attribution
@@ -102,31 +108,32 @@ class OnlineConfig:
     attribute: bool = False
 
     def __post_init__(self):
-        if self.window_instructions <= 0:
-            raise ValueError("window_instructions must be positive")
-        if self.commit_streak < 1:
-            raise ValueError("commit_streak must be >= 1")
+        if not self.window_instructions > 0:
+            raise ValueError(
+                "window_instructions must be positive, "
+                f"got {self.window_instructions!r}"
+            )
         if not 0.0 < self.anomaly_quantile < 1.0:
-            raise ValueError("anomaly_quantile must be in (0, 1)")
-        if self.anomaly_margin <= 0:
-            raise ValueError("anomaly_margin must be positive")
-        if not 0.0 < self.ewma_alpha < 1.0:
             raise ValueError(
-                f"ewma_alpha must be in (0, 1), got {self.ewma_alpha!r}"
+                "anomaly_quantile must be in (0, 1), "
+                f"got {self.anomaly_quantile!r}"
             )
-        if self.max_windows < 1:
-            raise ValueError(
-                f"max_windows must be >= 1, got {self.max_windows!r}"
-            )
-        if self.centroid_max_windows < 1:
-            raise ValueError(
-                "centroid_max_windows must be >= 1, "
-                f"got {self.centroid_max_windows!r}"
-            )
-        for metric in (self.identify_metric, self.predict_metric,
-                       self.anomaly_metric):
-            if metric not in METRIC_INDICES:
-                raise ValueError(f"unknown metric {metric!r}")
+
+
+def check_identifier_window(
+    config: OnlineConfig, identifier: Optional[OnlineIdentifier]
+) -> None:
+    """Refuse an identifier trained at another window than ``config``'s:
+    its signatures would be matched against windows of a different size."""
+    if (
+        identifier is not None
+        and identifier.window_instructions != config.window_instructions
+    ):
+        raise ValueError(
+            "identifier was trained at window_instructions="
+            f"{identifier.window_instructions!r}, but the pipeline windows "
+            f"at window_instructions={config.window_instructions!r}"
+        )
 
 
 class _OpenRequest:
@@ -208,11 +215,7 @@ class _OpenRequest:
             "streak": self.streak,
             "committed_label": self.committed_label,
             "commit_windows": self.commit_windows,
-            "predictor": {
-                "alpha": self.predictor.alpha,
-                "unit_length": self.predictor.unit_length,
-                "estimate": self.predictor._estimate,
-            },
+            "predictor_estimate": self.predictor._estimate,
             "dist_sum": self.dist_sum,
             "dist_windows": self.dist_windows,
             "flagged": self.flagged,
@@ -224,12 +227,11 @@ class _OpenRequest:
         return state
 
     @classmethod
-    def from_state(cls, state: dict) -> "_OpenRequest":
-        predictor = VaEwma(
-            alpha=float(state["predictor"]["alpha"]),
-            unit_length=float(state["predictor"]["unit_length"]),
-        )
-        predictor._estimate = state["predictor"]["estimate"]
+    def from_state(
+        cls, state: dict, window_instructions: float
+    ) -> "_OpenRequest":
+        predictor = VaEwma(alpha=EWMA_ALPHA, unit_length=window_instructions)
+        predictor._estimate = state["predictor_estimate"]
         request = cls(
             request_id=int(state["request_id"]),
             kind=state["kind"],
@@ -272,16 +274,6 @@ class _ClassErrors:
         self.sq_sum += error * error * length
         self.weight += length
 
-    def rms(self) -> Optional[float]:
-        if self.weight <= 0:
-            return None
-        return (self.sq_sum / self.weight) ** 0.5
-
-    def mean_abs(self) -> Optional[float]:
-        if self.weight <= 0:
-            return None
-        return self.abs_sum / self.weight
-
 
 class OnlinePipeline:
     """Event-driven streaming analysis over the simulator's trace stream.
@@ -298,19 +290,18 @@ class OnlinePipeline:
         config: Optional[OnlineConfig] = None,
         identifier: Optional[OnlineIdentifier] = None,
         registry=None,
-        cost_model: Optional[SamplingCostModel] = None,
     ):
         self.config = config or OnlineConfig()
+        check_identifier_window(self.config, identifier)
         self.identifier = identifier
         self.registry = registry
-        self.cost_model = cost_model or SamplingCostModel()
         if self.config.attribute:
             from repro.online.attribution import CauseAttributor
 
             self.attributor: Optional[CauseAttributor] = CauseAttributor()
         else:
             self.attributor = None
-        self.centroids = GroupCentroids(self.config.centroid_max_windows)
+        self.centroids = GroupCentroids(CENTROID_MAX_WINDOWS)
         self.quantiles: Dict[str, OnlineQuantile] = {}
         self.class_errors: Dict[str, _ClassErrors] = {}
         self.open: Dict[int, _OpenRequest] = {}
@@ -321,18 +312,6 @@ class OnlinePipeline:
         self.windows_seen = 0
         self.workload_name: Optional[str] = None
         self.seed: Optional[int] = None
-        # The minimum per-sample observer cost subtracted from each period
-        # (None when compensation is off): (instructions, cycles, l2_refs,
-        # l2_misses) of an in-kernel sample, then of an interrupt sample.
-        self._compensation: Optional[tuple] = None
-        if self.config.compensate:
-            in_kernel = self.cost_model.minimum_cost(SamplingContext.IN_KERNEL)
-            interrupt = self.cost_model.minimum_cost(SamplingContext.INTERRUPT)
-            self._compensation = tuple(
-                float(getattr(cost, name))
-                for cost in (in_kernel, interrupt)
-                for name in ("instructions", "cycles", "l2_refs", "l2_misses")
-            )
         # Bank rows for the incremental identification sweep, fetched on
         # first use (the identifier may be attached before it is fitted).
         self._prefix_rows: Optional[tuple] = None
@@ -340,10 +319,6 @@ class OnlinePipeline:
         # accumulation when the bank reaches SWEEP_MIN_BANK rows.
         self._sweeper = None
         self._sweep_labels: Optional[List[Optional[str]]] = None
-        # Metric selectors resolved once to counter-tuple indices.
-        self._identify_metric = METRIC_INDICES[self.config.identify_metric]
-        self._predict_metric = METRIC_INDICES[self.config.predict_metric]
-        self._anomaly_metric = METRIC_INDICES[self.config.anomaly_metric]
         # Instruments resolved once: registry lookups are get-or-create
         # with name-collision checks, too heavy for the per-event path.
         if self.registry is not None:
@@ -394,8 +369,7 @@ class OnlinePipeline:
             admitted_cycle=event.cycle,
             windower=IncrementalWindower(config.window_instructions),
             predictor=VaEwma(
-                alpha=config.ewma_alpha,
-                unit_length=config.window_instructions,
+                alpha=EWMA_ALPHA, unit_length=config.window_instructions
             ),
         )
 
@@ -409,47 +383,41 @@ class OnlinePipeline:
         # Observer-effect compensation, inlined: this runs per period and
         # the call + tuple traffic of a helper was measurable.
         data = event.data
-        instructions = float(data["instructions"])
-        cycles = float(data["cycles"])
-        l2_refs = float(data["l2_refs"])
-        l2_misses = float(data["l2_misses"])
-        compensation = self._compensation
-        if compensation is not None:
-            (ik_instructions, ik_cycles, ik_l2_refs, ik_l2_misses,
-             it_instructions, it_cycles, it_l2_refs, it_l2_misses) = compensation
-            n_ik = float(data.get("injected_in_kernel", 0))
-            n_int = float(data.get("injected_interrupt", 0))
-            instructions = (
-                instructions - n_ik * ik_instructions - n_int * it_instructions
-            )
-            cycles = cycles - n_ik * ik_cycles - n_int * it_cycles
-            l2_refs = l2_refs - n_ik * ik_l2_refs - n_int * it_l2_refs
-            l2_misses = l2_misses - n_ik * ik_l2_misses - n_int * it_l2_misses
-            # Floored as max(1.0, x) / max(0.0, x) would floor them (NaN
-            # included), without four builtin calls per period.
-            instructions = instructions if instructions > 1.0 else 1.0
-            cycles = cycles if cycles > 1.0 else 1.0
-            l2_refs = l2_refs if l2_refs > 0.0 else 0.0
-            l2_misses = l2_misses if l2_misses > 0.0 else 0.0
+        (ik_instructions, ik_cycles, ik_l2_refs, ik_l2_misses,
+         it_instructions, it_cycles, it_l2_refs, it_l2_misses) = _COMPENSATION
+        n_ik = float(data.get("injected_in_kernel", 0))
+        n_int = float(data.get("injected_interrupt", 0))
+        instructions = (
+            float(data["instructions"])
+            - n_ik * ik_instructions - n_int * it_instructions
+        )
+        cycles = float(data["cycles"]) - n_ik * ik_cycles - n_int * it_cycles
+        l2_refs = float(data["l2_refs"]) - n_ik * ik_l2_refs - n_int * it_l2_refs
+        l2_misses = (
+            float(data["l2_misses"]) - n_ik * ik_l2_misses - n_int * it_l2_misses
+        )
+        # Floored as max(1.0, x) / max(0.0, x) would floor them (NaN
+        # included), without four builtin calls per period.
+        instructions = instructions if instructions > 1.0 else 1.0
+        cycles = cycles if cycles > 1.0 else 1.0
+        l2_refs = l2_refs if l2_refs > 0.0 else 0.0
+        l2_misses = l2_misses if l2_misses > 0.0 else 0.0
 
-        # Stage 2: per-period vaEWMA prediction, scored one step ahead.
-        if instructions > 0:
-            counters = (instructions, cycles, l2_refs, l2_misses)
-            num_index, den_index = self._predict_metric
-            den = counters[den_index]
-            value = counters[num_index] / den if den > 0 else 0.0
-            predictor = request.predictor
-            predicted = predictor._estimate
-            if predicted is not None:
-                error = predicted - value
-                label = request.committed_label or request.kind
-                accumulator = self.class_errors.get(label)
-                if accumulator is None:
-                    accumulator = self.class_errors[label] = _ClassErrors()
-                accumulator.add(error, instructions)
-                if self.registry is not None:
-                    self._h_pred_error.observe(abs(error), weight=instructions)
-            predictor.observe(value, instructions)
+        # Stage 2: per-period vaEWMA prediction of CPI, scored one step
+        # ahead (the floor above keeps instructions positive).
+        value = cycles / instructions
+        predictor = request.predictor
+        predicted = predictor._estimate
+        if predicted is not None:
+            error = predicted - value
+            label = request.committed_label or request.kind
+            accumulator = self.class_errors.get(label)
+            if accumulator is None:
+                accumulator = self.class_errors[label] = _ClassErrors()
+            accumulator.add(error, instructions)
+            if self.registry is not None:
+                self._h_pred_error.observe(abs(error), weight=instructions)
+        predictor.observe(value, instructions)
 
         # Stages 1 + 3 run per completed fixed-instruction window.
         for window in request.windower.feed_counters(
@@ -465,6 +433,15 @@ class OnlinePipeline:
         request.windows += 1
         if registry is not None:
             self._c_windows.inc()
+        # The window's two fixed metrics: CPI (anomaly, attribution) and
+        # L2 references per instruction (identification, attribution; the
+        # identifier's IDENTIFY_METRIC, which its signatures are built of).
+        instructions = window[0]
+        if instructions > 0:
+            cpi = window[1] / instructions
+            refs_per_ins = window[2] / instructions
+        else:
+            cpi = refs_per_ins = 0.0
 
         # Stage 1: incremental identification until committed.  The
         # per-signature prefix distance grows with the pattern — one
@@ -480,11 +457,8 @@ class OnlinePipeline:
             rows, penalty = rows_penalty
             pattern = request.pattern
             appended = False
-            if len(pattern) < config.max_windows:
-                num_index, den_index = self._identify_metric
-                den = window[den_index]
-                value = window[num_index] / den if den > 0 else 0.0
-                pattern.append(value)
+            if len(pattern) < MAX_WINDOWS:
+                pattern.append(refs_per_ins)
                 appended = True
             dists = request.ident_dists
             sweeper = self._sweeper
@@ -494,7 +468,7 @@ class OnlinePipeline:
                 if dists is None:
                     dists = request.ident_dists = sweeper.start(pattern)
                 elif appended:
-                    sweeper.extend(dists, len(pattern) - 1, value)
+                    sweeper.extend(dists, len(pattern) - 1, refs_per_ins)
                 best = int(np.argmin(dists))
             else:
                 if dists is None:
@@ -517,7 +491,7 @@ class OnlinePipeline:
                     w = len(pattern) - 1
                     for index, (values, length, _) in enumerate(rows):
                         if w < length:
-                            d = value - values[w]
+                            d = refs_per_ins - values[w]
                             dists[index] += d if d >= 0.0 else -d
                         else:
                             dists[index] += penalty
@@ -533,7 +507,7 @@ class OnlinePipeline:
             else:
                 request.streak_label = label
                 request.streak = 1
-            if request.streak >= config.commit_streak:
+            if request.streak >= COMMIT_STREAK:
                 request.committed_label = label
                 request.commit_windows = request.windows
                 # The running distances only serve the commit decision.
@@ -545,15 +519,12 @@ class OnlinePipeline:
                     )
 
         # Stage 3: streaming centroid-deviation anomaly detection.  The
-        # window is scored against the kind's pre-existing population,
-        # then joins it as evidence.
-        num_index, den_index = self._anomaly_metric
-        den = window[den_index]
-        value = window[num_index] / den if den > 0 else 0.0
+        # window's CPI is scored against the kind's pre-existing
+        # population, then joins it as evidence.
         centroid = request.centroid
         if centroid is None:
             centroid = request.centroid = self.centroids.group(request.kind)
-        deviation = centroid.observe(window_index, value)
+        deviation = centroid.observe(window_index, cpi)
         if deviation is not None:
             request.dist_sum += deviation
             request.dist_windows += 1
@@ -568,14 +539,11 @@ class OnlinePipeline:
                 request.quantile = quantile
             if (
                 not request.flagged
-                and quantile.count >= config.anomaly_warmup
-                and request.dist_windows >= config.anomaly_min_windows
+                and quantile.count >= ANOMALY_WARMUP
+                and request.dist_windows >= ANOMALY_MIN_WINDOWS
             ):
                 threshold = quantile.estimate()
-                if (
-                    threshold is not None
-                    and score > threshold * config.anomaly_margin
-                ):
+                if threshold is not None and score > threshold:
                     request.flagged = True
                     request.flag_windows = request.windows
                     request.flag_score = score
@@ -591,15 +559,12 @@ class OnlinePipeline:
         # learn from traffic still believed healthy.
         attributor = self.attributor
         if attributor is not None:
-            instructions = window[0]
             l2_refs = window[2]
-            cpi = window[1] / instructions if instructions > 0 else 0.0
-            refs_per_ins = window[2] / instructions if instructions > 0 else 0.0
             miss_ratio = window[3] / l2_refs if l2_refs > 0 else 0.0
             features = request.feature_windows
             if features is None:
                 features = request.feature_windows = []
-            if len(features) < config.max_windows:
+            if len(features) < MAX_WINDOWS:
                 features.append([cpi, refs_per_ins, miss_ratio])
             if not request.flagged:
                 baselines = request.baselines
@@ -711,7 +676,9 @@ class OnlinePipeline:
             for key, errors in state["class_errors"].items()
         }
         pipeline.open = {
-            request_state["request_id"]: _OpenRequest.from_state(request_state)
+            request_state["request_id"]: _OpenRequest.from_state(
+                request_state, config.window_instructions
+            )
             for request_state in state["open"]
         }
         pipeline.records = list(state["records"])
@@ -734,28 +701,26 @@ def train_identifier(
     workload,
     num_requests: int = 30,
     seed: int = 9001,
-    metric: str = "l2_refs_per_ins",
     window_instructions: float = 100_000.0,
-    sampling=None,
-    concurrency: int = 8,
 ) -> OnlineIdentifier:
     """Fit an :class:`OnlineIdentifier` from a clean calibration run.
 
-    The signature bank must be built from *unperturbed* traffic, so pass
-    the underlying workload (not a fault-injecting wrapper).
+    The run samples on the workload's interrupt period with up to 8
+    clients.  The signature bank must be built from *unperturbed*
+    traffic, so pass the underlying workload (not a fault-injecting
+    wrapper).
     """
     from repro.kernel.sampling import SamplingPolicy
     from repro.kernel.simulator import ServerSimulator, SimConfig
 
     config = SimConfig(
-        sampling=sampling
-        or SamplingPolicy.interrupt(workload.sampling_period_us),
+        sampling=SamplingPolicy.interrupt(workload.sampling_period_us),
         num_requests=num_requests,
-        concurrency=min(concurrency, num_requests),
+        concurrency=min(8, num_requests),
         seed=seed,
     )
     result = ServerSimulator(workload, config).run()
     identifier = OnlineIdentifier(
-        metric=metric, window_instructions=window_instructions, seed=seed
+        window_instructions=window_instructions, seed=seed
     )
     return identifier.fit(result.traces)

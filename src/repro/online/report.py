@@ -14,11 +14,11 @@ checkpoint/restore tests compare.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.analysis.report import format_table
-from repro.online.attribution import score_detection
+from repro.online.attribution import score_attribution, score_detection
 
 
 def _median(values: List[float]) -> Optional[float]:
@@ -122,14 +122,24 @@ def _share(value) -> str:
     return "n/a" if value is None else f"{value:.3f}"
 
 
-def build_report(pipeline) -> DetectionReport:
-    """Fold an :class:`~repro.online.pipeline.OnlinePipeline`'s completed
-    records into a scored :class:`DetectionReport`."""
-    records = pipeline.records
-    flagged = [r["request_id"] for r in records if r["flagged"]]
-    injected = [
-        r["request_id"] for r in records if r["injected_fault"] is not None
-    ]
+def score_records(
+    records: List[Dict],
+    key: Callable[[Dict], Hashable],
+    class_errors: Dict[str, Dict],
+    attribute: bool,
+) -> Tuple[Dict, List[Dict], Optional[Dict]]:
+    """Score completed records; the scoring a pipeline's report and a
+    fleet's merged report share.
+
+    ``key`` names each record for detection scoring (its request id in
+    one pipeline; ``(instance, request_id)`` across a fleet, where ids
+    restart per instance).  ``class_errors`` maps each prediction class
+    to its ``abs_sum``, ``sq_sum`` and ``weight``.  Returns the scored
+    summary fields, the per-class rows, and the attribution section
+    (``None`` unless ``attribute``).
+    """
+    flagged = [key(r) for r in records if r["flagged"]]
+    injected = [key(r) for r in records if r["injected_fault"] is not None]
     detection = score_detection(flagged, injected, population=len(records))
 
     true_positive_ttds = [
@@ -143,9 +153,18 @@ def build_report(pipeline) -> DetectionReport:
     commit_ins = [float(r["commit_instructions"]) for r in commits]
     correct = [r for r in commits if r["label_correct"]]
 
+    # Sum in sorted-label order: a restored pipeline rebuilds its class
+    # dict in sorted order, a fleet merges shards in sorted order, and
+    # float addition must round identically on every side for the
+    # byte-identity contract.
     per_class = []
-    for label in sorted(pipeline.class_errors):
-        errors = pipeline.class_errors[label]
+    total_abs = total_sq = total_weight = 0.0
+    for label in sorted(class_errors):
+        errors = class_errors[label]
+        weight = errors["weight"]
+        total_abs += errors["abs_sum"]
+        total_sq += errors["sq_sum"]
+        total_weight += weight
         per_class.append(
             {
                 "class": label,
@@ -154,21 +173,16 @@ def build_report(pipeline) -> DetectionReport:
                     for r in records
                     if (r["committed_label"] or r["kind"]) == label
                 ),
-                "prediction_rms_error": errors.rms(),
-                "prediction_mean_abs_error": errors.mean_abs(),
+                "prediction_rms_error": (
+                    (errors["sq_sum"] / weight) ** 0.5 if weight > 0 else None
+                ),
+                "prediction_mean_abs_error": (
+                    errors["abs_sum"] / weight if weight > 0 else None
+                ),
             }
         )
-    # Sum in sorted-label order: a restored pipeline rebuilds this dict in
-    # sorted order, and float addition must round identically on both
-    # sides for the byte-identity contract.
-    labels = sorted(pipeline.class_errors)
-    total_sq = sum(pipeline.class_errors[label].sq_sum for label in labels)
-    total_abs = sum(pipeline.class_errors[label].abs_sum for label in labels)
-    total_weight = sum(pipeline.class_errors[label].weight for label in labels)
 
-    summary = {
-        "workload": pipeline.workload_name,
-        "seed": pipeline.seed,
+    scores = {
         "population": detection["population"],
         "injected": detection["injected"],
         "flagged": detection["flagged"],
@@ -176,9 +190,7 @@ def build_report(pipeline) -> DetectionReport:
         "recall": detection["recall"],
         "median_time_to_detect_instructions": _median(true_positive_ttds),
         "committed": len(commits),
-        "label_accuracy": (
-            len(correct) / len(commits) if commits else None
-        ),
+        "label_accuracy": len(correct) / len(commits) if commits else None,
         "median_commit_instructions": _median(commit_ins),
         "prediction_rms_error": (
             (total_sq / total_weight) ** 0.5 if total_weight > 0 else None
@@ -186,16 +198,32 @@ def build_report(pipeline) -> DetectionReport:
         "prediction_mean_abs_error": (
             total_abs / total_weight if total_weight > 0 else None
         ),
+    }
+    attribution = score_attribution(records) if attribute else None
+    return scores, per_class, attribution
+
+
+def build_report(pipeline) -> DetectionReport:
+    """Fold an :class:`~repro.online.pipeline.OnlinePipeline`'s completed
+    records into a scored :class:`DetectionReport`."""
+    records = pipeline.records
+    scores, per_class, attribution = score_records(
+        records,
+        key=lambda record: record["request_id"],
+        class_errors={
+            label: asdict(errors)
+            for label, errors in pipeline.class_errors.items()
+        },
+        attribute=pipeline.attributor is not None,
+    )
+    summary = {
+        "workload": pipeline.workload_name,
+        "seed": pipeline.seed,
+        **scores,
         "events": pipeline.events_seen,
         "periods": pipeline.periods_seen,
         "windows": pipeline.windows_seen,
     }
-    attribution = None
-    if getattr(pipeline, "attributor", None) is not None:
-        from repro.online.attribution import score_attribution
-
-        attribution = score_attribution(records)
-
     return DetectionReport(
         summary=summary,
         per_class=per_class,

@@ -9,27 +9,18 @@ each period's counters are apportioned linearly over the instruction span
 it covers, and a full window is emitted every ``window_instructions``
 retired instructions.
 
-The hot path (:meth:`IncrementalWindower.feed_counters`) works on four bare
-floats and emits ``(instructions, cycles, l2_refs, l2_misses)`` tuples —
-the pipeline consumes thousands of periods per run and per-period dict
-construction was a measurable share of its overhead.  :meth:`feed` wraps
-the same arithmetic in the dict vocabulary for callers that prefer it.
+:meth:`IncrementalWindower.feed_counters` works on four bare floats and
+emits ``(instructions, cycles, l2_refs, l2_misses)`` tuples — the
+pipeline consumes thousands of periods per run and per-period dict
+construction was a measurable share of its overhead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: Counter fields carried through the windower, in canonical order.
 COUNTER_FIELDS = ("instructions", "cycles", "l2_refs", "l2_misses")
-
-#: ``metric name -> (numerator, denominator)`` indices into a counter tuple.
-METRIC_INDICES = {
-    "cpi": (1, 0),
-    "l2_refs_per_ins": (2, 0),
-    "l2_miss_per_ins": (3, 0),
-    "l2_miss_ratio": (3, 2),
-}
 
 #: One emitted window: counter sums in :data:`COUNTER_FIELDS` order.
 Window = Tuple[float, float, float, float]
@@ -37,21 +28,6 @@ Window = Tuple[float, float, float, float]
 #: Shared empty result: most periods complete no window, and allocating a
 #: fresh list for each of those was a measurable share of streaming cost.
 _NO_WINDOWS: List[Window] = []
-
-
-def window_metric(window: Dict[str, float], metric: str) -> float:
-    """One window's metric value from its counter sums.
-
-    Mirrors :data:`repro.kernel.tracker.METRICS`; a zero denominator
-    yields 0.0 (the same convention as ``RequestTrace.series``).
-    """
-    try:
-        num_index, den_index = METRIC_INDICES[metric]
-    except KeyError:
-        raise ValueError(f"unknown metric {metric!r}") from None
-    num = window[COUNTER_FIELDS[num_index]]
-    den = window[COUNTER_FIELDS[den_index]]
-    return num / den if den > 0 else 0.0
 
 
 class IncrementalWindower:
@@ -114,18 +90,6 @@ class IncrementalWindower:
         self._fill = fill
         return _NO_WINDOWS if completed is None else completed
 
-    def feed(self, counters: Dict[str, float]) -> List[Dict[str, float]]:
-        """Dict-vocabulary wrapper around :meth:`feed_counters`."""
-        return [
-            dict(zip(COUNTER_FIELDS, window))
-            for window in self.feed_counters(
-                float(counters["instructions"]),
-                float(counters["cycles"]),
-                float(counters["l2_refs"]),
-                float(counters["l2_misses"]),
-            )
-        ]
-
     def flush_counters(self) -> List[Window]:
         """Emit the trailing partial window if it is the request's only one.
 
@@ -140,13 +104,6 @@ class IncrementalWindower:
             self._carry = [0.0, 0.0, 0.0, 0.0]
             return [window]
         return []
-
-    def flush(self) -> List[Dict[str, float]]:
-        """Dict-vocabulary wrapper around :meth:`flush_counters`."""
-        return [
-            dict(zip(COUNTER_FIELDS, window))
-            for window in self.flush_counters()
-        ]
 
     # -- checkpointing ---------------------------------------------------
 

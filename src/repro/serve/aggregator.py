@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
-from repro.online.attribution import score_detection
-from repro.online.report import _median, _share
+from repro.online.report import _fmt, _share, score_records
 
 #: What each shard worker writes / reports over the control socket.
 #: Defined here (not in worker.py) so importing the package does not
@@ -159,12 +158,6 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "n/a"
-    return f"{value:.4g}"
-
-
 def merge_worker_reports(documents: List[dict]) -> FleetReport:
     """Merge validated worker reports into one :class:`FleetReport`.
 
@@ -247,85 +240,20 @@ def merge_worker_reports(documents: List[dict]) -> FleetReport:
         )
 
     # Request ids restart per instance; score on fleet-unique keys.
-    flagged_keys = [
-        (r["instance"], r["request_id"]) for r in requests if r["flagged"]
-    ]
-    injected_keys = [
-        (r["instance"], r["request_id"])
-        for r in requests
-        if r["injected_fault"] is not None
-    ]
-    detection = score_detection(
-        flagged_keys, injected_keys, population=len(requests)
+    scores, per_class, attribution = score_records(
+        requests,
+        key=lambda record: (record["instance"], record["request_id"]),
+        class_errors=class_sums,
+        attribute=any("attributed_cause" in record for record in requests),
     )
-    true_positive_ttds = [
-        float(r["time_to_detect_instructions"])
-        for r in requests
-        if r["flagged"]
-        and r["injected_fault"] is not None
-        and r["time_to_detect_instructions"] is not None
-    ]
-    commits = [r for r in requests if r["committed_label"] is not None]
-    correct = [r for r in commits if r["label_correct"]]
-
-    per_class = []
-    total_abs = total_sq = total_weight = 0.0
-    for label in sorted(class_sums):
-        sums = class_sums[label]
-        total_abs += sums["abs_sum"]
-        total_sq += sums["sq_sum"]
-        total_weight += sums["weight"]
-        per_class.append(
-            {
-                "class": label,
-                "requests": sum(
-                    1
-                    for r in requests
-                    if (r["committed_label"] or r["kind"]) == label
-                ),
-                "prediction_rms_error": (
-                    (sums["sq_sum"] / sums["weight"]) ** 0.5
-                    if sums["weight"] > 0
-                    else None
-                ),
-                "prediction_mean_abs_error": (
-                    sums["abs_sum"] / sums["weight"]
-                    if sums["weight"] > 0
-                    else None
-                ),
-            }
-        )
-
     summary = {
         "workers": len(by_shard),
         "instances": len(instance_rows),
-        "population": detection["population"],
-        "injected": detection["injected"],
-        "flagged": detection["flagged"],
-        "precision": detection["precision"],
-        "recall": detection["recall"],
-        "median_time_to_detect_instructions": _median(true_positive_ttds),
-        "committed": len(commits),
-        "label_accuracy": len(correct) / len(commits) if commits else None,
-        "median_commit_instructions": _median(
-            [float(r["commit_instructions"]) for r in commits]
-        ),
-        "prediction_rms_error": (
-            (total_sq / total_weight) ** 0.5 if total_weight > 0 else None
-        ),
-        "prediction_mean_abs_error": (
-            total_abs / total_weight if total_weight > 0 else None
-        ),
+        **scores,
         "events": events,
         "periods": periods,
         "windows": windows,
     }
-    attribution = None
-    if any("attributed_cause" in record for record in requests):
-        from repro.online.attribution import score_attribution
-
-        attribution = score_attribution(requests)
-
     return FleetReport(
         summary=summary,
         per_worker=per_worker,

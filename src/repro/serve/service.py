@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.online.pipeline import OnlineConfig
 from repro.serve.aggregator import FleetReport, merge_worker_reports
 from repro.serve.instance import (
     InstanceClient,
@@ -62,6 +63,12 @@ class PoolConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # A setting no worker pipeline accepts fails here, before any
+        # worker process starts.
+        OnlineConfig(
+            window_instructions=self.window_instructions,
+            anomaly_quantile=self.anomaly_quantile,
+        )
 
     @property
     def shards(self) -> List[str]:

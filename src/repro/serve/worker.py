@@ -11,7 +11,7 @@ matter how connections from different instances interleave.
 
 Durability: every ``checkpoint_every`` processed events the worker
 writes the instance pipeline's full state as a ``repro-online-checkpoint``
-v1 document (atomic temp + rename, so a SIGKILL mid-write can never leave
+document (atomic temp + rename, so a SIGKILL mid-write can never leave
 a truncated file) and tells the instance the covered sequence number; the
 instance then trims its retained replay tail.  A restarted worker loads
 the checkpoints, rewrites its decision logs from the restored records,
@@ -45,7 +45,11 @@ from repro.online.checkpoint import (
     checkpoint_to_json,
     load_checkpoint,
 )
-from repro.online.pipeline import OnlineConfig, OnlinePipeline
+from repro.online.pipeline import (
+    OnlineConfig,
+    OnlinePipeline,
+    check_identifier_window,
+)
 from repro.serve.aggregator import WORKER_REPORT_FORMAT, WORKER_REPORT_VERSION
 from repro.serve.protocol import (
     PROTOCOL_FORMAT,
@@ -57,7 +61,7 @@ from repro.serve.protocol import (
 )
 
 BANK_FORMAT = "repro-serve-bank"
-BANK_VERSION = 1
+BANK_VERSION = 2
 
 
 def save_bank(identifier: OnlineIdentifier, path: str) -> None:
@@ -73,6 +77,8 @@ def save_bank(identifier: OnlineIdentifier, path: str) -> None:
 
 
 def load_bank(path: str) -> OnlineIdentifier:
+    """Read a bank file; a damaged one raises :class:`ValueError` naming
+    the path and the bad field."""
     with open(path) as fh:
         text = fh.read()
     try:
@@ -85,7 +91,13 @@ def load_bank(path: str) -> OnlineIdentifier:
         raise ValueError(
             f"{path}: unsupported bank version {payload.get('version')!r}"
         )
-    return OnlineIdentifier.from_state(payload["identifier"])
+    state = payload.get("identifier")
+    if not isinstance(state, dict):
+        raise ValueError(f"{path}: bank file has no identifier object")
+    try:
+        return OnlineIdentifier.from_state(state)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
 
 
 @dataclass
@@ -130,10 +142,19 @@ class ShardWorker:
 
     def __init__(self, config: WorkerConfig):
         self.config = config
-        self.instances: Dict[int, _InstanceState] = {}
+        # One pipeline config and bank for every instance, checked before
+        # the worker listens: a setting no pipeline accepts fails here,
+        # not on each instance connection.
+        self.online_config = OnlineConfig(
+            window_instructions=config.window_instructions,
+            anomaly_quantile=config.anomaly_quantile,
+            attribute=config.attribute,
+        )
         self.identifier = (
             load_bank(config.bank_path) if config.bank_path else None
         )
+        check_identifier_window(self.online_config, self.identifier)
+        self.instances: Dict[int, _InstanceState] = {}
         self.frames_received = 0
         self.events_received = 0
         self.checkpoints_written = 0
@@ -211,13 +232,10 @@ class ShardWorker:
     def _state_for(self, instance: int) -> _InstanceState:
         state = self.instances.get(instance)
         if state is None:
-            config = OnlineConfig(
-                window_instructions=self.config.window_instructions,
-                anomaly_quantile=self.config.anomaly_quantile,
-                attribute=self.config.attribute,
-            )
             state = _InstanceState(
-                OnlinePipeline(config=config, identifier=self.identifier)
+                OnlinePipeline(
+                    config=self.online_config, identifier=self.identifier
+                )
             )
             self.instances[instance] = state
         return state

@@ -226,7 +226,8 @@ def _cells():
         },
     )
     cells["traffic-legacy-rate"] = Cell(
-        "mbench_data", lambda: {"arrival_rate_per_s": 5_000.0}
+        "mbench_data",
+        lambda: {"traffic": TrafficConfig(arrivals=PoissonArrivals(5_000.0))},
     )
     # 4: resched events, cross-machine hand-offs, the high-usage timeline.
     cells["sched-contention-easing"] = Cell(

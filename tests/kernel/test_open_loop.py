@@ -5,6 +5,7 @@ import pytest
 
 from repro.kernel.sampling import SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
+from repro.traffic import PoissonArrivals, TrafficConfig
 from repro.workloads.registry import make_workload
 
 
@@ -13,7 +14,7 @@ def open_loop_run(rate, num_requests=40, seed=1, app="tpcc"):
         sampling=SamplingPolicy.interrupt(100.0),
         num_requests=num_requests,
         seed=seed,
-        arrival_rate_per_s=rate,
+        traffic=TrafficConfig(arrivals=PoissonArrivals(rate)),
     )
     return ServerSimulator(make_workload(app), config).run()
 

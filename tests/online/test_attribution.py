@@ -17,6 +17,7 @@ from repro.faults.taxonomy import FAULT_TAXONOMY
 from repro.kernel.sampling import SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.obs.trace import TraceCollector
+from repro.online import attribution
 from repro.online.attribution import (
     ATTRIBUTION_UNKNOWN,
     AttributionThresholds,
@@ -161,11 +162,14 @@ class TestClassifyGuards:
         f = features(w3=(2.5, 0.1, 0.05))
         assert a.classify("rare", f) == "gc_pause"
 
-    def test_custom_thresholds_change_the_verdict(self):
-        strict = CauseAttributor(
-            AttributionThresholds(gc_min_elevation=10.0, gc_refs_ratio=0.01)
+    def test_custom_thresholds_change_the_verdict(self, monkeypatch):
+        """The pinned gates decide: patch them and the verdict follows."""
+        monkeypatch.setattr(
+            attribution,
+            "THRESHOLDS",
+            AttributionThresholds(gc_min_elevation=10.0, gc_refs_ratio=0.01),
         )
-        warm(strict)
+        strict = warm(CauseAttributor())
         f = features(w3=(2.5, 0.1, 0.05))
         # The collapse no longer clears the gc gate; depressed refs with
         # elevated CPI falls through to the spin family.

@@ -107,10 +107,35 @@ class TestValidation:
         [("ewma_alpha", 1.5), ("max_windows", 0), ("centroid_max_windows", 0)],
     )
     def test_rejects_out_of_range_config(self, field, value):
-        """A config its stages would reject mid-stream fails the load."""
+        """A config the pipeline cannot honour fails the load: these former
+        settings are constants now, so a document that sets one is
+        refused by name rather than read as if it applied."""
         payload = json.loads(checkpoint_to_json(OnlinePipeline()))
         payload["state"]["config"][field] = value
         with pytest.raises(CheckpointError, match=field):
+            checkpoint_from_json(json.dumps(payload))
+
+    def test_rejects_version_one(self, trained_identifier):
+        """Version 1 carried the settings that are now constants; its
+        documents are refused, not read with the knobs dropped."""
+        payload = json.loads(
+            checkpoint_to_json(OnlinePipeline(identifier=trained_identifier))
+        )
+        assert CHECKPOINT_VERSION == 2
+        payload["version"] = 1
+        with pytest.raises(
+            CheckpointError, match="unsupported checkpoint version 1"
+        ):
+            checkpoint_from_json(json.dumps(payload))
+
+    def test_rejects_identifier_trained_at_another_window(
+        self, trained_identifier
+    ):
+        payload = json.loads(
+            checkpoint_to_json(OnlinePipeline(identifier=trained_identifier))
+        )
+        payload["state"]["config"]["window_instructions"] = 50_000.0
+        with pytest.raises(CheckpointError, match="window_instructions"):
             checkpoint_from_json(json.dumps(payload))
 
     def test_pipeline_without_identifier_round_trips(self):
@@ -143,7 +168,9 @@ class TestCorruptPayloads:
     def test_corrupt_state_payload_names_version(self):
         blob = json.loads(checkpoint_to_json(OnlinePipeline()))
         del blob["state"]["centroids"]  # would surface as a raw KeyError
-        with pytest.raises(CheckpointError, match="version 1"):
+        with pytest.raises(
+            CheckpointError, match=f"version {CHECKPOINT_VERSION}"
+        ):
             checkpoint_from_json(json.dumps(blob))
 
     def test_wrong_typed_state_payload(self):

@@ -3,58 +3,54 @@
 import numpy as np
 import pytest
 
-from repro.online.windows import COUNTER_FIELDS, IncrementalWindower, window_metric
+from repro.online.windows import IncrementalWindower
 
 
 def period(ins, cyc=0.0, refs=0.0, misses=0.0):
-    return {
-        "instructions": ins,
-        "cycles": cyc,
-        "l2_refs": refs,
-        "l2_misses": misses,
-    }
+    """One period's counters, in ``feed_counters`` argument order."""
+    return (ins, cyc, refs, misses)
 
 
 class TestWindower:
     def test_emits_on_exact_boundary(self):
         w = IncrementalWindower(100.0)
-        assert w.feed(period(100.0, cyc=200.0)) == [
-            {"instructions": 100.0, "cycles": 200.0, "l2_refs": 0.0, "l2_misses": 0.0}
+        assert w.feed_counters(*period(100.0, cyc=200.0)) == [
+            (100.0, 200.0, 0.0, 0.0)
         ]
         assert w.windows_emitted == 1
 
     def test_spreads_period_across_windows(self):
         w = IncrementalWindower(100.0)
-        out = w.feed(period(250.0, cyc=500.0))
+        out = w.feed_counters(*period(250.0, cyc=500.0))
         assert len(out) == 2
-        for win in out:
-            assert win["instructions"] == pytest.approx(100.0)
-            assert win["cycles"] == pytest.approx(200.0)
+        for instructions, cycles, _, _ in out:
+            assert instructions == pytest.approx(100.0)
+            assert cycles == pytest.approx(200.0)
         # 50 instructions remain in the open window.
         assert w.to_state()["fill"] == pytest.approx(50.0)
 
     def test_accumulates_small_periods(self):
         w = IncrementalWindower(100.0)
-        assert w.feed(period(60.0, refs=6.0)) == []
-        out = w.feed(period(60.0, refs=6.0))
+        assert w.feed_counters(*period(60.0, refs=6.0)) == []
+        out = w.feed_counters(*period(60.0, refs=6.0))
         assert len(out) == 1
-        assert out[0]["l2_refs"] == pytest.approx(6.0 + 6.0 * 40 / 60)
+        assert out[0][2] == pytest.approx(6.0 + 6.0 * 40 / 60)
 
     def test_zero_instruction_period_folds_activity(self):
         w = IncrementalWindower(100.0)
-        w.feed(period(0.0, cyc=50.0))
-        out = w.feed(period(100.0))
-        assert out[0]["cycles"] == pytest.approx(50.0)
+        w.feed_counters(*period(0.0, cyc=50.0))
+        out = w.feed_counters(*period(100.0))
+        assert out[0][1] == pytest.approx(50.0)
 
     def test_flush_only_when_no_window_emitted(self):
         short = IncrementalWindower(100.0)
-        short.feed(period(30.0, cyc=90.0))
-        assert short.flush()[0]["instructions"] == pytest.approx(30.0)
+        short.feed_counters(*period(30.0, cyc=90.0))
+        assert short.flush_counters()[0][0] == pytest.approx(30.0)
         # A request past one window drops its partial tail (offline
         # total // window convention).
         longer = IncrementalWindower(100.0)
-        longer.feed(period(130.0))
-        assert longer.flush() == []
+        longer.feed_counters(*period(130.0))
+        assert longer.flush_counters() == []
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
@@ -62,29 +58,11 @@ class TestWindower:
 
     def test_state_round_trip_mid_window(self):
         w = IncrementalWindower(100.0)
-        w.feed(period(70.0, cyc=99.0, refs=3.0))
+        w.feed_counters(*period(70.0, cyc=99.0, refs=3.0))
         restored = IncrementalWindower.from_state(w.to_state())
-        a = w.feed(period(60.0, cyc=120.0))
-        b = restored.feed(period(60.0, cyc=120.0))
+        a = w.feed_counters(*period(60.0, cyc=120.0))
+        b = restored.feed_counters(*period(60.0, cyc=120.0))
         assert a == b
-
-
-class TestWindowMetric:
-    def test_metrics(self):
-        win = {"instructions": 10.0, "cycles": 25.0, "l2_refs": 5.0, "l2_misses": 2.0}
-        assert window_metric(win, "cpi") == pytest.approx(2.5)
-        assert window_metric(win, "l2_refs_per_ins") == pytest.approx(0.5)
-        assert window_metric(win, "l2_miss_per_ins") == pytest.approx(0.2)
-        assert window_metric(win, "l2_miss_ratio") == pytest.approx(0.4)
-
-    def test_zero_denominator_is_zero(self):
-        win = {"instructions": 0.0, "cycles": 5.0, "l2_refs": 0.0, "l2_misses": 0.0}
-        assert window_metric(win, "cpi") == 0.0
-        assert window_metric(win, "l2_miss_ratio") == 0.0
-
-    def test_unknown_metric_raises(self):
-        with pytest.raises(ValueError):
-            window_metric({f: 1.0 for f in COUNTER_FIELDS}, "ipc")
 
 
 class TestOfflineParity:
@@ -97,17 +75,17 @@ class TestOfflineParity:
             online = []
             for i in range(trace.num_periods):
                 online.extend(
-                    w.feed(
-                        {
-                            "instructions": trace.instructions[i],
-                            "cycles": trace.cycles[i],
-                            "l2_refs": trace.l2_refs[i],
-                            "l2_misses": trace.l2_misses[i],
-                        }
+                    w.feed_counters(
+                        float(trace.instructions[i]),
+                        float(trace.cycles[i]),
+                        float(trace.l2_refs[i]),
+                        float(trace.l2_misses[i]),
                     )
                 )
-            online.extend(w.flush())
+            online.extend(w.flush_counters())
             offline = trace.series("cpi", window).values
             assert len(online) == offline.size
-            got = np.array([window_metric(win, "cpi") for win in online])
+            got = np.array(
+                [cycles / ins if ins > 0 else 0.0 for ins, cycles, _, _ in online]
+            )
             np.testing.assert_allclose(got, offline, rtol=1e-9, atol=1e-12)

@@ -60,28 +60,6 @@ class TestClosedLoopEquivalence:
         assert b.latency is not None
         assert b.latency.completed == 20
 
-    def test_legacy_rate_shorthand_matches_poisson_traffic(self):
-        legacy = SimConfig(num_requests=30, seed=3, arrival_rate_per_s=2000.0)
-        traffic = SimConfig(
-            num_requests=30,
-            seed=3,
-            traffic=TrafficConfig(arrivals=PoissonArrivals(2000.0)),
-        )
-        a = ServerSimulator(make_workload("tpcc"), legacy).run()
-        b = ServerSimulator(make_workload("tpcc"), traffic).run()
-        assert [t.arrival_cycle for t in a.traces] == [
-            t.arrival_cycle for t in b.traces
-        ]
-
-    def test_rate_and_traffic_are_mutually_exclusive(self):
-        config = SimConfig(
-            num_requests=10,
-            arrival_rate_per_s=100.0,
-            traffic=TrafficConfig(arrivals=PoissonArrivals(100.0)),
-        )
-        with pytest.raises(ValueError, match="not both"):
-            ServerSimulator(make_workload("tpcc"), config)
-
 
 class TestDispatchPolicies:
     def test_deterministic_per_policy(self):
