@@ -6,7 +6,7 @@ application instances stream canonical-JSONL obs events over asyncio
 sockets to a sharded pool of :class:`~repro.online.pipeline.OnlinePipeline`
 workers, routed by consistent hashing on request id, with credit-based
 backpressure, periodic worker checkpointing (the byte-identical
-``repro-online-checkpoint`` v1 format) and kill/failover, and an
+``repro-online-checkpoint`` format) and kill/failover, and an
 aggregation tier merging per-worker detection reports into a fleet-wide
 view.
 
