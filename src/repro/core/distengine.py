@@ -40,11 +40,11 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.jsondoc import atomic_write
 from repro.obs.profiling import profiled_stage
 from repro.parallel import ordered_map
 
@@ -167,18 +167,9 @@ class ContentCache:
     def save(self) -> None:
         if self.path is None or not self._dirty:
             return
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        payload = {"version": 1, "entries": self._entries}
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(
+            self.path, json.dumps({"version": 1, "entries": self._entries})
+        )
         self._dirty = False
 
 

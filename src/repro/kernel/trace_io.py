@@ -21,10 +21,12 @@ from typing import List
 
 import numpy as np
 
+from repro.jsondoc import canonical, read_document, read_jsonl
 from repro.kernel.tracker import PERIOD_FIELDS, RequestTrace
 from repro.workloads.base import RequestSpec, Stage
 from repro.workloads.util import phase as make_phase
 
+FORMAT = "repro-request-traces"
 FORMAT_VERSION = 1
 
 #: The serialized period columns: the row fields up to the two injected
@@ -144,7 +146,7 @@ def save_traces(traces: List[RequestTrace], path: str) -> None:
         save_traces_jsonl(traces, path)
         return
     document = {
-        "format": "repro-request-traces",
+        "format": FORMAT,
         "version": FORMAT_VERSION,
         "traces": [trace_to_dict(t) for t in traces],
     }
@@ -153,18 +155,24 @@ def save_traces(traces: List[RequestTrace], path: str) -> None:
 
 
 def load_traces(path: str) -> List[RequestTrace]:
-    """Read traces back from a JSON (or ``.jsonl``) file."""
+    """Read traces back from a JSON (or ``.jsonl``) file; a damaged one
+    raises :class:`ValueError` naming the path and the trace index."""
     if path.endswith(".jsonl"):
         return load_traces_jsonl(path)
     with open(path) as fh:
-        document = json.load(fh)
-    if document.get("format") != "repro-request-traces":
-        raise ValueError(f"{path}: not a repro trace file")
-    if document.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported version {document.get('version')}"
-        )
-    return [trace_from_dict(d) for d in document["traces"]]
+        document = read_document(fh.read(), FORMAT, FORMAT_VERSION, path)
+    records = document.get("traces")
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: 'traces' is not a list")
+    traces = []
+    for index, record in enumerate(records):
+        try:
+            traces.append(trace_from_dict(record))
+        except KeyError as error:
+            raise ValueError(f"{path}, trace {index}: missing field {error}") from None
+        except (ValueError, TypeError) as error:
+            raise ValueError(f"{path}, trace {index}: {error}") from None
+    return traces
 
 
 def traces_to_jsonl(traces: List[RequestTrace]) -> str:
@@ -175,65 +183,27 @@ def traces_to_jsonl(traces: List[RequestTrace]) -> str:
     determinism golden tests hash-compare.
     """
     lines = [
-        json.dumps(
-            {
-                "format": "repro-request-traces",
-                "version": FORMAT_VERSION,
-                "traces": len(traces),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        canonical(
+            {"format": FORMAT, "version": FORMAT_VERSION, "traces": len(traces)}
         )
     ]
-    lines.extend(
-        json.dumps(trace_to_dict(t), sort_keys=True, separators=(",", ":"))
-        for t in traces
-    )
+    lines.extend(canonical(trace_to_dict(t)) for t in traces)
     return "\n".join(lines) + "\n"
 
 
-def parse_traces_jsonl(text: str) -> List[RequestTrace]:
+def parse_traces_jsonl(text: str, where: str = "trace stream") -> List[RequestTrace]:
     """Parse JSONL text produced by :func:`traces_to_jsonl`.
 
-    Raises :class:`ValueError` (with the offending line number) on a
-    foreign header, unsupported version, malformed lines, or a count
-    mismatch.
+    Raises :class:`ValueError` naming ``where`` (and the line) on a
+    foreign header, unsupported version, malformed or damaged trace, or
+    a count mismatch.
     """
-    # Number lines before blank filtering so errors point at the real
-    # file position (blank separators must not renumber what follows).
-    numbered = [
-        (number, line)
-        for number, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    if not numbered:
-        raise ValueError("empty trace stream")
-    header_number, header_line = numbered[0]
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as error:
-        raise ValueError(
-            f"line {header_number}: malformed trace header: {error}"
-        ) from None
-    if not isinstance(header, dict) or header.get("format") != "repro-request-traces":
-        raise ValueError("not a repro trace stream")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported version {header.get('version')}")
     traces = []
-    for number, line in numbered[1:]:
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"line {number}: malformed trace: {error}") from None
-        try:
-            traces.append(trace_from_dict(payload))
-        except (ValueError, KeyError, TypeError) as error:
-            raise ValueError(f"line {number}: {error}") from None
-    declared = header.get("traces")
-    if declared is not None and declared != len(traces):
-        raise ValueError(
-            f"header declares {declared} traces, stream has {len(traces)}"
-        )
+    read_jsonl(
+        text, FORMAT, FORMAT_VERSION, where,
+        lambda payload: traces.append(trace_from_dict(payload)),
+        count="traces",
+    )
     return traces
 
 
@@ -244,4 +214,4 @@ def save_traces_jsonl(traces: List[RequestTrace], path: str) -> None:
 
 def load_traces_jsonl(path: str) -> List[RequestTrace]:
     with open(path) as fh:
-        return parse_traces_jsonl(fh.read())
+        return parse_traces_jsonl(fh.read(), where=path)

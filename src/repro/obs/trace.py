@@ -24,10 +24,11 @@ Design constraints, in priority order:
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
+
+from repro.jsondoc import canonical, read_jsonl
 
 FORMAT = "repro-obs-events"
 FORMAT_VERSION = 1
@@ -324,10 +325,6 @@ NULL_COLLECTOR = NullCollector()
 
 # -- JSONL export / import ---------------------------------------------
 
-def _dump_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def events_to_jsonl(
     events: Iterable[ObsEvent], dropped: int = 0
 ) -> str:
@@ -339,7 +336,7 @@ def events_to_jsonl(
     """
     events = list(events)
     lines = [
-        _dump_line(
+        canonical(
             {
                 "format": FORMAT,
                 "version": FORMAT_VERSION,
@@ -348,7 +345,7 @@ def events_to_jsonl(
             }
         )
     ]
-    lines.extend(_dump_line(e.to_dict()) for e in events)
+    lines.extend(canonical(e.to_dict()) for e in events)
     return "\n".join(lines) + "\n"
 
 
@@ -358,54 +355,27 @@ def save_events(collector: TraceCollector, path: str) -> None:
         fh.write(events_to_jsonl(collector.events, dropped=collector.dropped))
 
 
-def parse_events_jsonl(text: str):
+def parse_events_jsonl(text: str, where: str = "obs event stream"):
     """Parse JSONL text back into ``(events, dropped)``.
 
     ``dropped`` is the header's drop counter, returned so export →
-    import → re-export is lossless.  Raises :class:`ValueError` on a
-    missing/foreign header, unsupported version, malformed lines, or an
-    event-count mismatch — corruption must fail loudly.
+    import → re-export is lossless.  Raises :class:`ValueError` naming
+    ``where`` (and the line) on a missing/foreign header, unsupported
+    version, malformed or damaged event, or an event-count mismatch.
     """
-    # Keep the original line numbers through blank-line filtering: the
-    # online service replays tails from these files, and "line 7041" must
-    # mean line 7041 of the file, not of the non-blank subsequence.
-    numbered = [
-        (number, line)
-        for number, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    if not numbered:
-        raise ValueError("empty obs event stream")
-    header_number, header_line = numbered[0]
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as error:
-        raise ValueError(
-            f"line {header_number}: malformed obs header: {error}"
-        ) from None
-    if not isinstance(header, dict) or header.get("format") != FORMAT:
-        raise ValueError("not a repro obs event stream")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported obs version {header.get('version')}")
     events = []
-    for number, line in numbered[1:]:
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"line {number}: malformed event: {error}") from None
-        try:
-            events.append(ObsEvent.from_dict(payload))
-        except (ValueError, TypeError) as error:
-            raise ValueError(f"line {number}: {error}") from None
-    declared = header.get("events")
-    if declared is not None and declared != len(events):
-        raise ValueError(
-            f"header declares {declared} events, stream has {len(events)}"
-        )
-    return events, int(header.get("dropped", 0))
+    header = read_jsonl(
+        text, FORMAT, FORMAT_VERSION, where,
+        lambda payload: events.append(ObsEvent.from_dict(payload)),
+        count="events",
+    )
+    dropped = header.get("dropped", 0)
+    if type(dropped) is not int:
+        raise ValueError(f"{where}: header 'dropped' is {dropped!r}, not an int")
+    return events, dropped
 
 
 def load_events(path: str):
     """Read an obs JSONL file back into ``(events, dropped)``."""
     with open(path) as fh:
-        return parse_events_jsonl(fh.read())
+        return parse_events_jsonl(fh.read(), where=path)

@@ -20,8 +20,7 @@ future document fails loudly.
 
 from __future__ import annotations
 
-import json
-
+from repro.jsondoc import canonical, read_document
 from repro.online.pipeline import OnlinePipeline
 
 CHECKPOINT_FORMAT = "repro-online-checkpoint"
@@ -46,34 +45,24 @@ def checkpoint_to_json(pipeline: OnlinePipeline) -> str:
         "version": CHECKPOINT_VERSION,
         "state": pipeline.to_state(),
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical(payload)
 
 
-def checkpoint_from_json(text: str, registry=None) -> OnlinePipeline:
+def checkpoint_from_json(
+    text: str, registry=None, where: str = "checkpoint"
+) -> OnlinePipeline:
     """Rebuild a pipeline from checkpoint JSON (loud on bad input)."""
-    if not text.strip():
-        raise CheckpointError("empty checkpoint (truncated write?)")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise CheckpointError(
-            f"malformed checkpoint (truncated or corrupt): {error}"
-        ) from None
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError("not a repro online checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {payload.get('version')!r} "
-            f"(this build reads version {CHECKPOINT_VERSION})"
-        )
+    payload = read_document(
+        text, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, where, CheckpointError
+    )
     state = payload.get("state")
     if not isinstance(state, dict):
-        raise CheckpointError("checkpoint has no state object")
+        raise CheckpointError(f"{where}: checkpoint has no state object")
     try:
         return OnlinePipeline.from_state(state, registry=registry)
     except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise CheckpointError(
-            f"corrupt checkpoint state (version {CHECKPOINT_VERSION}): "
+            f"{where}: corrupt checkpoint state (version {CHECKPOINT_VERSION}): "
             f"{type(error).__name__}: {error}"
         ) from None
 
@@ -86,4 +75,4 @@ def save_checkpoint(pipeline: OnlinePipeline, path: str) -> None:
 
 def load_checkpoint(path: str, registry=None) -> OnlinePipeline:
     with open(path) as fh:
-        return checkpoint_from_json(fh.read(), registry=registry)
+        return checkpoint_from_json(fh.read(), registry=registry, where=path)

@@ -13,11 +13,11 @@ checkpoint/restore tests compare.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.analysis.report import format_table
+from repro.jsondoc import canonical
 from repro.online.attribution import score_attribution, score_detection
 
 
@@ -53,7 +53,7 @@ class DetectionReport:
         }
         if self.attribution is not None:
             payload["attribution"] = self.attribution
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canonical(payload)
 
     def render(self) -> str:
         """Human-readable report for the CLI."""

@@ -23,10 +23,10 @@ instance streams are exactly the bytes its JSONL export would hold.
 from __future__ import annotations
 
 import asyncio
-import json
 import struct
 from typing import List, Optional
 
+from repro.jsondoc import canonical, read_document
 from repro.obs.trace import ObsEvent
 
 PROTOCOL_FORMAT = "repro-serve-proto"
@@ -77,7 +77,7 @@ def encode_frame(payload: dict) -> bytes:
     frame_type = payload.get("type")
     if frame_type not in FRAME_TYPES:
         raise ProtocolError(f"cannot encode unknown frame type {frame_type!r}")
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    body = canonical(payload).encode()
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES "
@@ -88,12 +88,7 @@ def encode_frame(payload: dict) -> bytes:
 
 def decode_payload(body: bytes, where: str = "frame") -> dict:
     """Parse one frame payload (loud on malformed bytes)."""
-    try:
-        payload = json.loads(body)
-    except json.JSONDecodeError as error:
-        raise ProtocolError(f"{where}: malformed frame payload: {error}") from None
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"{where}: frame payload is not an object")
+    payload = read_document(body, None, None, where, ProtocolError)
     frame_type = payload.get("type")
     if frame_type not in FRAME_TYPES:
         raise ProtocolError(f"{where}: unknown frame type {frame_type!r}")
@@ -186,25 +181,17 @@ def hello(role: str, **fields) -> dict:
     }
 
 
-def check_version(payload: dict) -> dict:
+def check_version(payload: dict, where: str = "hello") -> dict:
     """Validate a hello/hello_ack's format + version fields (loud)."""
-    if payload.get("format") != PROTOCOL_FORMAT:
-        raise ProtocolError(
-            f"foreign protocol format {payload.get('format')!r} "
-            f"(this build speaks {PROTOCOL_FORMAT})"
-        )
-    if payload.get("version") != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {payload.get('version')!r} "
-            f"(this build speaks version {PROTOCOL_VERSION})"
-        )
-    return payload
+    return read_document(
+        payload, PROTOCOL_FORMAT, PROTOCOL_VERSION, where, ProtocolError
+    )
 
 
 async def client_handshake(stream: FrameStream, role: str, **fields) -> dict:
     """Send hello, await hello_ack; returns the validated ack payload."""
     await stream.write(hello(role, **fields))
-    return check_version(await stream.expect("hello_ack"))
+    return check_version(await stream.expect("hello_ack"), "hello_ack")
 
 
 async def server_handshake(stream: FrameStream, **ack_fields) -> dict:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import os
 import signal
 import sys
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.identification import OnlineIdentifier
-from repro.obs.trace import ObsEvent
+from repro.jsondoc import atomic_write, canonical, read_document
 from repro.online.checkpoint import (
     CheckpointError,
     checkpoint_to_json,
@@ -72,7 +71,7 @@ def save_bank(identifier: OnlineIdentifier, path: str) -> None:
         "identifier": identifier.to_state(),
     }
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        fh.write(canonical(payload))
         fh.write("\n")
 
 
@@ -80,17 +79,7 @@ def load_bank(path: str) -> OnlineIdentifier:
     """Read a bank file; a damaged one raises :class:`ValueError` naming
     the path and the bad field."""
     with open(path) as fh:
-        text = fh.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{path}: malformed bank file: {error}") from None
-    if not isinstance(payload, dict) or payload.get("format") != BANK_FORMAT:
-        raise ValueError(f"{path}: not a repro serve bank file")
-    if payload.get("version") != BANK_VERSION:
-        raise ValueError(
-            f"{path}: unsupported bank version {payload.get('version')!r}"
-        )
+        payload = read_document(fh.read(), BANK_FORMAT, BANK_VERSION, path)
     state = payload.get("identifier")
     if not isinstance(state, dict):
         raise ValueError(f"{path}: bank file has no identifier object")
@@ -208,12 +197,10 @@ class ShardWorker:
 
     def _write_checkpoint(self, instance: int, state: _InstanceState) -> int:
         """Atomically persist one instance pipeline; returns covered seq."""
-        path = self._checkpoint_path(instance)
-        temp = f"{path}.tmp"
-        with open(temp, "w") as fh:
-            fh.write(checkpoint_to_json(state.pipeline))
-            fh.write("\n")
-        os.replace(temp, path)
+        atomic_write(
+            self._checkpoint_path(instance),
+            checkpoint_to_json(state.pipeline) + "\n",
+        )
         self.checkpoints_written += 1
         state.events_since_checkpoint = 0
         return state.pipeline.last_seq
@@ -430,7 +417,7 @@ async def server_handshake_for(worker: ShardWorker, stream: FrameStream) -> dict
 
 
 def _record_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical(record) + "\n"
 
 
 # -- subprocess entry point ---------------------------------------------

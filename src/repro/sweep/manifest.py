@@ -16,13 +16,11 @@ leaves either the previous manifest or the new one, never a torn file.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.jsondoc import atomic_write, canonical, read_document
 from repro.sweep.scenario import validate_result_document
-from repro.sweep.spec import Scenario, SweepSpec, canonical_json
+from repro.sweep.spec import Scenario, SweepSpec
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -135,68 +133,53 @@ class SweepManifest:
 
     def to_json(self) -> str:
         """Canonical bytes: a pure function of the spec and what completed."""
-        return canonical_json(self.to_payload()) + "\n"
+        return canonical(self.to_payload()) + "\n"
 
     @classmethod
-    def from_payload(cls, payload) -> "SweepManifest":
-        if not isinstance(payload, dict):
-            raise ValueError(f"manifest must be a JSON object, got {payload!r}")
-        if payload.get("format") != MANIFEST_FORMAT:
-            raise ValueError(
-                f"not a {MANIFEST_FORMAT} document: format={payload.get('format')!r}"
-            )
-        if payload.get("version") != MANIFEST_VERSION:
-            raise ValueError(
-                f"unsupported {MANIFEST_FORMAT} version {payload.get('version')!r} "
-                f"(supported: {MANIFEST_VERSION})"
-            )
-        spec = SweepSpec.from_dict(payload.get("spec"))
+    def from_payload(cls, payload, where: str = "manifest") -> "SweepManifest":
+        """Rebuild a manifest; damage raises :class:`ValueError` naming
+        ``where`` and the bad field."""
+        payload = read_document(payload, MANIFEST_FORMAT, MANIFEST_VERSION, where)
+        try:
+            spec = SweepSpec.from_dict(payload.get("spec"))
+        except ValueError as error:
+            raise ValueError(f"{where}: embedded spec: {error}") from None
         if payload.get("spec_key") != spec.spec_key:
             raise ValueError(
-                "manifest spec_key does not match its embedded spec "
+                f"{where}: spec_key does not match its embedded spec "
                 "(corrupt or hand-edited manifest)"
             )
         order = payload.get("order")
         planned = [s.scenario_id for s in spec.expand()]
         if order != planned:
             raise ValueError(
-                "manifest scenario order does not match the spec's expansion "
+                f"{where}: scenario order does not match the spec's expansion "
                 "(corrupt manifest or incompatible planner)"
             )
         scenarios = payload.get("scenarios")
         if not isinstance(scenarios, dict) or sorted(scenarios) != sorted(order):
-            raise ValueError("manifest scenarios do not cover the planned order")
+            raise ValueError(f"{where}: scenarios do not cover the planned order")
         for sid, entry in scenarios.items():
             status = entry.get("status")
             if status not in _STATUSES:
-                raise ValueError(f"scenario {sid!r} has bad status {status!r}")
+                raise ValueError(
+                    f"{where}: scenario {sid!r} has bad status {status!r}"
+                )
             if status == STATUS_DONE:
-                validate_result_document(entry.get("result"), sid)
+                validate_result_document(
+                    entry.get("result"), sid, f"{where}: scenario {sid!r} result"
+                )
         return cls(spec, scenarios, order)
 
     @classmethod
-    def from_json(cls, text: str) -> "SweepManifest":
-        try:
-            payload = json.loads(text)
-        except ValueError as error:
-            raise ValueError(f"malformed manifest JSON: {error}") from None
-        return cls.from_payload(payload)
+    def from_json(cls, text: str, where: str = "manifest") -> "SweepManifest":
+        return cls.from_payload(read_document(text, None, None, where), where)
 
     def save(self, path: str) -> None:
         """Atomic write: readers see the old or the new manifest, never a tear."""
-        directory = os.path.dirname(path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(self.to_json())
-            os.replace(tmp, path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "SweepManifest":
         with open(path) as fh:
-            return cls.from_json(fh.read())
+            return cls.from_json(fh.read(), where=path)

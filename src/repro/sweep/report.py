@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
+from repro.jsondoc import canonical
 from repro.sweep.manifest import STATUS_DONE, SweepManifest
-from repro.sweep.spec import NO_FAULTS, canonical_json
+from repro.sweep.spec import NO_FAULTS
 
 __all__ = ["REPORT_FORMAT", "REPORT_VERSION", "SweepReport", "build_report"]
 
@@ -56,7 +57,7 @@ class SweepReport:
         # cause attribution, keeping detection-only report bytes pinned.
         if self.attribution_rows:
             payload["attribution"] = self.attribution_rows
-        return canonical_json(payload) + "\n"
+        return canonical(payload) + "\n"
 
     def render(self) -> str:
         """Human-readable ASCII report."""

@@ -21,6 +21,7 @@ from repro.hardware.platform import (
     cluster_machine,
     serial_machine,
 )
+from repro.jsondoc import canonical, read_document
 from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceCollector
@@ -34,7 +35,6 @@ from repro.online.report import build_report
 from repro.sweep.spec import (
     NO_FAULTS,
     Scenario,
-    canonical_json,
     parse_placement,
 )
 from repro.workloads.registry import make_faulted_workload, make_workload
@@ -193,25 +193,18 @@ def run_scenario(scenario: Scenario) -> Dict:
 
 def result_to_json(document: Dict) -> str:
     """Canonical serialization of a scenario result document."""
-    return canonical_json(document)
+    return canonical(document)
 
 
-def validate_result_document(document, scenario_id: Optional[str] = None) -> Dict:
-    """Loudly check a (cached or persisted) result document's envelope."""
-    if not isinstance(document, dict):
-        raise ValueError(f"scenario result must be an object, got {document!r}")
-    if document.get("format") != RESULT_FORMAT:
-        raise ValueError(
-            f"not a {RESULT_FORMAT} document: format={document.get('format')!r}"
-        )
-    if document.get("version") != RESULT_VERSION:
-        raise ValueError(
-            f"unsupported {RESULT_FORMAT} version {document.get('version')!r} "
-            f"(supported: {RESULT_VERSION})"
-        )
+def validate_result_document(
+    document, scenario_id: Optional[str] = None, where: str = "scenario result"
+) -> Dict:
+    """Loudly check a (cached or persisted) result document's envelope
+    (text or already decoded)."""
+    document = read_document(document, RESULT_FORMAT, RESULT_VERSION, where)
     if scenario_id is not None and document.get("scenario_id") != scenario_id:
         raise ValueError(
-            f"result document is for scenario {document.get('scenario_id')!r}, "
-            f"expected {scenario_id!r}"
+            f"{where}: result document is for scenario "
+            f"{document.get('scenario_id')!r}, expected {scenario_id!r}"
         )
     return document

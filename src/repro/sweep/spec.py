@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
+from repro.jsondoc import canonical, read_document
 from repro.workloads.registry import available_workloads
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "SINGLE_PLACEMENT",
     "Scenario",
     "SweepSpec",
-    "canonical_json",
     "content_key",
     "parse_placement",
 ]
@@ -54,14 +53,9 @@ SCENARIO_FORMAT = "repro-sweep-scenario"
 SCENARIO_VERSION = 1
 
 
-def canonical_json(payload) -> str:
-    """The repo-wide canonical serialization (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def content_key(payload) -> str:
     """Stable content hash of a JSON-serializable payload."""
-    digest = hashlib.blake2b(canonical_json(payload).encode(), digest_size=16)
+    digest = hashlib.blake2b(canonical(payload).encode(), digest_size=16)
     return digest.hexdigest()
 
 
@@ -425,8 +419,8 @@ class SweepSpec:
     @classmethod
     def from_json_file(cls, path: str) -> "SweepSpec":
         with open(path) as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as error:
-                raise ValueError(f"malformed sweep spec {path!r}: {error}") from None
-        return cls.from_dict(payload)
+            payload = read_document(fh.read(), None, None, path)
+        try:
+            return cls.from_dict(payload)
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None

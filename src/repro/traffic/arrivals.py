@@ -27,6 +27,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.jsondoc import read_jsonl
+
 __all__ = [
     "Arrival",
     "ArrivalProcess",
@@ -332,43 +334,30 @@ def save_schedule(entries: List[Tuple[float, Optional[int]]], path: str) -> None
 
 
 def load_schedule(path: str) -> List[Tuple[float, Optional[int]]]:
-    """Load a schedule written by :func:`save_schedule` (byte-exact)."""
-    entries: List[Tuple[float, Optional[int]]] = []
+    """Load a schedule written by :func:`save_schedule` (byte-exact).
+
+    A damaged file raises :class:`ValueError` naming the path and the
+    line.
+    """
     with open(path) as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except ValueError as error:
-            raise ValueError(f"malformed schedule header in {path!r}: {error}")
-        if header.get("format") != SCHEDULE_FORMAT:
+        text = fh.read()
+    entries: List[Tuple[float, Optional[int]]] = []
+
+    def record(payload) -> None:
+        t_us = float(payload["t_us"])
+        if not math.isfinite(t_us) or t_us < 0:
             raise ValueError(
-                f"{path!r} is not a {SCHEDULE_FORMAT} file: "
-                f"format={header.get('format')!r}"
+                f"arrival time must be finite and >= 0, got {t_us}"
             )
-        if header.get("version") != SCHEDULE_VERSION:
+        if entries and t_us < entries[-1][0]:
             raise ValueError(
-                f"unsupported schedule version {header.get('version')!r} "
-                f"in {path!r}"
+                f"arrival times must be non-decreasing "
+                f"({t_us} after {entries[-1][0]})"
             )
-        last = -math.inf
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            t_us = float(record["t_us"])
-            if not math.isfinite(t_us) or t_us < 0:
-                raise ValueError(
-                    f"{path!r}:{line_no}: arrival time must be finite and "
-                    f">= 0, got {t_us}"
-                )
-            if t_us < last:
-                raise ValueError(
-                    f"{path!r}:{line_no}: arrival times must be "
-                    f"non-decreasing ({t_us} after {last})"
-                )
-            last = t_us
-            tenant = record.get("tenant")
-            entries.append((t_us, None if tenant is None else int(tenant)))
+        tenant = payload.get("tenant")
+        entries.append((t_us, None if tenant is None else int(tenant)))
+
+    read_jsonl(text, SCHEDULE_FORMAT, SCHEDULE_VERSION, path, record)
     return entries
 
 

@@ -108,7 +108,7 @@ class TestJsonl:
             parse_traces_jsonl("{oops\n")
 
     def test_foreign_format_rejected(self):
-        with pytest.raises(ValueError, match="not a repro trace"):
+        with pytest.raises(ValueError, match="not a repro-request-traces document"):
             parse_traces_jsonl('{"format":"other","version":1}\n')
 
     def test_unsupported_version_rejected(self):

@@ -90,7 +90,7 @@ class TestValidation:
             checkpoint_from_json("not json{")
 
     def test_rejects_foreign_document(self):
-        with pytest.raises(ValueError, match="not a repro online checkpoint"):
+        with pytest.raises(ValueError, match="not a repro-online-checkpoint document"):
             checkpoint_from_json(json.dumps({"format": "something-else"}))
 
     def test_rejects_future_version(self):
@@ -99,7 +99,9 @@ class TestValidation:
             "version": CHECKPOINT_VERSION + 1,
             "state": {},
         }
-        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        with pytest.raises(
+            ValueError, match="unsupported repro-online-checkpoint version"
+        ):
             checkpoint_from_json(json.dumps(payload))
 
     @pytest.mark.parametrize(
@@ -124,7 +126,7 @@ class TestValidation:
         assert CHECKPOINT_VERSION == 2
         payload["version"] = 1
         with pytest.raises(
-            CheckpointError, match="unsupported checkpoint version 1"
+            CheckpointError, match="unsupported repro-online-checkpoint version 1"
         ):
             checkpoint_from_json(json.dumps(payload))
 
@@ -156,7 +158,7 @@ class TestCorruptPayloads:
             checkpoint_from_json(blob[: len(blob) // 2])
 
     def test_empty_document(self):
-        with pytest.raises(CheckpointError, match="empty checkpoint"):
+        with pytest.raises(CheckpointError, match="checkpoint: empty document"):
             checkpoint_from_json("   \n")
 
     def test_missing_state_key(self):

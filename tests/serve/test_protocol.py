@@ -176,7 +176,7 @@ class TestHandshake:
         check_version(hello("control"))
 
     def test_check_version_rejects_foreign_format(self):
-        with pytest.raises(ProtocolError, match="foreign protocol"):
+        with pytest.raises(ProtocolError, match="not a repro-serve-proto document"):
             check_version({"format": "other-proto", "version": 1})
 
     def test_check_version_rejects_version_skew(self):

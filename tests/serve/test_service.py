@@ -630,7 +630,7 @@ class TestFailLoud:
         path = damaged_bank(
             tmp_path, spin_bank, lambda p: p.update(version=1)
         )
-        with pytest.raises(ValueError, match="unsupported bank version 1"):
+        with pytest.raises(ValueError, match="unsupported repro-serve-bank version 1"):
             load_bank(path)
 
     def test_worker_builds_its_config_at_start(self, tmp_path):
