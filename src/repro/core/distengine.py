@@ -161,7 +161,7 @@ class ContentCache:
             self._entries.update(
                 {str(k): self._decode(v) for k, v in entries.items()}
             )
-        except (OSError, ValueError, TypeError):
+        except (OSError, ValueError, TypeError, AttributeError):
             pass
 
     def save(self) -> None:

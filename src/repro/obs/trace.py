@@ -58,6 +58,10 @@ EVENT_KINDS = (
 
 _KIND_SET = frozenset(EVENT_KINDS)
 
+#: The counters a ``period_sample`` must carry as numbers: the online
+#: pipeline folds each one into its windows.
+PERIOD_COUNTERS = ("instructions", "cycles", "l2_refs", "l2_misses")
+
 
 @dataclass(slots=True)
 class ObsEvent:
@@ -85,6 +89,8 @@ class ObsEvent:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ObsEvent":
+        """Decode one event record: the one decoder behind JSONL replay
+        and serve frames, so both refuse the same damage, by name."""
         if not isinstance(payload, dict):
             raise ValueError("event record is not an object")
         missing = {"seq", "cycle", "kind"} - set(payload)
@@ -93,10 +99,21 @@ class ObsEvent:
         data = payload.get("data", {})
         if not isinstance(data, dict):
             raise ValueError("event 'data' must be an object")
+        seq = int(payload["seq"])
+        kind = str(payload["kind"])
+        if kind == "period_sample":
+            for name in PERIOD_COUNTERS:
+                value = data.get(name)
+                if type(value) is not float and type(value) is not int:
+                    found = repr(value) if name in data else "missing"
+                    raise ValueError(
+                        f"period_sample seq {seq}: {name!r} must be a "
+                        f"number, got {found}"
+                    )
         return cls(
-            seq=int(payload["seq"]),
+            seq=seq,
             cycle=float(payload["cycle"]),
-            kind=str(payload["kind"]),
+            kind=kind,
             request_id=payload.get("request_id"),
             task_id=payload.get("task_id"),
             core=payload.get("core"),

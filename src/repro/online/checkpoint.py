@@ -60,7 +60,7 @@ def checkpoint_from_json(
         raise CheckpointError(f"{where}: checkpoint has no state object")
     try:
         return OnlinePipeline.from_state(state, registry=registry)
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
+    except (LookupError, TypeError, ValueError, AttributeError) as error:
         raise CheckpointError(
             f"{where}: corrupt checkpoint state (version {CHECKPOINT_VERSION}): "
             f"{type(error).__name__}: {error}"

@@ -40,6 +40,12 @@ from repro.workloads.registry import (
 )
 
 
+#: The pipeline settings a checkpoint fixes, with their flag defaults.
+PIPELINE_DEFAULTS = {
+    "window": 100_000.0, "quantile": 0.9, "attribute": False, "train": 24,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-online",
@@ -61,23 +67,23 @@ def build_parser() -> argparse.ArgumentParser:
         "%%tenant=N targets, *N bursts; see docs/faults.md)",
     )
     parser.add_argument(
-        "--attribute", action="store_true",
+        "--attribute", action="store_true", default=None,
         help="classify the likely fault cause of each flagged request "
         "from its counter signature and score the attribution against "
         "injected ground truth in the report",
     )
     parser.add_argument(
-        "--train", type=non_negative_int, default=24, metavar="N",
+        "--train", type=non_negative_int, default=None, metavar="N",
         help="calibration requests (clean workload, offset seed) used to "
         "fit the signature bank; 0 disables the identification stage "
         "(default 24)",
     )
     parser.add_argument(
-        "--window", type=float, default=100_000.0,
+        "--window", type=float, default=None,
         help="pattern window in instructions (default 100000)",
     )
     parser.add_argument(
-        "--quantile", type=float, default=0.9,
+        "--quantile", type=float, default=None,
         help="adaptive anomaly threshold quantile in (0,1) (default 0.9)",
     )
     parser.add_argument(
@@ -114,6 +120,12 @@ def main(argv=None) -> int:
         parser.error("--restore requires --events (replay mode)")
     if args.events_out and args.events:
         parser.error("--events-out only applies to live runs")
+    # A checkpoint fixes these settings, so with --restore a given one
+    # is refused (once the checkpoint is read, to name its value).
+    fixed = [flag for flag in PIPELINE_DEFAULTS if getattr(args, flag) is not None]
+    for flag, default in PIPELINE_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     if not 0.0 < args.quantile < 1.0:
         parser.error("--quantile must be in (0, 1)")
     if args.window <= 0:
@@ -134,10 +146,18 @@ def main(argv=None) -> int:
     registry = MetricsRegistry()
 
     if args.events:
-        events, _ = load_events(args.events)
-        if args.restore:
-            pipeline = load_checkpoint(args.restore, registry=registry)
-        else:
+        try:
+            events, _ = load_events(args.events)
+            if args.restore:
+                pipeline = load_checkpoint(args.restore, registry=registry)
+        except (OSError, ValueError) as error:
+            parser.error(str(error))
+        if args.restore and fixed:
+            parser.error(
+                f"--{fixed[0]} does not apply with --restore: the checkpoint "
+                f"fixes {_checkpoint_setting(pipeline, fixed[0])}"
+            )
+        if not args.restore:
             pipeline = _fresh_pipeline(args, registry)
         pipeline.process_events(events)
     else:
@@ -182,6 +202,20 @@ def main(argv=None) -> int:
         )
         print(f"metrics written to {args.metrics_out}")
     return 0
+
+
+def _checkpoint_setting(pipeline: OnlinePipeline, flag: str) -> str:
+    """How a restored checkpoint fixes the setting behind ``flag``."""
+    config = pipeline.config
+    return {
+        "window": f"window_instructions={config.window_instructions!r}",
+        "quantile": f"anomaly_quantile={config.anomaly_quantile!r}",
+        "attribute": f"attribute={config.attribute!r}",
+        "train": (
+            "no signature bank" if pipeline.identifier is None
+            else "its signature bank"
+        ),
+    }[flag]
 
 
 def _fresh_pipeline(args, registry) -> OnlinePipeline:

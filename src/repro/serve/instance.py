@@ -47,6 +47,7 @@ from repro.obs.trace import ObsEvent, TraceCollector
 from repro.online.pipeline import SUBSCRIBED_KINDS
 from repro.serve.protocol import (
     FrameStream,
+    PeerClosedError,
     ProtocolError,
     client_handshake,
     events_frame,
@@ -313,6 +314,10 @@ class _WorkerLink:
                 await reader  # the end_ack, or the reader's failure
                 return
             except (ConnectionError, OSError, asyncio.IncompleteReadError):
+                # A worker that refused a frame sent an error frame
+                # before it closed; the reader holds it.  Replaying the
+                # frame would only be refused again.
+                await _raise_refusal(reader)
                 # Worker died (failover in progress): frames in flight
                 # may or may not have arrived.  The retained tail still
                 # holds them; seq deduplication makes the overlap
@@ -326,6 +331,22 @@ class _WorkerLink:
                     await asyncio.gather(reader, return_exceptions=True)
                 if stream is not None:
                     await stream.close()
+
+
+async def _raise_refusal(reader: Optional[asyncio.Task]) -> None:
+    """Raise the worker's error frame if the reader ended on one.
+
+    The reader of a lost connection ends at EOF within a round trip;
+    the timeout only bounds a socket that broke one way."""
+    if reader is None:
+        return
+    await asyncio.wait([reader], timeout=1.0)
+    if reader.done() and not reader.cancelled():
+        error = reader.exception()
+        if isinstance(error, ProtocolError) and not isinstance(
+            error, PeerClosedError
+        ):
+            raise error
 
 
 def _int_field(payload: dict, name: str, minimum: Optional[int] = None) -> int:

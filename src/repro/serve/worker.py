@@ -237,10 +237,17 @@ class ShardWorker:
                 await self._serve_instance(stream, int(hello["instance"]))
             else:
                 await self._serve_control(stream)
-        except (ProtocolError, ConnectionError, asyncio.IncompleteReadError):
-            # A dead or misbehaving peer must not take the worker down;
-            # instances reconnect and replay their retained tail.
+        except (ConnectionError, asyncio.IncompleteReadError):
+            # A dead peer must not take the worker down; instances
+            # reconnect and replay their retained tail.
             pass
+        except ProtocolError as error:
+            # A refused frame would be refused again on every replay:
+            # say why before closing, so the peer stops instead.
+            try:
+                await stream.write({"type": "error", "message": str(error)})
+            except (ConnectionError, OSError):
+                pass
         finally:
             await stream.close()
 
@@ -390,26 +397,20 @@ class ShardWorker:
 
 async def server_handshake_for(worker: ShardWorker, stream: FrameStream) -> dict:
     """Handshake with per-role ack fields (credit grant, resume cursor)."""
-    payload = await stream.expect("hello")
-    try:
-        check_version(payload)
-        role = payload.get("role")
-        if role not in ("instance", "control"):
-            raise ProtocolError(f"unknown connection role {role!r}")
-        if role == "instance" and not isinstance(payload.get("instance"), int):
-            raise ProtocolError("instance hello must carry an integer id")
-    except ProtocolError as error:
-        await stream.write({"type": "error", "message": str(error)})
-        raise
+    payload = check_version(await stream.expect("hello"))
+    role = payload.get("role")
+    if role not in ("instance", "control"):
+        raise ProtocolError(f"unknown connection role {role!r}")
+    if role == "instance" and not isinstance(payload.get("instance"), int):
+        raise ProtocolError("instance hello must carry an integer id")
     ack = {
         "type": "hello_ack",
         "format": PROTOCOL_FORMAT,
         "version": PROTOCOL_VERSION,
         "shard": worker.config.shard,
     }
-    if payload["role"] == "instance":
-        instance = int(payload["instance"])
-        state = worker.instances.get(instance)
+    if role == "instance":
+        state = worker.instances.get(int(payload["instance"]))
         ack["credit"] = worker.config.credit
         ack["resume_seq"] = state.pipeline.last_seq if state else -1
     await stream.write(ack)

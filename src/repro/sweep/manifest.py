@@ -160,6 +160,8 @@ class SweepManifest:
         if not isinstance(scenarios, dict) or sorted(scenarios) != sorted(order):
             raise ValueError(f"{where}: scenarios do not cover the planned order")
         for sid, entry in scenarios.items():
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where}: scenario {sid!r} entry is not an object")
             status = entry.get("status")
             if status not in _STATUSES:
                 raise ValueError(

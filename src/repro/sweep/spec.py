@@ -53,6 +53,16 @@ SCENARIO_FORMAT = "repro-sweep-scenario"
 SCENARIO_VERSION = 1
 
 
+#: The JSON type of each spec field; ``[t]`` is a list of ``t``.
+_FIELD_TYPES = {
+    "name": str, "workloads": [str], "sampling": [str], "seeds": [int],
+    "faults": [str], "placements": [str], "arrivals": [str],
+    "dispatch": [str], "requests": int, "concurrency": int, "cores": int,
+    "online": bool, "train": int, "attribute": bool, "include": [dict],
+    "exclude": [dict],
+}
+
+
 def content_key(payload) -> str:
     """Stable content hash of a JSON-serializable payload."""
     digest = hashlib.blake2b(canonical(payload).encode(), digest_size=16)
@@ -396,24 +406,35 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "SweepSpec":
+        """Build a spec from its JSON form; a missing field, an unknown
+        one or a value of the wrong type raises :class:`ValueError`
+        naming the field."""
         if not isinstance(payload, dict):
             raise ValueError(f"sweep spec must be a JSON object, got {payload!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - set(_FIELD_TYPES))
         if unknown:
             raise ValueError(f"unknown sweep spec fields: {unknown}")
-        if "name" not in payload:
-            raise ValueError("sweep spec needs a 'name'")
-        kwargs = dict(payload)
-        for axis in (
-            "workloads", "sampling", "seeds", "faults", "placements",
-            "arrivals", "dispatch",
-        ):
-            if axis in kwargs:
-                kwargs[axis] = tuple(kwargs[axis])
-        for rules in ("include", "exclude"):
-            if rules in kwargs:
-                kwargs[rules] = tuple(kwargs[rules])
+        for name in ("name", "workloads", "sampling", "seeds"):
+            if name not in payload:
+                raise ValueError(f"sweep spec needs a {name!r}")
+        kwargs = {}
+        for name, value in payload.items():
+            kind, items = _FIELD_TYPES[name], [value]
+            if isinstance(kind, list):
+                if not isinstance(value, list):
+                    raise ValueError(
+                        f"sweep spec field {name!r} must be a list, got {value!r}"
+                    )
+                (kind,), items, value = kind, value, tuple(value)
+            for item in items:
+                if not isinstance(item, kind) or (
+                    kind is int and isinstance(item, bool)
+                ):
+                    raise ValueError(
+                        f"sweep spec field {name!r} takes {kind.__name__} "
+                        f"values, got {item!r}"
+                    )
+            kwargs[name] = value
         return cls(**kwargs)
 
     @classmethod

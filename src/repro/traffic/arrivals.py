@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -336,11 +336,16 @@ def save_schedule(entries: List[Tuple[float, Optional[int]]], path: str) -> None
 def load_schedule(path: str) -> List[Tuple[float, Optional[int]]]:
     """Load a schedule written by :func:`save_schedule` (byte-exact).
 
-    A damaged file raises :class:`ValueError` naming the path and the
-    line.
+    A missing, unreadable or damaged file raises :class:`ValueError`
+    naming the path (and the line).
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as error:
+        raise ValueError(
+            f"{path}: cannot read arrival schedule ({error.strerror})"
+        ) from None
     entries: List[Tuple[float, Optional[int]]] = []
 
     def record(payload) -> None:
@@ -367,15 +372,21 @@ class TraceReplay(ArrivalProcess):
 
     The schedule file (see :func:`save_schedule`) stores microsecond
     timestamps plus optional tenant tags; replay consumes no RNG at all,
-    so two replays of the same file are trivially identical.
+    so two replays of the same file are trivially identical.  The file
+    is read and checked when the spec is parsed, so a damaged one fails
+    before any simulation starts.
     """
 
     path: str
+    entries: tuple = field(init=False, repr=False, compare=False)
 
     kind = "replay"
 
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(load_schedule(self.path)))
+
     def schedule(self, rng, n, frequency_ghz):
-        entries = load_schedule(self.path)
+        entries = self.entries
         if len(entries) < n:
             raise ValueError(
                 f"replay schedule {self.path!r} has {len(entries)} arrivals, "
@@ -391,7 +402,7 @@ class TraceReplay(ArrivalProcess):
 
     def tenant_tags(self):
         return frozenset(
-            tenant for _, tenant in load_schedule(self.path) if tenant is not None
+            tenant for _, tenant in self.entries if tenant is not None
         )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.obs.trace import (
@@ -248,6 +250,33 @@ class TestMalformedInput:
         lines[2] = lines[2].replace('"seq":1', '"seq":null')
         with pytest.raises(ValueError, match="line 3"):
             parse_events_jsonl("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "field", ["instructions", "cycles", "l2_refs", "l2_misses"]
+    )
+    @pytest.mark.parametrize(
+        "value, found", [(None, "missing"), ("7", "'7'"), (True, "True")]
+    )
+    def test_period_sample_needs_numeric_counters(self, field, value, found):
+        """The one event decoder (JSONL replay and serve frames) refuses a
+        period the pipeline cannot fold in, naming the seq and the field."""
+        data = {"instructions": 10, "cycles": 20.5, "l2_refs": 3, "l2_misses": 1}
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        record = {"seq": 7, "cycle": 1.0, "kind": "period_sample", "data": data}
+        with pytest.raises(
+            ValueError,
+            match=rf"^period_sample seq 7: '{field}' must be a number, "
+            rf"got {found}$",
+        ):
+            ObsEvent.from_dict(record)
+        header = '{"format":"repro-obs-events","version":1}'
+        with pytest.raises(ValueError, match=rf"^run\.jsonl, line 2: "):
+            parse_events_jsonl(
+                header + "\n" + json.dumps(record) + "\n", where="run.jsonl"
+            )
 
 
 class TestSubscribers:

@@ -87,6 +87,72 @@ class TestReplayAndRestore:
         ) == 0
         assert replay_report.read_bytes() == live_report.read_bytes()
 
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        """The event stream and checkpoint of one live faulted run."""
+        directory = tmp_path_factory.mktemp("recorded")
+        events, ckpt = directory / "events.jsonl", directory / "ckpt.json"
+        assert main(
+            ["tpcc", "--requests", "8", "--seed", "6", "--train", "6",
+             "--faults", "cache_thrash:0.3", "--events-out", str(events),
+             "--checkpoint", str(ckpt)]
+        ) == 0
+        return events, ckpt
+
+    @pytest.mark.parametrize(
+        "flags, fixed",
+        [
+            (["--quantile", "0.5"], "anomaly_quantile=0.9"),
+            (["--window", "50000"], "window_instructions=100000.0"),
+            (["--attribute"], "attribute=False"),
+            (["--train", "8"], "its signature bank"),
+        ],
+    )
+    def test_restore_refuses_settings_the_checkpoint_fixes(
+        self, recorded, flags, fixed, capsys
+    ):
+        events, ckpt = recorded
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tpcc", "--events", str(events), "--restore", str(ckpt),
+                  *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flags[0]} does not apply with --restore: the checkpoint " \
+            f"fixes {fixed}" in err
+
+    def test_damaged_event_stream_exits_2_naming_line_seq_and_field(
+        self, recorded, tmp_path, capsys
+    ):
+        events, _ = recorded
+        lines = events.read_text().splitlines()
+        number, record = next(
+            (number, json.loads(line))
+            for number, line in enumerate(lines, start=1)
+            if json.loads(line).get("kind") == "period_sample"
+        )
+        del record["data"]["instructions"]
+        lines[number - 1] = json.dumps(record)
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tpcc", "--events", str(damaged), "--train", "0"])
+        assert excinfo.value.code == 2
+        assert (
+            f"{damaged}, line {number}: period_sample seq {record['seq']}: "
+            "'instructions' must be a number, got missing"
+        ) in capsys.readouterr().err
+
+    def test_damaged_checkpoint_exits_2_naming_it(
+        self, recorded, tmp_path, capsys
+    ):
+        events, ckpt = recorded
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text(ckpt.read_text()[:200])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tpcc", "--events", str(events), "--restore", str(damaged)])
+        assert excinfo.value.code == 2
+        assert f"{damaged}: malformed JSON" in capsys.readouterr().err
+
     def test_restore_requires_events(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["tpcc", "--restore", "ckpt.json"])

@@ -420,6 +420,72 @@ class TestShardWorker:
             make_worker(tmp_path, checkpoint_every=0)
 
 
+class _Recorded:
+    """An event stand-in that streams a hand-edited record."""
+
+    def __init__(self, record: dict):
+        self.record = record
+        self.request_id = record.get("request_id")
+
+    def to_dict(self) -> dict:
+        return self.record
+
+
+class TestRefusedEvents:
+    """A frame the worker refuses ends the instance's run with the
+    worker's reason; the parent closed without a word, and the instance
+    replayed the frame forever or lost the event."""
+
+    def refuse(self, tmp_path, damage):
+        spec = InstanceSpec(
+            instance=0, workload="mbench_spin", requests=2, seed=1
+        )
+        records = [e.to_dict() for e in generate_instance_events(spec)]
+        bad_seq = damage(records)
+        worker = make_worker(tmp_path)
+        with pytest.raises(ProtocolError) as excinfo:
+            asyncio.run(asyncio.wait_for(
+                stream_instance_to(
+                    worker, spec, [_Recorded(r) for r in records]
+                ),
+                timeout=10,
+            ))
+        # The refused frame moved no pipeline state.
+        state = worker.instances.get(0)
+        assert state is None or state.pipeline.last_seq < bad_seq
+        return str(excinfo.value)
+
+    def test_event_without_seq(self, tmp_path):
+        def damage(records):
+            del records[0]["seq"]
+            return 0
+
+        message = self.refuse(tmp_path, damage)
+        # Frame 0 is the hello; the first events frame is frame 1.
+        assert message == (
+            "peer error: frame 1, event 0: event record missing keys ['seq']"
+        )
+
+    @pytest.mark.parametrize("value", [None, "12", [1]])
+    def test_period_sample_without_a_numeric_counter(self, tmp_path, value):
+        def damage(records):
+            record = next(
+                r for r in records if r["kind"] == "period_sample"
+            )
+            if value is None:
+                del record["data"]["instructions"]
+            else:
+                record["data"]["instructions"] = value
+            return record["seq"]
+
+        message = self.refuse(tmp_path, damage)
+        found = "missing" if value is None else repr(value)
+        assert message.endswith(
+            f": 'instructions' must be a number, got {found}"
+        )
+        assert "period_sample seq " in message
+
+
 class TestLoadTest:
     def options(self, **overrides):
         defaults = dict(
@@ -630,7 +696,9 @@ class TestFailLoud:
         path = damaged_bank(
             tmp_path, spin_bank, lambda p: p.update(version=1)
         )
-        with pytest.raises(ValueError, match="unsupported repro-serve-bank version 1"):
+        with pytest.raises(
+            ValueError, match="unsupported repro-serve-bank version 1"
+        ):
             load_bank(path)
 
     def test_worker_builds_its_config_at_start(self, tmp_path):

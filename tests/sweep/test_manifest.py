@@ -65,6 +65,18 @@ class TestManifestDocument:
         with pytest.raises(ValueError, match="spec_key"):
             SweepManifest.from_json(json.dumps(payload))
 
+    def test_scenario_entry_that_is_not_an_object_is_named(self, tmp_path):
+        payload = json.loads(SweepManifest.plan(tiny_spec()).to_json())
+        sid = payload["order"][0]
+        payload["scenarios"][sid] = 5
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as excinfo:
+            SweepManifest.load(str(path))
+        assert str(excinfo.value) == (
+            f"{path}: scenario {sid!r} entry is not an object"
+        )
+
     def test_malformed_json_is_loud(self):
         with pytest.raises(ValueError, match="malformed"):
             SweepManifest.from_json("{nope")

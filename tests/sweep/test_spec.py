@@ -1,5 +1,7 @@
 """SweepSpec expansion, include/exclude pruning, and scenario identity."""
 
+import json
+
 import pytest
 
 from repro.sweep.spec import (
@@ -103,6 +105,41 @@ class TestValidation:
             SweepSpec.from_dict({"name": "x", "workloads": ["tpcc"],
                                  "sampling": ["ctx"], "seeds": [0],
                                  "shards": 4})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sampling": None}, "sweep spec needs a 'sampling'"),
+            ({"workloads": 5},
+             "sweep spec field 'workloads' must be a list, got 5"),
+            ({"seeds": ["0"]},
+             "sweep spec field 'seeds' takes int values, got '0'"),
+            ({"requests": "8"},
+             "sweep spec field 'requests' takes int values, got '8'"),
+            ({"online": 1},
+             "sweep spec field 'online' takes bool values, got 1"),
+        ],
+    )
+    def test_from_dict_names_the_bad_field(self, change, message):
+        payload = {"name": "x", "workloads": ["tpcc"],
+                   "sampling": ["interrupt:100"], "seeds": [0]}
+        payload.update(change)
+        payload = {k: v for k, v in payload.items() if v is not None}
+        with pytest.raises(ValueError) as excinfo:
+            SweepSpec.from_dict(payload)
+        assert str(excinfo.value) == message
+
+    def test_plan_cli_names_the_spec_file(self, tmp_path, capsys):
+        from repro.sweep.cli import main
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"name": "x", "workloads": ["tpcc"], "seeds": [0]}
+        ))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plan", str(path)])
+        assert excinfo.value.code == 2
+        assert f"{path}: sweep spec needs a 'sampling'" in capsys.readouterr().err
 
     def test_round_trips_through_dict(self):
         spec = small_spec(include=({"workload": "tpcc"},))

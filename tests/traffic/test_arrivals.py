@@ -232,7 +232,7 @@ class TestTraceReplay:
 
 
 class TestParseArrivals:
-    def test_each_form(self):
+    def test_each_form(self, tmp_path):
         assert isinstance(parse_arrivals("closed"), ClosedLoop)
         assert parse_arrivals("poisson:1500") == PoissonArrivals(1500.0)
         assert parse_arrivals("onoff:4000,200,5,5") == OnOffArrivals(
@@ -242,7 +242,11 @@ class TestParseArrivals:
             2000.0, 10.0, 0.8
         )
         assert parse_arrivals("zipf:2000,1.1,8") == ZipfArrivals(2000.0, 1.1, 8)
-        assert parse_arrivals("replay:/tmp/x.jsonl") == TraceReplay("/tmp/x.jsonl")
+        # A replay schedule is read when the spec is parsed, so the file
+        # must exist.
+        schedule = str(tmp_path / "x.jsonl")
+        save_schedule([(1.0, None)], schedule)
+        assert parse_arrivals(f"replay:{schedule}") == TraceReplay(schedule)
 
     @pytest.mark.parametrize(
         "text",
@@ -262,3 +266,77 @@ class TestParseArrivals:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_arrivals(text)
+
+
+class TestReplayScheduleCheckedAtParse:
+    """``replay:FILE`` is read and checked when the spec is parsed: a
+    damaged or missing schedule stops every entry point before any
+    simulation starts, naming the path (and the line)."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path):
+        path = tmp_path / "schedule.jsonl"
+        save_schedule([(1.0, None), (2.0, 1), (3.0, None)], str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({"tenant": 1})  # file line 3 has no t_us
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_parse_names_path_and_line(self, damaged, tmp_path):
+        with pytest.raises(ValueError) as excinfo:
+            parse_arrivals(f"replay:{damaged}")
+        assert str(excinfo.value) == f"{damaged}, line 3: missing field 't_us'"
+        missing = str(tmp_path / "missing.jsonl")
+        with pytest.raises(ValueError) as excinfo:
+            parse_arrivals(f"replay:{missing}")
+        assert str(excinfo.value) == (
+            f"{missing}: cannot read arrival schedule "
+            "(No such file or directory)"
+        )
+
+    def test_simulate_exits_2_before_simulating(
+        self, damaged, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli.ServerSimulator, "run", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(
+                ["tpcc", "--requests", "4", "--arrivals", f"replay:{damaged}"]
+            )
+        assert excinfo.value.code == 2
+        assert f"{damaged}, line 3: missing field 't_us'" in capsys.readouterr().err
+
+    def test_load_test_exits_2_before_any_worker(
+        self, damaged, monkeypatch, capsys
+    ):
+        from repro.serve import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load test started")
+
+        monkeypatch.setattr(cli, "run_load_test", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([
+                "load-test", "--workload", "mbench_spin", "--requests", "1",
+                "--quiet", "--arrivals", f"replay:{damaged}",
+            ])
+        assert excinfo.value.code == 2
+        assert f"{damaged}, line 3: missing field 't_us'" in capsys.readouterr().err
+
+    def test_sweep_plan_refuses_the_spec(self, damaged, tmp_path, capsys):
+        from repro.sweep.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "replay", "workloads": ["tpcc"],
+            "sampling": ["interrupt:100"], "seeds": [0], "requests": 4,
+            "arrivals": [f"replay:{damaged}"],
+        }))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plan", str(spec)])
+        assert excinfo.value.code == 2
+        assert f"{damaged}, line 3: missing field 't_us'" in capsys.readouterr().err

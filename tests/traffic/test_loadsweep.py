@@ -1,5 +1,7 @@
 """Open-loop integration tests: simulator + traffic layer end to end."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,24 @@ class TestLoadsweepExperiment:
         assert [r["offered_rps"] for r in serial.rows[:: len(POLICIES)]] == [
             int(rate) for rate in OFFERED_LOADS
         ]
+
+    def test_cli_report_is_identical_under_jobs_1_and_4(self, tmp_path, capsys):
+        """``repro-experiments loadsweep --scale 0.25 --out`` writes the
+        same report under ``--jobs 1`` and ``--jobs 4`` once the
+        ``[N.Ns]`` timing lines are stripped (CI runs this by node id)."""
+        from repro.experiments.runner import main
+
+        stripped = []
+        for jobs in ("1", "4"):
+            out = tmp_path / f"loadsweep-j{jobs}.md"
+            argv = ["loadsweep", "--scale", "0.25", "--jobs", jobs]
+            assert main(argv + ["--out", str(out)]) == 0
+            stripped.append([
+                line for line in out.read_text().splitlines()
+                if not re.fullmatch(r"\[[0-9.]+s\]", line)
+            ])
+        capsys.readouterr()
+        assert stripped[0] and stripped[0] == stripped[1]
 
     def test_tail_latency_grows_with_offered_load(self):
         from repro.experiments.loadsweep import run
