@@ -12,6 +12,7 @@ path; a ``KeyError``, ``TypeError``, ``AttributeError`` or
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -124,7 +125,7 @@ def documents(tmp_path_factory):
         "sweep result": (
             _write(tmp, "result.json", result_to_json(result)),
             lambda path: validate_result_document(
-                open(path).read(), where=path
+                Path(path).read_text(), where=path
             ),
             ValueError,
         ),
