@@ -22,7 +22,26 @@ prefix minimum, making every row a few vector operations:
     A[j]    = min(D_prev[j-1], D_prev[j] + p)        (entry points at row i)
     D[i][j] = C[j] + j*p + min_{k<=j} (A[k] - C[k-1] - k*p)
 
-with C the prefix sums of the current cost row c[i][:].
+with C the prefix sums of the current cost row c[i][:], and the k = 0
+term the anchor ``D[i][0] - C[0]``.  The batched DPs of
+:mod:`repro.core.kernels` perform exactly these elementwise operations
+per pair, so all three agree bit for bit:
+
+* the prefix sum is ``np.add.accumulate`` and the prefix minimum
+  ``np.fmin.accumulate`` over ``[anchor, offsets...]``, both sequential
+  along the row;
+* at ``p = 0`` the ``+ p``, ``- k*p`` and ``+ j*p`` passes are skipped.
+  That is exact: ``x - 0.0 == x`` for every ``x``, and ``x + 0.0 == x``
+  for every ``x`` but ``-0.0``.  No DP value is ``-0.0``: costs come from
+  ``abs`` (``+0.0`` at worst), and a sum whose first operand is ``>=
+  +0.0`` is never ``-0.0``.
+
+Operands holding NaN or an infinity are refused with a ``ValueError``
+naming the operand.  ``fmin`` and ``minimum`` agree whenever no NaN is
+involved, so on finite operands the values are those of the former
+``np.minimum.accumulate`` recurrence, except where the DP itself
+overflows past ~1.8e308 (``inf - inf`` is NaN, which ``fmin`` skips and
+``minimum`` propagated).
 """
 
 from __future__ import annotations
@@ -30,39 +49,54 @@ from __future__ import annotations
 import numpy as np
 
 
+def dtw_operand(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ``ValueError`` if empty, or naming
+    ``name`` if it holds NaN or an infinity."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("empty sequence")
+    if not np.isfinite(values).all():
+        raise ValueError(f"DTW operand {name} holds NaN or inf")
+    return values
+
+
 def dtw_distance(x, y, asynchrony_penalty: float = 0.0) -> float:
     """DTW distance between two value sequences (Equation 3).
 
     ``asynchrony_penalty`` is the per-asynchronous-step charge ``p``; zero
-    recovers classic dynamic time warping.
+    recovers classic dynamic time warping.  ``x`` or ``y`` holding NaN or
+    an infinity raises ``ValueError`` naming it.
     """
     if asynchrony_penalty < 0:
         raise ValueError("asynchrony_penalty must be non-negative")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size == 0 or y.size == 0:
-        raise ValueError("empty sequence")
+    x = dtw_operand(x, "x")
+    y = dtw_operand(y, "y")
     p = float(asynchrony_penalty)
     n = y.size
-    js = np.arange(1, n)
+    jp = np.arange(n) * p
 
     # Row 0: only asynchronous steps along y.
-    row = np.empty(n)
-    row[0] = abs(x[0] - y[0])
+    row = np.abs(x[0] - y)
     if n > 1:
-        row[1:] = row[0] + np.cumsum(np.abs(x[0] - y[1:]) + p)
+        steps = row[1:] + p if p else row[1:]
+        row[1:] = row[0] + np.add.accumulate(steps)
 
+    scan = np.empty(n)
     for i in range(1, x.size):
         cost = np.abs(x[i] - y)
-        new_row = np.empty(n)
-        new_row[0] = row[0] + cost[0] + p  # asynchronous step along x
-        if n > 1:
-            # Entry values A[j] for j = 1..n-1: arrive from the previous row
-            # either diagonally (synchronous) or vertically (asynchronous).
-            entry = np.minimum(row[:-1], row[1:] + p)
-            prefix_cost = np.cumsum(cost)  # C[j] = sum of cost[0..j]
-            offsets = np.minimum.accumulate(entry - prefix_cost[:-1] - js * p)
-            anchor = new_row[0] - prefix_cost[0]  # A-like term for k = 0
-            new_row[1:] = prefix_cost[1:] + js * p + np.minimum(anchor, offsets)
-        row = new_row
+        prefix = np.add.accumulate(cost)  # C[j] = sum of cost[0..j]
+        first = row[0] + cost[0]  # asynchronous step along x
+        if p:
+            first += p
+        # scan[k]: the anchor at k = 0, then A[k] - C[k-1] - k*p, where
+        # A[k] arrives from the previous row either diagonally
+        # (synchronous) or vertically (asynchronous).
+        scan[0] = first - prefix[0]
+        if p:
+            scan[1:] = np.minimum(row[:-1], row[1:] + p) - prefix[:-1] - jp[1:]
+        else:
+            scan[1:] = np.minimum(row[:-1], row[1:]) - prefix[:-1]
+        np.fmin.accumulate(scan, out=scan)
+        row = prefix + jp + scan if p else prefix + scan
+        row[0] = first
     return float(row[-1])

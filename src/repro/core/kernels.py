@@ -24,8 +24,10 @@ bank machinery also backs its prefix matching,
 
 Both batched DPs return results *bit-identical* to the serial reference
 DP: they perform exactly the same IEEE-754 operations per pair as the
-serial one (``cumsum`` and ``minimum.accumulate`` are sequential along
-the last axis).
+serial one (``add.accumulate`` and ``fmin.accumulate`` are sequential
+along the last axis, and ``p = 0`` drops the same exact ``+ 0.0`` and
+``- 0.0`` passes everywhere; see :mod:`repro.core.dtw`).  All three
+refuse an operand holding NaN or an infinity, naming it.
 :class:`~repro.core.distengine.DistanceEngine` batches every
 :class:`PenaltyDtw` matrix, pair-list and one-to-many request through
 :meth:`PenaltyDtw.pairwise`, that is :func:`dtw_pairwise`; the property
@@ -41,7 +43,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.dtw import dtw_distance
+from repro.core.dtw import dtw_distance, dtw_operand
 
 __all__ = [
     "PaddedBank",
@@ -94,41 +96,38 @@ def dtw_one_to_many(query, bank, asynchrony_penalty: float = 0.0) -> np.ndarray:
     ``(B, L)`` matrix — one vectorized pass per query element instead of
     ``B`` interpreter-dispatched DPs.  Per bank row the operations are
     elementwise identical to the serial DP, so returned distances are
-    bit-identical to ``dtw_distance(query, bank[b])``.
+    bit-identical to ``dtw_distance(query, bank[b])``.  A query or bank
+    row holding NaN or an infinity is refused, naming it.
     """
     if asynchrony_penalty < 0:
         raise ValueError("asynchrony_penalty must be non-negative")
     bank = _as_bank(bank)
-    x = np.asarray(query, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty sequence")
-    p = float(asynchrony_penalty)
+    x = dtw_operand(query, "query")
     matrix = bank.matrix
+    if not np.isfinite(matrix).all():
+        for row, values in enumerate(matrix):
+            dtw_operand(values, f"bank row {row}")
+    p = float(asynchrony_penalty)
     n = matrix.shape[1]
-    jp = np.arange(1, n) * p
+    jp = np.arange(n) * p
 
     # Row 0: only asynchronous steps along the bank sequences.
-    cost = np.abs(x[0] - matrix)
-    row = np.empty_like(cost)
-    row[:, 0] = cost[:, 0]
+    row = np.abs(x[0] - matrix)
     if n > 1:
-        row[:, 1:] = row[:, :1] + np.cumsum(cost[:, 1:] + p, axis=1)
+        row[:, 1:] = row[:, :1] + np.add.accumulate(row[:, 1:] + p, axis=1)
 
+    scan = np.empty_like(row)
     for i in range(1, x.size):
         cost = np.abs(x[i] - matrix)
-        new_row = np.empty_like(cost)
-        new_row[:, 0] = row[:, 0] + cost[:, 0] + p
-        if n > 1:
-            entry = np.minimum(row[:, :-1], row[:, 1:] + p)
-            prefix_cost = np.cumsum(cost, axis=1)
-            offsets = np.minimum.accumulate(
-                entry - prefix_cost[:, :-1] - jp, axis=1
-            )
-            anchor = new_row[:, 0] - prefix_cost[:, 0]
-            new_row[:, 1:] = (
-                prefix_cost[:, 1:] + jp + np.minimum(anchor[:, None], offsets)
-            )
-        row = new_row
+        prefix = np.add.accumulate(cost, axis=1)
+        first = row[:, 0] + cost[:, 0] + p
+        scan[:, 0] = first - prefix[:, 0]
+        scan[:, 1:] = (
+            np.minimum(row[:, :-1], row[:, 1:] + p) - prefix[:, :-1] - jp[1:]
+        )
+        np.fmin.accumulate(scan, axis=1, out=scan)
+        row = prefix + jp + scan
+        row[:, 0] = first
 
     return row[np.arange(len(bank)), bank.lengths - 1]
 
@@ -159,11 +158,19 @@ def dtw_pairwise(
     active second operand]`` and both bounds only shrink.
 
     Every busy lane applies :func:`~repro.core.dtw.dtw_distance`'s
-    elementwise recurrence (``cumsum`` and ``minimum.accumulate`` are
-    sequential along a row), a lane starting a pair overwrites its row
-    with the row-0 formula, and a pair is read at column ``n - 1``, which
-    the columns beyond it cannot reach.  Every value is therefore
-    bit-identical to the per-pair DP.
+    elementwise recurrence (``add.accumulate`` and ``fmin.accumulate``
+    are sequential along a row, and ``p = 0`` skips the same exact
+    passes), a lane starting a pair overwrites its row with the row-0
+    formula, and a pair is read at column ``n - 1``, which the columns
+    beyond it cannot reach.  Every value is therefore bit-identical to
+    the per-pair DP.  An operand holding NaN or an infinity is refused,
+    naming it (``items_a[i]`` or ``items_b[j]``).
+
+    Per step the work is the cell passes and little else: every step's
+    query value per lane is gathered up front as a ``[step, lane]``
+    array, the lane rows are updated in place in one buffer whose views
+    are built once per (busy lanes, width), and the column-0 buffer is
+    preallocated.
     """
     if asynchrony_penalty < 0:
         raise ValueError("asynchrony_penalty must be non-negative")
@@ -171,8 +178,8 @@ def dtw_pairwise(
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if not len(pairs):
         return []
-    flat_a, offsets_a, lengths_a = _flatten(items_a, pairs[:, 0])
-    flat_b, offsets_b, lengths_b = _flatten(items_b, pairs[:, 1])
+    flat_a, offsets_a, lengths_a = _flatten(items_a, pairs[:, 0], "items_a")
+    flat_b, offsets_b, lengths_b = _flatten(items_b, pairs[:, 1], "items_b")
 
     # Deal order: longest second operand first, so the widest active
     # pair is always the earliest unfinished one.
@@ -194,21 +201,32 @@ def dtw_pairwise(
     read_steps = finish[by_finish].tolist()
     last_steps = finish.tolist()
     widths = n.tolist()
-    query_start = offsets_a[order]
     y_start = offsets_b[order][:, None]
     read_lane = lane[by_finish]
     read_column = n[by_finish] - 1
     read_pair = order[by_finish]
 
+    # The query value each lane consumes at each step, [step, lane, 1].
+    rows = int(m.sum())
+    within = np.arange(rows) - np.repeat(np.cumsum(m) - m, m)
+    xs = np.zeros((ends[-1], lanes, 1))
+    xs[np.repeat(start, m) + within, np.repeat(lane, m), 0] = flat_a[
+        np.repeat(offsets_a[order], m) + within
+    ]
+
     # Lane rows live in flat buffers laid out [busy lanes, width] with no
     # gaps, so shifted columns are shifted flat slices; a width change
-    # relays them out.  ``jpt`` holds ``j * p`` at every cell of column j.
+    # relays the live ones (rows and second operands) out in place.  Each
+    # step overwrites the row in place once its old values are consumed.
+    # ``jpt`` holds ``j * p`` at every cell of column j.
     w = int(n[0])
     columns = np.arange(w)
     size = lanes * w
-    row, new, ys, cost, prefix, work = (np.empty(size) for _ in range(6))
+    buffers = [np.empty(size) for _ in range(5)]
+    row, ys = buffers[:2]
+    first = np.empty(lanes)
     jpt = np.tile(columns * p, lanes)
-    position = np.zeros(lanes, dtype=np.intp)
+    shape = views = None
     out = np.empty(len(pairs))
     head = k1 = f1 = 0
     for step in range(ends[-1]):
@@ -217,64 +235,86 @@ def dtw_pairwise(
             head += 1
         if widths[head] < w:
             narrow = widths[head]
-            for live, spare in ((row, new), (ys, cost)):
-                spare[: b * narrow].reshape(b, narrow)[:] = (
+            for live in (row, ys):
+                live[: b * narrow].reshape(b, narrow)[:] = (
                     live[: b * w].reshape(b, w)[:, :narrow]
                 )
-            row, new, ys, cost = new, row, cost, ys
             w = narrow
             jpt = np.tile(columns[:w] * p, b)
-        bw = b * w
-        r, y, c, pc, e, nw = (a[:bw] for a in (row, ys, cost, prefix, work, new))
-        y2 = y.reshape(b, w)
+        if shape != (b, w):
+            shape = (b, w)
+            views = _step_views(buffers, xs, jpt, first, b, w)
+        (x, r2, r_lo, r_hi, r0, y2, c2, c0, pc2, pc_lo, pc0, e2, e_hi, e0,
+         jp2, jp_hi, f) = views
         k0, k1 = k1, bisect.bisect_right(start_steps, step, k1)
         if k1 > k0:
             fresh = lane[k0:k1]
-            position[fresh] = query_start[k0:k1]
             y2[fresh] = flat_b[y_start[k0:k1] + columns[:w]]
-        c2 = c.reshape(b, w)
-        np.subtract(flat_a[position[:b]][:, None], y2, out=c2)
-        np.abs(c, out=c)
-        nw2 = nw.reshape(b, w)
+        np.subtract(x[step], y2, out=c2)
+        np.abs(c2, out=c2)
         if k1 - k0 < b:
             # dtw_distance's row recurrence, operation for operation.
             # Column 0 of the flat shifts straddles two lanes; it is
-            # overwritten with the anchor and the x-step before use.
-            pc2 = pc.reshape(b, w)
-            e2 = e.reshape(b, w)
-            np.cumsum(c2, axis=1, out=pc2)
-            np.add(r[1:], p, out=e[1:])
-            np.minimum(r[:-1], e[1:], out=e[1:])  # entry
-            np.subtract(e[1:], pc[:-1], out=e[1:])
-            np.subtract(e[1:], jpt[1:bw], out=e[1:])
-            first = r.reshape(b, w)[:, 0] + c2[:, 0]
-            first += p  # asynchronous step along x
-            # The anchor heads the running minimum: min is exact, so this
-            # equals minimum(anchor, minimum.accumulate(offsets)).
-            np.subtract(first, pc2[:, 0], out=e2[:, 0])
-            np.minimum.accumulate(e2, axis=1, out=e2)
-            np.add(pc, jpt[:bw], out=nw)
-            nw += e
-            nw2[:, 0] = first
+            # overwritten with the anchor before use.
+            np.add.accumulate(c2, axis=1, out=pc2)
+            if p:
+                np.add(r_hi, p, out=e_hi)
+                np.minimum(r_lo, e_hi, out=e_hi)  # entry
+                np.subtract(e_hi, pc_lo, out=e_hi)
+                np.subtract(e_hi, jp_hi, out=e_hi)
+                np.add(r0, c0, out=f)
+                np.add(f, p, out=f)  # asynchronous step along x
+            else:
+                np.minimum(r_lo, r_hi, out=e_hi)
+                np.subtract(e_hi, pc_lo, out=e_hi)
+                np.add(r0, c0, out=f)
+            # The anchor heads the running minimum.
+            np.subtract(f, pc0, out=e0)
+            np.fmin.accumulate(e2, axis=1, out=e2)
+            if p:
+                np.add(pc2, jp2, out=pc2)
+            np.add(pc2, e2, out=r2)
+            r0[:] = f
         if k1 > k0:
             # Row 0 of a fresh pair: only asynchronous steps along y.
             row0 = c2[fresh]
-            nw2[fresh, 0] = row0[:, 0]
-            nw2[fresh, 1:] = row0[:, :1] + np.cumsum(row0[:, 1:] + p, axis=1)
+            tail = row0[:, 1:]
+            if p:
+                tail += p
+            np.add.accumulate(tail, axis=1, out=tail)
+            tail += row0[:, :1]
+            r2[fresh] = row0
         f0, f1 = f1, bisect.bisect_right(read_steps, step, f1)
         if f1 > f0:
-            out[read_pair[f0:f1]] = nw2[read_lane[f0:f1], read_column[f0:f1]]
-        position[:b] += 1
-        row, new = new, row
+            out[read_pair[f0:f1]] = r2[read_lane[f0:f1], read_column[f0:f1]]
     return out.tolist()
 
 
-def _flatten(items, used):
+def _step_views(buffers, xs, jpt, first, b, w):
+    """Every view one step of :func:`dtw_pairwise` reads or writes over
+    ``[:b lanes, :w columns]``."""
+    bw = b * w
+    row, ys, cost, prefix, work, jp = (a[:bw] for a in (*buffers, jpt))
+    r2, y2, c2, pc2, e2, jp2 = (
+        a.reshape(b, w) for a in (row, ys, cost, prefix, work, jp)
+    )
+    return (
+        xs[:, :b],
+        r2, row[:-1], row[1:], r2[:, 0], y2,
+        c2, c2[:, 0],
+        pc2, prefix[:-1], pc2[:, 0],
+        e2, work[1:], e2[:, 0],
+        jp2, jp[1:], first[:b],
+    )
+
+
+def _flatten(items, used, name):
     """The distinct operands ``used`` refers to, concatenated.
 
     Returns the flat values (zero-padded by the longest operand, so a
     gather of that width from any offset stays in bounds), and each
-    entry of ``used``'s offset and length into it.
+    entry of ``used``'s offset and length into it.  An empty operand, or
+    one holding NaN or an infinity (named ``name[index]``), is refused.
     """
     distinct, inverse = np.unique(used, return_inverse=True)
     arrays = [np.asarray(items[i], dtype=float) for i in distinct.tolist()]
@@ -283,6 +323,9 @@ def _flatten(items, used):
         raise ValueError("empty sequence")
     offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     flat = np.concatenate(arrays + [np.zeros(int(lengths.max()))])
+    if not np.isfinite(flat).all():
+        for i, values in zip(distinct.tolist(), arrays):
+            dtw_operand(values, f"{name}[{i}]")
     return flat, offsets[inverse], lengths[inverse]
 
 
@@ -290,12 +333,14 @@ def _deal(durations: List[int], lanes: int):
     """Greedy list schedule: each job goes to the lane that frees first.
 
     Returns each job's start step and lane, and each lane's end step.
-    Ties go to the lowest lane, so start steps never decrease.
+    Ties go to the lowest lane, so start steps never decrease and the
+    first ``lanes`` jobs start at step 0, job ``k`` on lane ``k``.
     """
-    heap = [(0, k) for k in range(lanes)]
-    start = []
-    lane = []
-    for duration in durations:
+    heap = [(duration, k) for k, duration in enumerate(durations[:lanes])]
+    heapq.heapify(heap)
+    start = [0] * lanes
+    lane = list(range(lanes))
+    for duration in durations[lanes:]:
         free, k = heap[0]
         start.append(free)
         lane.append(k)

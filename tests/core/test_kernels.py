@@ -8,7 +8,7 @@ equal their scalar definitions.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.distengine import DistanceEngine
@@ -39,6 +39,7 @@ def random_bank(rng, n_rows=30, min_len=3, max_len=40):
 
 class TestBatchedOneToMany:
     @given(value_lists, banks, penalties)
+    @example([1.0, 3.0, 2.0], [[2.0, 2.0, 5.0], [0.5], [0.0, 0.0]], 0.0)
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_serial_loop(self, x, rows, p):
         batched = dtw_one_to_many(x, rows, p)
@@ -57,6 +58,26 @@ class TestBatchedOneToMany:
                 [dtw_distance(query, r, asynchrony_penalty=p) for r in rows]
             )
             assert np.array_equal(batched, serial)
+
+class TestNonFiniteOperands:
+    """NaN and infinities are refused, naming the operand, instead of
+    coming out of the DP as NaN distances."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_entry_point_names_the_operand(self, bad):
+        good, spoiled = [1.0, 2.0, 3.0], [1.0, bad, 3.0]
+        with pytest.raises(ValueError, match="DTW operand y holds NaN or inf"):
+            dtw_distance(good, spoiled)
+        with pytest.raises(ValueError, match="DTW operand x holds NaN or inf"):
+            dtw_distance(spoiled, good, 0.5)
+        items = [np.array(v) for v in (good, [2.0, 1.0], spoiled, [0.5])]
+        with pytest.raises(ValueError, match=r"DTW operand items_a\[2\] holds"):
+            DistanceEngine().matrix(items, PenaltyDtw(0.3))
+        with pytest.raises(ValueError, match="DTW operand bank row 1 holds"):
+            dtw_one_to_many(good, [good, spoiled], 0.3)
+        with pytest.raises(ValueError, match="DTW operand query holds"):
+            dtw_one_to_many(spoiled, [good], 0.0)
+
 
 class TestPaddedBank:
     def test_rejects_empty_bank(self):

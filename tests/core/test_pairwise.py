@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import distances, kernels
@@ -123,6 +123,30 @@ def edge_problems(draw, lengths_a=edge_lengths, lengths_b=edge_lengths):
 
 def serial_dtw(items_a, items_b, pairs, p):
     return [dtw_distance(items_a[i], items_b[j], p) for i, j in pairs]
+
+
+def assert_same_bits(got, expected):
+    """Equal values *and* equal sign bits (``-0.0 == 0.0`` passes ``==``)."""
+    got = np.asarray(got, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def lane_schedule(items_a, items_b, pairs, lanes):
+    """Per step of :func:`dtw_pairwise`'s schedule at ``lanes`` lanes:
+    ``(width, busy lanes, pairs starting)``."""
+    m = np.array([len(items_a[i]) for i, _ in pairs])
+    n = np.array([len(items_b[j]) for _, j in pairs])
+    order = np.argsort(-n, kind="stable")
+    start, _, lane_end = kernels._deal(m[order].tolist(), lanes)
+    finish = start + m[order] - 1
+    steps = []
+    for step in range(int(lane_end.max())):
+        active = (start <= step) & (finish >= step)
+        steps.append((int(n[order][active].max()), int((lane_end > step).sum()),
+                      int((start == step).sum())))
+    return steps
 
 
 def serial_levenshtein(items_a, items_b, pairs):
@@ -238,6 +262,8 @@ class TestLevenshteinPairwise:
 
 class TestDtwPairwise:
     @given(dtw_problems())
+    @example(([[1.0, 3.0, 2.0], [2.0]], [[2.0, 2.0, 5.0], [0.5]],
+              [(0, 0), (1, 0), (0, 1), (1, 1)], 0.0))
     @settings(max_examples=150, deadline=None)
     def test_equals_per_pair_dtw(self, problem):
         items_a, items_b, pairs, p = problem
@@ -265,6 +291,43 @@ class TestDtwPairwise:
             got = dtw_pairwise(items, items, pairs, p)
             assert got == serial_dtw(items, items, pairs, p)
 
+    @given(
+        st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=25),
+                 min_size=1, max_size=8),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_integer_series_with_ties(self, values, p):
+        # Few distinct values: the entry and running minima see exact ties.
+        items = [np.array(v, dtype=float) for v in values]
+        pairs = [(i, j) for i in range(len(items)) for j in range(len(items))]
+        assert_same_bits(
+            dtw_pairwise(items, items, pairs, p), serial_dtw(items, items, pairs, p)
+        )
+
+    def test_all_zero_series(self):
+        items = [np.zeros(n) for n in (1, 3, 7, 2, 12)]
+        pairs = [(i, j) for i in range(len(items)) for j in range(len(items))]
+        for p in (0.0, 0.7):
+            got = dtw_pairwise(items, items, pairs, p)
+            assert_same_bits(got, serial_dtw(items, items, pairs, p))
+        assert_same_bits(dtw_pairwise(items, items, pairs, 0.0), [0.0] * len(pairs))
+
+    @pytest.mark.parametrize("p", [0.0, 0.4])
+    def test_width_shrinks_as_lanes_go_idle_and_fresh_pairs_start(self, p):
+        rng = np.random.default_rng(1)
+        items = [rng.normal(2.0, 1.0, n) for n in (2, 24, 5, 1, 2, 1, 3, 6)]
+        pairs = [(i, j) for i in range(len(items)) for j in range(i + 1, len(items))]
+        steps = lane_schedule(items, items, pairs, lanes=4)
+        assert any(
+            width < last_width and busy < last_busy and starting
+            for (last_width, last_busy, _), (width, busy, starting)
+            in zip(steps, steps[1:])
+        )
+        with mock.patch.object(kernels, "LANE_CELLS", 4 * 24):
+            got = dtw_pairwise(items, items, pairs, p)
+        assert_same_bits(got, serial_dtw(items, items, pairs, p))
+
     def test_empty_pair_list(self):
         assert dtw_pairwise([[1.0]], [[2.0]], [], 0.5) == []
 
@@ -285,6 +348,7 @@ class TestPenaltyDtwPairwise:
         st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20),
         st.floats(0.0, 5.0, allow_nan=False),
     )
+    @example([[1.0, 4.0], [2.0], [0.0, 0.0, 3.0]], [(0, 1), (2, 0), (1, 1)], 0.0)
     @settings(max_examples=100, deadline=None)
     def test_equals_per_pair_dtw(self, items, raw_pairs, p):
         pairs = [(i % len(items), j % len(items)) for i, j in raw_pairs]
