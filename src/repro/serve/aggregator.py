@@ -46,7 +46,83 @@ def validate_worker_report(document, where: str = "worker report") -> dict:
         raise ValueError(f"{where}: missing shard name")
     if not isinstance(document.get("instances"), dict):
         raise ValueError(f"{where}: missing instances object")
+    for key, view in document["instances"].items():
+        at = f"{where}: instance {key}"
+        if not key.isdecimal():
+            raise ValueError(f"{at}: id is not a non-negative integer")
+        _check_fields(view, INSTANCE_FIELDS, at)
+        for index, record in enumerate(view["records"]):
+            _check_record(record, f"{at}: records[{index}]")
+        for label, sums in view["class_errors"].items():
+            where_sums = f"{at}: class_errors[{label!r}]"
+            _check_fields(sums, CLASS_ERROR_FIELDS, where_sums)
     return document
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _optional(check):
+    return lambda value: value is None or check(value)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+_COUNT = ("a count", lambda value: _is_int(value) and value >= 0)
+_SUM = ("a non-negative number", lambda value: _is_number(value) and value >= 0)
+
+#: What :func:`merge_worker_reports` and its scoring read: each field of
+#: an instance entry, of a record in it and of a class-error sum, with
+#: what it must hold.
+INSTANCE_FIELDS = {
+    "workload": ("a string", _is_str),
+    "seed": ("an integer", _is_int),
+    "events_seen": _COUNT,
+    "periods": _COUNT,
+    "windows": _COUNT,
+    "records": ("a list", lambda value: isinstance(value, list)),
+    "class_errors": ("an object", lambda value: isinstance(value, dict)),
+}
+RECORD_FIELDS = {
+    "request_id": ("an integer", _is_int),
+    "kind": ("a string", _is_str),
+    "injected_fault": ("null or a string", _optional(_is_str)),
+    "flagged": ("a boolean", _is_bool),
+    "time_to_detect_instructions": ("null or a number", _optional(_is_number)),
+    "committed_label": ("null or a string", _optional(_is_str)),
+    "commit_instructions": ("null or a number", _optional(_is_number)),
+    "label_correct": ("null or a boolean", _optional(_is_bool)),
+}
+CLASS_ERROR_FIELDS = {
+    "n": _COUNT, "abs_sum": _SUM, "sq_sum": _SUM, "weight": _SUM,
+}
+
+
+def _check_fields(value, fields, where: str) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}: not an object")
+    for name, (wanted, ok) in fields.items():
+        if name not in value or not ok(value[name]):
+            raise ValueError(f"{where}: {name} missing or not {wanted}")
+
+
+def _check_record(record, where: str) -> None:
+    _check_fields(record, RECORD_FIELDS, where)
+    if record["committed_label"] is not None and record["commit_instructions"] is None:
+        raise ValueError(f"{where}: commit_instructions null for a committed label")
+    if not _optional(_is_str)(record.get("attributed_cause")):
+        raise ValueError(f"{where}: attributed_cause not null or a string")
 
 
 def load_worker_report(path: str) -> dict:

@@ -143,7 +143,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.mode == "report":
-        return _mode_report(args)
+        try:
+            return _mode_report(args)
+        except (OSError, ValueError) as error:
+            parser.error(str(error))
     _check_pipeline_flags(args, parser)
     if args.mode == "serve":
         return _mode_serve(args)

@@ -95,6 +95,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="missing shard"):
             validate_worker_report(document)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda view: view.pop("events_seen"),
+             "instance 0: events_seen missing or not a count"),
+            (lambda view: view.update(workload=None),
+             "instance 0: workload missing or not a string"),
+            (lambda view: view.update(records={}),
+             "instance 0: records missing or not a list"),
+            (lambda view: view["records"][1].pop("flagged"),
+             "instance 0: records[1]: flagged missing or not a boolean"),
+            (lambda view: view["records"][0].update(request_id=[]),
+             "instance 0: records[0]: request_id missing or not an integer"),
+            (lambda view: view["records"][0].update(
+                time_to_detect_instructions="x"),
+             "records[0]: time_to_detect_instructions missing or not null or "
+             "a number"),
+            (lambda view: view["class_errors"]["query"].pop("weight"),
+             "instance 0: class_errors['query']: weight missing"),
+        ],
+        ids=["events_seen", "workload", "records", "flagged", "request_id",
+             "time_to_detect", "class_weight"],
+    )
+    def test_instance_fields_the_merge_reads_are_named(
+        self, tmp_path, damage, message
+    ):
+        document = two_worker_fixture()[0]
+        damage(document["instances"]["0"])
+        path = tmp_path / "report-w0.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError) as excinfo:
+            merge_worker_reports([load_worker_report(str(path))])
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert message in str(excinfo.value)
+
     def test_load_malformed_file_names_path(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text("{truncated")

@@ -584,6 +584,31 @@ class TestCli:
         )
         assert "fleet report" in capsys.readouterr().out
 
+    def test_report_mode_names_a_damaged_or_missing_report(
+        self, tmp_path, capsys
+    ):
+        from repro.serve.cli import main
+
+        options = LoadTestOptions(
+            workload="mbench_spin", instances=2, workers=2, requests=4
+        )
+        result = asyncio.run(run_load_test(options, str(tmp_path)))
+        paths = save_worker_reports(result.worker_reports, str(tmp_path))
+        document = json.loads(open(paths[0]).read())
+        instance = sorted(document["instances"])[0]
+        del document["instances"][instance]["events_seen"]
+        with open(paths[0], "w") as fh:
+            json.dump(document, fh)
+        missing = str(tmp_path / "report-w9.json")
+        for argv, message in (
+            ([paths[0]], f"{paths[0]}: instance {instance}: events_seen missing"),
+            ([paths[1], missing], f"No such file or directory: '{missing}'"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["report", *argv])
+            assert excinfo.value.code == 2
+            assert message in capsys.readouterr().err
+
     def test_kill_worker_index_validated(self):
         from repro.serve.cli import main
 

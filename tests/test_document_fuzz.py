@@ -28,7 +28,7 @@ from repro.online.checkpoint import (
     load_checkpoint,
 )
 from repro.online.pipeline import OnlinePipeline, train_identifier
-from repro.serve.aggregator import load_worker_report
+from repro.serve.aggregator import load_worker_report, merge_worker_reports
 from repro.serve.instance import InstanceSpec, generate_instance_events
 from repro.serve.service import save_worker_reports
 from repro.serve.worker import ShardWorker, WorkerConfig, load_bank, save_bank
@@ -109,7 +109,8 @@ def documents(tmp_path_factory):
         "bank": (bank, load_bank, ValueError),
         "worker report": (
             tmp / save_worker_reports([worker.build_report()], str(tmp))[0],
-            load_worker_report, ValueError,
+            lambda path: merge_worker_reports([load_worker_report(path)]),
+            ValueError,
         ),
         "obs events": (
             _write(tmp, "events.jsonl", events_to_jsonl(events[:12])),
