@@ -211,8 +211,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as error:
-        parser.error(str(error))
     except BrokenPipeError:
         # stdout went away mid-print (e.g. piped into head).  Detach it
         # so the interpreter's shutdown flush cannot raise again, and
@@ -220,6 +218,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except (OSError, ValueError) as error:
+        # A path it cannot read or write (the error names it) or a
+        # damaged document: a usage error, not a traceback.
+        parser.error(str(error))
 
 
 if __name__ == "__main__":

@@ -141,6 +141,19 @@ class TestValidation:
         assert excinfo.value.code == 2
         assert f"{path}: sweep spec needs a 'sampling'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    def test_cli_names_a_spec_path_it_cannot_read(self, command, tmp_path, capsys):
+        from repro.sweep.cli import main
+
+        path = tmp_path / "nope.json"
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--manifest", str(tmp_path / "m.json")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"No such file or directory: '{path}'" in capsys.readouterr().err
+
     def test_round_trips_through_dict(self):
         spec = small_spec(include=({"workload": "tpcc"},))
         clone = SweepSpec.from_dict(spec.to_dict())
