@@ -142,6 +142,7 @@ def run_benchmark(cache_path: str):
     warm, t_warm = timed(
         lambda: warm_engine.matrix(items, distance, distance_key=key)
     )
+    warm_engine.cache.save()  # the cache's owner writes it once
     # Fresh engine + fresh cache object: every hit comes from disk state.
     cold_engine = DistanceEngine(jobs=JOBS, cache=DistanceCache(path=cache_path))
     hit, t_cached = timed(

@@ -17,7 +17,7 @@ distances per application and measure.  This module centralizes that work:
 * :class:`DistanceCache` memoizes distances keyed by *content* (a stable
   hash of both operands plus a caller-supplied distance key), optionally
   persisted as JSON under ``results/.cache/`` so repeated experiments and
-  k-sweeps never recompute a pair.
+  k-sweeps never recompute a pair; its owner writes it once per run.
 
 Determinism: each matrix cell is one independent distance evaluation, so
 sliced parallel execution performs exactly the same arithmetic as the
@@ -176,7 +176,9 @@ class ContentCache:
 class DistanceCache(ContentCache):
     """Content-keyed memo cache: (distance key, operand hashes) -> distance.
 
-    The engine invokes ``save`` after each computation that added entries.
+    The engine only reads and fills it; whoever opens a cache with a
+    ``path`` calls ``save`` once its run is done (re-encoding the whole
+    cache after every matrix cost more than the matrices it saved).
     """
 
     _encode = staticmethod(float)
@@ -326,8 +328,6 @@ class DistanceEngine:
                 values[idx] = value
                 if use_cache:
                     self.cache.put(cache_keys[idx], value)
-            if use_cache:
-                self.cache.save()
         return values  # type: ignore[return-value]
 
     def _compute(

@@ -145,16 +145,22 @@ def run(
         result.panels[f"property: {prop}"] = []
     wins = 0
     total = 0
-    for app in all_apps():
-        quality = classification_quality(app, scale, seed, engine=engine)
-        for prop in ("cpu_time", "peak_cpi"):
-            row = {"app": app}
-            for measure in MEASURES:
-                row[measure] = 100.0 * quality[measure][prop]
-            result.panels[f"property: {prop}"].append(row)
-            total += 1
-            if row["dtw_penalty"] <= min(row["l1"], row["levenshtein"]) + 1e-9:
-                wins += 1
+    try:
+        for app in all_apps():
+            quality = classification_quality(app, scale, seed, engine=engine)
+            for prop in ("cpu_time", "peak_cpi"):
+                row = {"app": app}
+                for measure in MEASURES:
+                    row[measure] = 100.0 * quality[measure][prop]
+                result.panels[f"property: {prop}"].append(row)
+                total += 1
+                best_other = min(row["l1"], row["levenshtein"])
+                if row["dtw_penalty"] <= best_other + 1e-9:
+                    wins += 1
+    finally:
+        # The one write of the run's cache, whatever it computed.
+        if cache is not None:
+            cache.save()
     result.notes.append(
         "values are divergence-from-centroid percentages (lower is better); "
         f"dtw_penalty beats both L1 and Levenshtein in {wins}/{total} panels"

@@ -6,10 +6,12 @@ the returned matrices are bit-identical to the plain serial double loop.
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import distengine
 from repro.core.distances import l1_distance
 from repro.core.distengine import (
     MIN_PARALLEL_PAIRS,
@@ -162,6 +164,7 @@ class TestCaching:
         fn = lambda a, b: dtw_distance(a, b, asynchrony_penalty=0.1)
         warm = DistanceEngine(jobs=1, cache=DistanceCache(path=path))
         expected = warm.matrix(items, fn, distance_key="dtw:p=0.1")
+        warm.cache.save()  # the cache's owner writes it, not the engine
         assert os.path.exists(path)
 
         def poisoned(a, b):
@@ -171,6 +174,30 @@ class TestCaching:
         assert np.array_equal(
             cold.matrix(items, poisoned, distance_key="dtw:p=0.1"), expected
         )
+
+    def test_engine_leaves_the_write_to_the_owner(self, tmp_path):
+        path = str(tmp_path / "distances.json")
+        cache = DistanceCache(path=path)
+        engine = DistanceEngine(jobs=1, cache=cache)
+        for p in (0.0, 0.5):
+            engine.matrix(make_series(4, np.random.default_rng(6)),
+                          lambda a, b: l1_distance(a, b, penalty=p),
+                          distance_key=f"l1:p={p}")
+        assert not os.path.exists(path)
+        cache.save()
+        assert len(DistanceCache(path=path)) == 12
+
+    def test_fig7_writes_its_cache_once_per_run(self, tmp_path):
+        from repro.experiments import fig7_classification
+
+        writes = []
+
+        def counting_write(path, text):
+            writes.append(path)
+
+        with mock.patch.object(distengine, "atomic_write", counting_write):
+            fig7_classification.run(scale=0.05, cache_dir=str(tmp_path))
+        assert writes == [default_cache_path(str(tmp_path))]
 
     def test_corrupt_cache_file_starts_empty(self, tmp_path):
         path = tmp_path / "bad.json"
