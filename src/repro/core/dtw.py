@@ -30,9 +30,10 @@ per pair, so all three agree bit for bit:
 * the prefix sum is ``np.add.accumulate`` and the prefix minimum
   ``np.fmin.accumulate`` over ``[anchor, offsets...]``, both sequential
   along the row;
-* at ``p = 0`` the ``+ p``, ``- k*p`` and ``+ j*p`` passes are skipped.
-  That is exact: ``x - 0.0 == x`` for every ``x``, and ``x + 0.0 == x``
-  for every ``x`` but ``-0.0``.  No DP value is ``-0.0``: costs come from
+* at ``p = 0`` this function and the lane-scheduled DP skip the ``+ p``,
+  ``- k*p`` and ``+ j*p`` passes (the one-vs-many DP keeps them).  That
+  is exact: ``x - 0.0 == x`` for every ``x``, and ``x + 0.0 == x`` for
+  every ``x`` but ``-0.0``.  No DP value is ``-0.0``: costs come from
   ``abs`` (``+0.0`` at worst), and a sum whose first operand is ``>=
   +0.0`` is never ``-0.0``.
 

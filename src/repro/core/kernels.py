@@ -25,9 +25,10 @@ bank machinery also backs its prefix matching,
 Both batched DPs return results *bit-identical* to the serial reference
 DP: they perform exactly the same IEEE-754 operations per pair as the
 serial one (``add.accumulate`` and ``fmin.accumulate`` are sequential
-along the last axis, and ``p = 0`` drops the same exact ``+ 0.0`` and
-``- 0.0`` passes everywhere; see :mod:`repro.core.dtw`).  All three
-refuse an operand holding NaN or an infinity, naming it.
+along the last axis; at ``p = 0`` the pairwise DP drops the same exact
+``+ 0.0`` and ``- 0.0`` passes as the serial one, see
+:mod:`repro.core.dtw`).  All three refuse an operand holding NaN or an
+infinity, naming it.
 :class:`~repro.core.distengine.DistanceEngine` batches every
 :class:`PenaltyDtw` matrix, pair-list and one-to-many request through
 :meth:`PenaltyDtw.pairwise`, that is :func:`dtw_pairwise`; the property
