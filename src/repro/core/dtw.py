@@ -23,19 +23,20 @@ prefix minimum, making every row a few vector operations:
     D[i][j] = C[j] + j*p + min_{k<=j} (A[k] - C[k-1] - k*p)
 
 with C the prefix sums of the current cost row c[i][:], and the k = 0
-term the anchor ``D[i][0] - C[0]``.  The batched DPs of
-:mod:`repro.core.kernels` perform exactly these elementwise operations
-per pair, so all three agree bit for bit:
+term the anchor ``D[i][0] - C[0]``.  This function is the serial
+reference; the batched DPs of :mod:`repro.core.kernels` agree with it
+bit for bit:
 
-* the prefix sum is ``np.add.accumulate`` and the prefix minimum
-  ``np.fmin.accumulate`` over ``[anchor, offsets...]``, both sequential
-  along the row;
-* at ``p = 0`` this function and the lane-scheduled DP skip the ``+ p``,
-  ``- k*p`` and ``+ j*p`` passes (the one-vs-many DP keeps them).  That
-  is exact: ``x - 0.0 == x`` for every ``x``, and ``x + 0.0 == x`` for
-  every ``x`` but ``-0.0``.  No DP value is ``-0.0``: costs come from
-  ``abs`` (``+0.0`` at worst), and a sum whose first operand is ``>=
-  +0.0`` is never ``-0.0``.
+* all three take the prefix sum with ``np.add.accumulate`` and the
+  prefix minimum with one ``np.fmin.accumulate`` over ``[anchor,
+  offsets...]``, both sequential along the row;
+* the one-vs-many DP performs this function's operations per pair; at
+  ``p = 0`` the lane-scheduled DP skips the ``+ p``, ``- k*p`` and
+  ``+ j*p`` passes and the x-step's ``+ p``, which this function keeps
+  at every ``p``.  Skipping them gives the same bits: ``x - 0.0 == x``
+  for every ``x``, and ``x + 0.0 == x`` for every ``x`` but ``-0.0``.
+  No DP value is ``-0.0``: costs come from ``abs`` (``+0.0`` at worst),
+  and a sum whose first operand is ``>= +0.0`` is never ``-0.0``.
 
 Operands holding NaN or an infinity are refused with a ``ValueError``
 naming the operand.  ``fmin`` and ``minimum`` agree whenever no NaN is
@@ -79,25 +80,19 @@ def dtw_distance(x, y, asynchrony_penalty: float = 0.0) -> float:
     # Row 0: only asynchronous steps along y.
     row = np.abs(x[0] - y)
     if n > 1:
-        steps = row[1:] + p if p else row[1:]
-        row[1:] = row[0] + np.add.accumulate(steps)
+        row[1:] = row[0] + np.add.accumulate(row[1:] + p)
 
     scan = np.empty(n)
     for i in range(1, x.size):
         cost = np.abs(x[i] - y)
         prefix = np.add.accumulate(cost)  # C[j] = sum of cost[0..j]
-        first = row[0] + cost[0]  # asynchronous step along x
-        if p:
-            first += p
+        first = row[0] + cost[0] + p  # asynchronous step along x
         # scan[k]: the anchor at k = 0, then A[k] - C[k-1] - k*p, where
         # A[k] arrives from the previous row either diagonally
         # (synchronous) or vertically (asynchronous).
         scan[0] = first - prefix[0]
-        if p:
-            scan[1:] = np.minimum(row[:-1], row[1:] + p) - prefix[:-1] - jp[1:]
-        else:
-            scan[1:] = np.minimum(row[:-1], row[1:]) - prefix[:-1]
+        scan[1:] = np.minimum(row[:-1], row[1:] + p) - prefix[:-1] - jp[1:]
         np.fmin.accumulate(scan, out=scan)
-        row = prefix + jp + scan if p else prefix + scan
+        row = prefix + jp + scan
         row[0] = first
     return float(row[-1])
