@@ -23,10 +23,11 @@ bank machinery also backs its prefix matching,
 :class:`PrefixL1Sweeper` behind the streaming pipeline on large banks.
 
 Both batched DPs return results *bit-identical* to the serial reference
-DP: they perform exactly the same IEEE-754 operations per pair as the
-serial one (``add.accumulate`` and ``fmin.accumulate`` are sequential
-along the last axis; at ``p = 0`` the pairwise DP drops the same exact
-``+ 0.0`` and ``- 0.0`` passes as the serial one, see
+DP (``add.accumulate`` and ``fmin.accumulate`` are sequential along the
+last axis).  The one-vs-many DP performs exactly the serial DP's
+IEEE-754 operations per pair, and so does the pairwise DP, except that
+at ``p = 0`` it drops the ``+ 0.0`` and ``- 0.0`` passes, which cannot
+change a value because no DP value is ``-0.0`` (see
 :mod:`repro.core.dtw`).  All three refuse an operand holding NaN or an
 infinity, naming it.
 :class:`~repro.core.distengine.DistanceEngine` batches every
@@ -160,8 +161,9 @@ def dtw_pairwise(
 
     Every busy lane applies :func:`~repro.core.dtw.dtw_distance`'s
     elementwise recurrence (``add.accumulate`` and ``fmin.accumulate``
-    are sequential along a row, and ``p = 0`` skips the same exact
-    passes), a lane starting a pair overwrites its row with the row-0
+    are sequential along a row; at ``p = 0`` it skips the ``+ p``,
+    ``- j*p`` and ``+ j*p`` passes, which :mod:`repro.core.dtw` shows
+    exact), a lane starting a pair overwrites its row with the row-0
     formula, and a pair is read at column ``n - 1``, which the columns
     beyond it cannot reach.  Every value is therefore bit-identical to
     the per-pair DP.  An operand holding NaN or an infinity is refused,
@@ -223,11 +225,10 @@ def dtw_pairwise(
     w = int(n[0])
     columns = np.arange(w)
     size = lanes * w
-    buffers = [np.empty(size) for _ in range(5)]
-    row, ys = buffers[:2]
+    row, ys, cost, prefix, work = (np.empty(size) for _ in range(5))
     first = np.empty(lanes)
     jpt = np.tile(columns * p, lanes)
-    shape = views = None
+    shape = None
     out = np.empty(len(pairs))
     head = k1 = f1 = 0
     for step in range(ends[-1]):
@@ -243,10 +244,19 @@ def dtw_pairwise(
             w = narrow
             jpt = np.tile(columns[:w] * p, b)
         if shape != (b, w):
+            # Every view a step reads or writes, once per shape.
             shape = (b, w)
-            views = _step_views(buffers, xs, jpt, first, b, w)
-        (x, r2, r_lo, r_hi, r0, y2, c2, c0, pc2, pc_lo, pc0, e2, e_hi, e0,
-         jp2, jp_hi, f) = views
+            bw = b * w
+            r, y, c, pc, e, jp = (
+                a[:bw] for a in (row, ys, cost, prefix, work, jpt)
+            )
+            r2, y2, c2, pc2, e2, jp2 = (
+                a.reshape(b, w) for a in (r, y, c, pc, e, jp)
+            )
+            r_lo, r_hi, r0 = r[:-1], r[1:], r2[:, 0]
+            c0, pc_lo, pc0 = c2[:, 0], pc[:-1], pc2[:, 0]
+            e_hi, e0, jp_hi = e[1:], e2[:, 0], jp[1:]
+            x, f = xs[:, :b], first[:b]
         k0, k1 = k1, bisect.bisect_right(start_steps, step, k1)
         if k1 > k0:
             fresh = lane[k0:k1]
@@ -254,8 +264,8 @@ def dtw_pairwise(
         np.subtract(x[step], y2, out=c2)
         np.abs(c2, out=c2)
         if k1 - k0 < b:
-            # dtw_distance's row recurrence, operation for operation.
-            # Column 0 of the flat shifts straddles two lanes; it is
+            # dtw_distance's row recurrence, operation for operation,
+            # less the exact + 0.0 and - 0.0 passes at p = 0.  Column 0 of the flat shifts straddles two lanes; it is
             # overwritten with the anchor before use.
             np.add.accumulate(c2, axis=1, out=pc2)
             if p:
@@ -289,24 +299,6 @@ def dtw_pairwise(
         if f1 > f0:
             out[read_pair[f0:f1]] = r2[read_lane[f0:f1], read_column[f0:f1]]
     return out.tolist()
-
-
-def _step_views(buffers, xs, jpt, first, b, w):
-    """Every view one step of :func:`dtw_pairwise` reads or writes over
-    ``[:b lanes, :w columns]``."""
-    bw = b * w
-    row, ys, cost, prefix, work, jp = (a[:bw] for a in (*buffers, jpt))
-    r2, y2, c2, pc2, e2, jp2 = (
-        a.reshape(b, w) for a in (row, ys, cost, prefix, work, jp)
-    )
-    return (
-        xs[:, :b],
-        r2, row[:-1], row[1:], r2[:, 0], y2,
-        c2, c2[:, 0],
-        pc2, prefix[:-1], pc2[:, 0],
-        e2, work[1:], e2[:, 0],
-        jp2, jp[1:], first[:b],
-    )
 
 
 def _flatten(items, used, name):

@@ -59,6 +59,7 @@ class TestBatchedOneToMany:
             )
             assert np.array_equal(batched, serial)
 
+
 class TestNonFiniteOperands:
     """NaN and infinities are refused, naming the operand, instead of
     coming out of the DP as NaN distances."""
