@@ -139,10 +139,13 @@ def run_benchmark(cache_path: str):
     par, t_parallel = timed(lambda: parallel_engine.matrix(items, distance))
 
     warm_engine = DistanceEngine(jobs=JOBS, cache=DistanceCache(path=cache_path))
-    warm, t_warm = timed(
-        lambda: warm_engine.matrix(items, distance, distance_key=key)
-    )
-    warm_engine.cache.save()  # the cache's owner writes it once
+
+    def fill():
+        values = warm_engine.matrix(items, distance, distance_key=key)
+        warm_engine.cache.save()  # the cache's owner writes it once
+        return values
+
+    warm, t_warm = timed(fill)
     # Fresh engine + fresh cache object: every hit comes from disk state.
     cold_engine = DistanceEngine(jobs=JOBS, cache=DistanceCache(path=cache_path))
     hit, t_cached = timed(
