@@ -51,12 +51,14 @@ class SamplingPolicy:
     trigger_syscalls: Optional[FrozenSet[str]] = None
 
     def __post_init__(self):
-        if self.mode is SamplingMode.INTERRUPT and self.interrupt_period_us <= 0:
+        # Each check is written so that NaN fails it: a NaN timing would
+        # put NaN deadlines in the simulator's event calendar.
+        if self.mode is SamplingMode.INTERRUPT and not self.interrupt_period_us > 0:
             raise ValueError("interrupt_period_us must be positive")
         if self.mode in (SamplingMode.SYSCALL_TRIGGERED, SamplingMode.TRANSITION_SIGNAL):
-            if self.t_syscall_min_us <= 0 or self.t_backup_int_us <= 0:
+            if not (self.t_syscall_min_us > 0 and self.t_backup_int_us > 0):
                 raise ValueError("syscall-triggered timings must be positive")
-            if self.t_backup_int_us < self.t_syscall_min_us:
+            if not self.t_backup_int_us >= self.t_syscall_min_us:
                 raise ValueError("t_backup_int_us must be >= t_syscall_min_us")
         if self.mode is SamplingMode.TRANSITION_SIGNAL and not self.trigger_syscalls:
             raise ValueError("TRANSITION_SIGNAL mode needs trigger_syscalls")

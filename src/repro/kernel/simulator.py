@@ -15,13 +15,15 @@ and every RNG draw keeps one fixed order, so output is byte-deterministic
 
 * **deadline calendar** — the five per-core event timers (phase end,
   quantum expiry, resched opportunity, interrupt, rate-based syscall)
-  live in one ``(5, num_cores)`` numpy matrix whose rows follow
-  :data:`_EVENT_PRIORITY`.  ``_next_event`` is a single ``argmin`` over
-  the C-order flattened matrix: among ties of the minimum time,
-  ``argmin`` returns the first occurrence, i.e. the smallest
-  ``(kind_priority, core_id)``.  Arrivals (priority 0) win ties against
-  every core event via a ``<=`` head check.  Idle cores hold ``inf`` in
-  every row.
+  live in one plain list of ``5 * num_cores`` floats, laid out row-major
+  with one row per kind in :data:`_EVENT_PRIORITY` order and one column
+  per core.  ``_next_event`` takes ``min`` of the list and the
+  ``list.index`` of that time: both keep the first of equal values, so
+  among ties of the minimum time the smallest ``(kind_priority,
+  core_id)`` wins.  Arrivals (priority 0) win ties against every core
+  event via a ``<=`` head check.  Idle cores hold ``inf`` in every row.
+  A timer write is a list store and idling a core one slice store, and
+  times stay Python floats.
 * **scalar per-core accumulators** — period counters accumulate as four
   plain floats per core, and a flushed period is one 9-value row added
   to its request's flat period list
@@ -31,13 +33,14 @@ and every RNG draw keeps one fixed order, so output is byte-deterministic
   samples, rate-based syscalls) cannot change dispatch, completion, or
   shedding state, so the inner loop drains them without re-entering the
   outer run-completion bookkeeping.  Every event still advances every
-  busy core at its own timestamp, in order, so the batching is
-  control-flow elision, not arithmetic fusion — see ``docs/perf.md``.
+  busy core at its own timestamp, in order, inside the loop itself, so
+  the batching is control-flow elision, not arithmetic fusion — see
+  ``docs/perf.md``.
 * **per-core contention solve** — each core keeps the behavior its cache
   pressure and solo CPI were computed for, and the (behavior,
   co-pressure) pair its miss ratio, reference rate and bus traffic were
   computed for, and recomputes them only when that identity or value
-  changes.  Bus totals, penalties and CPIs are rebuilt on every solve in
+  changes, in one pass that shares the cache model's saturation term.  Bus totals, penalties and CPIs are rebuilt on every solve in
   ascending core order, exactly as the reference solve in
   ``tests/hardware/reference.py`` does, into plain float slots on the
   core, and sampling cost snapshots are memoized per run.  Timer resets
@@ -50,6 +53,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from math import exp
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -365,13 +369,22 @@ class ServerSimulator:
         )
         self.stats = SamplerStats()
         self.now = 0.0
-        # The deadline calendar: one row per timer kind, one column per
-        # core, all-inf while the core is idle.
+        # The deadline calendar: a flat list of floats laid out row-major,
+        # one row per timer kind in priority order, one column per core;
+        # a core's slots are all inf while it is idle.  Slot ``i`` is the
+        # ``_slot_kind[i]`` timer of core ``_slot_core[i]``.
         self._ncores = num_cores = machine.num_cores
-        self._dl = np.full((len(_CALENDAR_KINDS), num_cores), _INF)
-        self._dl_flat = self._dl.reshape(-1)
-        self._phase_row = self._dl[_ROW_PHASE]
-        self._argmin = self._dl_flat.argmin
+        slots = range(len(_CALENDAR_KINDS) * num_cores)
+        self._dl = [_INF] * len(slots)
+        self._slot_core = [i % num_cores for i in slots]
+        self._slot_kind = [_CALENDAR_KINDS[i // num_cores] for i in slots]
+        self._idle_column = [_INF] * len(_CALENDAR_KINDS)
+        # First slot of each row: a timer lives at its row's base + core id.
+        self._at_phase = _ROW_PHASE * num_cores
+        self._at_quantum = _ROW_QUANTUM * num_cores
+        self._at_resched = _ROW_RESCHED * num_cores
+        self._at_interrupt = _ROW_INTERRUPT * num_cores
+        self._at_ratecall = _ROW_RATECALL * num_cores
         self.cores = [
             _CoreRun(i, machine.l2_peers_of(i), machine.bus_domain_of(i))
             for i in range(num_cores)
@@ -442,7 +455,14 @@ class ServerSimulator:
         # Per-domain bus totals, reset in place by every solve.
         self._bus_zeros = [0.0] * machine.num_machines
         self._bus_totals = list(self._bus_zeros)
+        # Model parameters of the one-pass contention solve.
+        cache = config.cache
+        self._neg_pressure_scale = -cache.pressure_scale
+        self._miss_ratio_cap = cache.miss_ratio_cap
+        self._ref_inflation = cache.ref_inflation
         bus = config.bus
+        self._cycles_per_miss = bus.cycles_per_miss
+        self._max_occupancy = bus.max_occupancy
         self._bus_gamma = bus.contention_gamma
         self._bus_beta = bus.contention_beta
         self._bus_occ_clamp = (bus.machine_cores - 1) * bus.max_occupancy
@@ -538,7 +558,6 @@ class ServerSimulator:
         account = self.config.high_usage_mpi_threshold is not None
         num = self.config.num_requests
         next_event = self._next_event
-        advance_all = self._advance_all
         sample = self._sample
         cores = self.cores
         interrupt_ctx = SamplingContext.INTERRUPT
@@ -562,7 +581,32 @@ class ServerSimulator:
                 # advanced to t by the previous event at t, and injections
                 # only ever move core.adv forward past it.
                 if t != self.now:
-                    advance_all(t)
+                    # Accumulate every core's counters up to t.  Cycles
+                    # re-anchor on wall time (no float drift); instructions,
+                    # references and misses follow the operation order of
+                    # the reference rates' counters_for_instructions
+                    # (tests/hardware/reference.py) on the core's rate
+                    # slots.  A core stalled past t by an injection makes
+                    # no progress.
+                    for core in cores:
+                        elapsed = t - core.adv
+                        if elapsed <= 0.0:
+                            continue
+                        core.adv = t
+                        cpi = core.cpi
+                        if cpi is None:
+                            continue
+                        instructions = elapsed / cpi
+                        refs = instructions * core.ref_rate
+                        misses = refs * core.miss_ratio
+                        core.busy += elapsed
+                        task = core.task
+                        if task is not None and instructions > 0:
+                            core.pc_cycles += elapsed
+                            core.pc_instructions += instructions
+                            core.pc_l2_refs += refs
+                            core.pc_l2_misses += misses
+                            task.instructions_done_in_phase += instructions
                     self.now = t
                 if kind == "interrupt":
                     sample(cores[core_id], interrupt_ctx)
@@ -603,23 +647,26 @@ class ServerSimulator:
         """The earliest pending event as ``(time, core_id, kind)``.
 
         Same-timestamp events settle by the explicit, documented key
-        ``(time, _EVENT_PRIORITY[kind], core_id)``: the calendar rows are
-        in priority order and the flatten is C-order, so among equal
-        minimum times ``argmin``'s first-occurrence rule picks the
-        smallest ``(priority, core_id)``.  Idle cores hold ``inf`` in
-        every row (maintained by ``_clear_core``), so they never win.  An
+        ``(time, _EVENT_PRIORITY[kind], core_id)``: the calendar is laid
+        out row-major with rows in priority order, ``min`` keeps the
+        first of equal minima and ``list.index`` returns the first equal
+        slot, so among equal minimum times the smallest ``(priority,
+        core_id)`` wins.  That holds for every deadline but NaN (``min``
+        passes over a NaN that is not first), which is why the sampling
+        policy refuses NaN timings.  Idle cores hold ``inf`` in every
+        slot (maintained by ``_clear_core``), so they never win.  An
         arrival at the same timestamp beats every core event (priority 0
         via ``<=``).
         """
-        index = int(self._argmin())
-        t = self._dl_flat[index]
+        dl = self._dl
+        t = min(dl)
         pending = self._pending_arrivals
         if pending and pending[0][0] <= t:
             return pending[0][0], -1, "arrival"
         if t == _INF:
             return _INF, -1, "none"
-        row = index // self._ncores
-        return float(t), index - row * self._ncores, _CALENDAR_KINDS[row]
+        index = dl.index(t)
+        return t, self._slot_core[index], self._slot_kind[index]
 
     def _account_timeline(self, t: float) -> None:
         threshold = self.config.high_usage_mpi_threshold
@@ -630,35 +677,6 @@ class ServerSimulator:
             if core.ref_rate * core.miss_ratio > threshold:
                 count += 1
         self._timeline[count] += t - self.now
-
-    def _advance_all(self, t: float) -> None:
-        """Accumulate every core's counters up to ``t``.
-
-        Cycles re-anchor on wall time (no float drift); instructions,
-        references and misses follow the operation order of the reference
-        rates' ``counters_for_instructions`` (``tests/hardware/reference.py``)
-        on the core's rate slots.
-        A core stalled past ``t`` by an injection makes no progress.
-        """
-        for core in self.cores:
-            elapsed = t - core.adv
-            if elapsed <= 0.0:
-                continue
-            core.adv = t
-            cpi = core.cpi
-            if cpi is None:
-                continue
-            instructions = elapsed / cpi
-            refs = instructions * core.ref_rate
-            misses = refs * core.miss_ratio
-            core.busy += elapsed
-            task = core.task
-            if task is not None and instructions > 0:
-                core.pc_cycles += elapsed
-                core.pc_instructions += instructions
-                core.pc_l2_refs += refs
-                core.pc_l2_misses += misses
-                task.instructions_done_in_phase += instructions
 
     # ------------------------------------------------------- event handlers
 
@@ -724,7 +742,9 @@ class ServerSimulator:
             core_id, current, self.runqueues[core_id], running
         )
         if idx is None:
-            self._dl[_ROW_RESCHED, core_id] = self.now + self._resched_cycles
+            self._dl[self._at_resched + core_id] = (
+                self.now + self._resched_cycles
+            )
             return
         incoming = self.runqueues[core_id].pop(idx)
         if self._trace_sched:
@@ -971,7 +991,7 @@ class ServerSimulator:
         core.cpi = None
         core.periods_sink = None
         core.phases = None
-        self._dl[:, core.cid] = _INF
+        self._dl[core.cid :: self._ncores] = self._idle_column
 
     def _switch_in(self, core: _CoreRun, task: Task) -> None:
         if self._trace_dispatch:
@@ -1006,8 +1026,8 @@ class ServerSimulator:
         core.period_inj_int = 0
         core.last_sample = self.now
         cid = core.cid
-        self._dl[_ROW_QUANTUM, cid] = self.now + self._quantum_cycles
-        self._dl[_ROW_RESCHED, cid] = (
+        self._dl[self._at_quantum + cid] = self.now + self._quantum_cycles
+        self._dl[self._at_resched + cid] = (
             self.now + self._resched_cycles if self._resched_cycles else _INF
         )
 
@@ -1105,7 +1125,7 @@ class ServerSimulator:
 
         The injected cycles consume wall-clock time without phase
         progress: moving ``core.adv`` forward means the stalled interval
-        produces no instructions in :meth:`_advance_all`.
+        produces no instructions when the event loop next advances it.
         """
         core.busy += cycles
         core.adv += cycles
@@ -1225,19 +1245,19 @@ class ServerSimulator:
         dl = self._dl
         cid = core.cid
         delay = self._sampler_delay
-        dl[_ROW_INTERRUPT, cid] = _INF if delay is None else now + delay
+        dl[self._at_interrupt + cid] = _INF if delay is None else now + delay
         cpi = core.cpi
         if cpi is not None:
             remaining = phase.instructions - task.instructions_done_in_phase
             if remaining <= 0.0:
                 remaining = 0.0  # == max(0.0, remaining) bit-exactly
-            dl[_ROW_PHASE, cid] = last_advance + remaining * cpi
+            dl[self._at_phase + cid] = last_advance + remaining * cpi
             if self._wants_syscall:
                 self._reset_ratecall(core)
 
     def _reset_sampler_timers(self, core: _CoreRun) -> None:
         delay = self._sampler_delay
-        self._dl[_ROW_INTERRUPT, core.cid] = (
+        self._dl[self._at_interrupt + core.cid] = (
             _INF if delay is None else self.now + delay
         )
 
@@ -1248,8 +1268,8 @@ class ServerSimulator:
 
         A per-core transcription of the reference solve in
         ``tests/hardware/reference.py``, bit-identical by construction:
-        each cached value is the model call that function makes, with the
-        same arguments, and is reused only while those arguments are
+        each cached value is what that function's model calls return for
+        the same arguments, and is reused only while those arguments are
         unchanged (the same behavior object, an equal co-pressure), which
         in practice leaves just the core that changed phase and its L2
         peer to recompute.  Peer pressures sum from int
@@ -1272,9 +1292,18 @@ class ServerSimulator:
                         behavior.base_cpi,
                         behavior.cache_footprint,
                     )
-                    core.solo_cpi = behavior.solo_cpi(self._miss_penalty)
+                    solo_cpi = behavior.solo_cpi(self._miss_penalty)
+                    # MemoryBusModel.miss_traffic's argument check, made
+                    # once per behavior instead of once per solve.
+                    if solo_cpi <= 0:
+                        raise ValueError("approx_cpi must be positive")
+                    core.solo_cpi = solo_cpi
 
-        cache = self.config.cache
+        neg_scale = self._neg_pressure_scale
+        cap = self._miss_ratio_cap
+        ref_inflation = self._ref_inflation
+        cycles_per_miss = self._cycles_per_miss
+        max_occupancy = self._max_occupancy
         totals = self._bus_totals
         totals[:] = self._bus_zeros
         for core in cores:
@@ -1287,16 +1316,28 @@ class ServerSimulator:
                     co_pressure = co_pressure + peer_core.pressure
             behavior = core.behavior
             if behavior is not core.contended or co_pressure != core.co_pressure:
-                miss_ratio = cache.effective_miss_ratio(
-                    behavior.l2_miss_ratio, behavior.cache_footprint, co_pressure
-                )
-                ref_rate = cache.effective_ref_rate(
-                    behavior.l2_refs_per_ins, co_pressure
+                # One pass over SharedL2Model.effective_miss_ratio and
+                # effective_ref_rate, which compute the same saturation,
+                # then MemoryBusModel.miss_traffic, op for op.  Their
+                # argument checks hold for every validated behavior; the
+                # conditionals pick exactly what min() and max() return,
+                # NaN included.
+                base = behavior.l2_miss_ratio
+                footprint = behavior.cache_footprint
+                sensitivity = footprint if footprint > 0.0 else 0.0
+                if not sensitivity < 1.0:
+                    sensitivity = 1.0
+                saturation = 1.0 - exp(neg_scale * co_pressure)
+                inflated = base + ((cap - base) * saturation * sensitivity)
+                miss_ratio = inflated if inflated > base else base
+                ref_rate = behavior.l2_refs_per_ins * (
+                    1.0 + ref_inflation * saturation
                 )
                 core.miss_ratio = miss_ratio
                 core.ref_rate = ref_rate
-                core.traffic = self.config.bus.miss_traffic(
-                    ref_rate, miss_ratio, core.solo_cpi
+                traffic = ref_rate * miss_ratio / core.solo_cpi * cycles_per_miss
+                core.traffic = (
+                    traffic if traffic < max_occupancy else max_occupancy
                 )
                 core.contended = behavior
                 core.co_pressure = co_pressure
@@ -1307,7 +1348,8 @@ class ServerSimulator:
         gamma = self._bus_gamma
         beta = self._bus_beta
         occ_clamp = self._bus_occ_clamp
-        phase_row = self._phase_row
+        dl = self._dl
+        at_phase = self._at_phase
         wants_syscall = self._wants_syscall
         for core in cores:
             task = core.task
@@ -1334,19 +1376,19 @@ class ServerSimulator:
             )
             if not remaining > 0.0:
                 remaining = 0.0  # == max(0.0, remaining), NaN included
-            phase_row[core.cid] = core.adv + remaining * cpi
+            dl[at_phase + core.cid] = core.adv + remaining * cpi
             if wants_syscall:
                 self._reset_ratecall(core)
 
     def _reset_ratecall(self, core: _CoreRun) -> None:
-        cid = core.cid
+        slot = self._at_ratecall + core.cid
         if not self._wants_syscall:
-            self._dl[_ROW_RATECALL, cid] = _INF
+            self._dl[slot] = _INF
             return
         task = core.task
         phase = core.phases[task.phase_index]
         if phase.syscall_rate_per_ins <= 0:
-            self._dl[_ROW_RATECALL, cid] = _INF
+            self._dl[slot] = _INF
             return
         # The earliest instant a rate-based syscall could trigger a sample;
         # by exponential memorylessness the next call after that instant is
@@ -1358,7 +1400,7 @@ class ServerSimulator:
         delay = next_rate_syscall_cycles(
             self.rng, phase.syscall_rate_per_ins, core.cpi
         )
-        self._dl[_ROW_RATECALL, cid] = earliest + delay
+        self._dl[slot] = earliest + delay
 
 
 def run_workload(workload, config: Optional[SimConfig] = None, **overrides) -> SimResult:

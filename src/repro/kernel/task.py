@@ -21,7 +21,7 @@ class TaskState(Enum):
     DONE = "done"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One tier's worth of a request's execution."""
 

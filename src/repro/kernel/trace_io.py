@@ -17,6 +17,7 @@ the server.  Two encodings of the same per-request record:
 from __future__ import annotations
 
 import json
+import math
 from typing import List
 
 import numpy as np
@@ -104,18 +105,78 @@ def _period_block(periods) -> np.ndarray:
     return np.array(columns + [zeros, zeros]).T
 
 
+def _is_number(value) -> bool:
+    """A finite float or an int; a bool is not a number here."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (
+        isinstance(value, float) and math.isfinite(value)
+    )
+
+
+#: The checked fields outside the period columns: (test, what it needs).
+_FIELDS = {
+    "request_id": (
+        lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"
+    ),
+    "app": (lambda v: isinstance(v, str), "a string"),
+    "kind": (lambda v: isinstance(v, str), "a string"),
+    "arrival_cycle": (_is_number, "a finite number"),
+    "completion_cycle": (_is_number, "a finite number"),
+    "frequency_ghz": (
+        lambda v: _is_number(v) and v > 0, "a finite number above zero"
+    ),
+    "total_spec_instructions": (_is_number, "a finite number"),
+    "metadata": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _field(data: dict, name: str, *default):
+    """``data[name]`` (or ``default`` when given and the field is absent),
+    checked against :data:`_FIELDS`; a bad value raises
+    :class:`ValueError` naming the field."""
+    value = data.get(name, *default) if default else data[name]
+    test, expected = _FIELDS[name]
+    if not test(value):
+        raise ValueError(f"field {name!r} is {value!r}, not {expected}")
+    return value
+
+
+def _syscalls(data: dict) -> list:
+    """The ``syscalls`` field as ``(cycle, name)`` pairs, checked."""
+    entries = data.get("syscalls", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"field 'syscalls' is {entries!r}, not a list")
+    events = []
+    for index, entry in enumerate(entries):
+        if not (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and isinstance(entry[1], str)
+            and _is_number(entry[0])
+        ):
+            raise ValueError(
+                f"field 'syscalls' entry {index} is {entry!r}, "
+                "not a [cycle, name] pair"
+            )
+        events.append((entry[0], entry[1]))
+    return events
+
+
 def trace_from_dict(data: dict) -> RequestTrace:
     """Reconstruct a trace.  The spec is rebuilt as a single opaque phase
     (the measured timeline, not the generative model, is what offline
-    analyses consume)."""
+    analyses consume).  A field of the wrong kind raises
+    :class:`ValueError` naming it; a missing required one raises
+    :class:`KeyError`."""
     if not isinstance(data, dict) or "periods" not in data:
         raise ValueError("not a serialized request trace")
     block = _period_block(data["periods"])
-    total_ins = max(1, int(data.get("total_spec_instructions", 1)))
+    total_ins = max(1, int(_field(data, "total_spec_instructions", 1)))
     spec = RequestSpec(
-        request_id=data["request_id"],
-        app=data["app"],
-        kind=data["kind"],
+        request_id=_field(data, "request_id"),
+        app=_field(data, "app"),
+        kind=_field(data, "kind"),
         stages=(
             Stage(
                 tier="recorded",
@@ -127,16 +188,16 @@ def trace_from_dict(data: dict) -> RequestTrace:
                 ),
             ),
         ),
-        metadata=dict(data.get("metadata", {})),
+        metadata=dict(_field(data, "metadata", {})),
     )
     return RequestTrace(
         spec=spec,
-        arrival_cycle=data["arrival_cycle"],
-        completion_cycle=data["completion_cycle"],
+        arrival_cycle=_field(data, "arrival_cycle"),
+        completion_cycle=_field(data, "completion_cycle"),
         periods=block,
-        syscall_events=[(c, n) for c, n in data.get("syscalls", [])],
+        syscall_events=_syscalls(data),
         compensation=None,  # counters were stored already-compensated
-        frequency_ghz=data.get("frequency_ghz", 3.0),
+        frequency_ghz=_field(data, "frequency_ghz", 3.0),
     )
 
 

@@ -36,6 +36,9 @@ PERIOD_FIELDS = (
 #: Floors of the compensated counters, a column in row order.
 _FLOORS = np.array([[1.0], [1.0], [0.0], [0.0]])
 
+#: The row fields a trace exposes raw: start, end and the four counters.
+_RAW_FIELDS = [0, 1, 3, 4, 5, 6]
+
 
 def minimum_cost_columns(cost_model: Optional[SamplingCostModel]):
     """The "do no harm" subtrahends: the in-kernel and the interrupt
@@ -57,8 +60,9 @@ class RequestTrace:
 
     ``periods`` is the ``(P, 9)`` block of the request's rows (any
     array-like numpy reads as that shape).  Each array is one column of
-    the block, stably sorted by start cycle, in memory of its own, so no
-    array keeps the block or the injected counts alive.  With
+    the block, stably sorted by start cycle.  The six raw columns are
+    rows of one array and the four compensated counters rows of another,
+    so no array keeps the block or the injected counts alive.  With
     ``compensation`` (see :func:`minimum_cost_columns`) the compensated
     counters are the raw ones minus each injected count times its minimum
     cost, floored; without it they equal the raw counters.
@@ -84,6 +88,7 @@ class RequestTrace:
 
         columns = np.asarray(periods).T
         rows = columns.take(columns[0].argsort(kind="stable"), axis=1)
+        raw = rows[_RAW_FIELDS]
         (
             self.start,
             self.end,
@@ -91,17 +96,16 @@ class RequestTrace:
             self.raw_instructions,
             self.raw_l2_refs,
             self.raw_l2_misses,
-        ) = (rows[i].copy() for i in (0, 1, 3, 4, 5, 6))
+        ) = raw
         self.core = rows[2].astype(int)
-        counters = rows[3:7]
-        if compensation is not None:
+        if compensation is None:
+            counters = raw[2:].copy()
+        else:
             in_kernel, interrupt = compensation
             counters = np.maximum(
-                _FLOORS, counters - rows[7] * in_kernel - rows[8] * interrupt
+                _FLOORS, rows[3:7] - rows[7] * in_kernel - rows[8] * interrupt
             )
-        self.cycles, self.instructions, self.l2_refs, self.l2_misses = (
-            counter.copy() for counter in counters
-        )
+        self.cycles, self.instructions, self.l2_refs, self.l2_misses = counters
 
     # -- whole-request aggregates ------------------------------------------
 
@@ -326,11 +330,19 @@ class RequestTracker:
 
     def finish_request(self, request_id: int, completion_cycle: float) -> RequestTrace:
         open_req = self._open.pop(request_id)
+        values = open_req.periods
+        if values and type(values[0]) is float:
+            # A float among the values makes np.array's result float64, so
+            # the cheaper fromiter builds the same block; other rows keep
+            # np.array's dtype discovery (all-int rows stay int64).
+            block = np.fromiter(values, float, len(values))
+        else:
+            block = np.array(values)
         return RequestTrace(
             spec=open_req.spec,
             arrival_cycle=open_req.arrival_cycle,
             completion_cycle=completion_cycle,
-            periods=np.array(open_req.periods).reshape(-1, len(PERIOD_FIELDS)),
+            periods=block.reshape(-1, len(PERIOD_FIELDS)),
             syscall_events=open_req.syscalls,
             compensation=self._compensation,
             frequency_ghz=self._frequency_ghz,

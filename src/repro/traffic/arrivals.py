@@ -124,7 +124,8 @@ class PoissonArrivals(ArrivalProcess):
     kind = "poisson"
 
     def __post_init__(self):
-        if self.rate_per_s <= 0:
+        # Every check here is written so that NaN fails it.
+        if not self.rate_per_s > 0:
             raise ValueError(f"rate must be positive, got {self.rate_per_s}")
 
     def schedule(self, rng, n, frequency_ghz):
@@ -157,13 +158,13 @@ class OnOffArrivals(ArrivalProcess):
     kind = "onoff"
 
     def __post_init__(self):
-        if self.rate_on_per_s <= 0:
+        if not self.rate_on_per_s > 0:
             raise ValueError(f"ON rate must be positive, got {self.rate_on_per_s}")
-        if self.rate_off_per_s < 0:
+        if not self.rate_off_per_s >= 0:
             raise ValueError(
                 f"OFF rate must be non-negative, got {self.rate_off_per_s}"
             )
-        if self.on_ms <= 0 or self.off_ms <= 0:
+        if not (self.on_ms > 0 and self.off_ms > 0):
             raise ValueError("ON/OFF mean durations must be positive")
 
     def schedule(self, rng, n, frequency_ghz):
@@ -224,9 +225,9 @@ class DiurnalArrivals(ArrivalProcess):
     kind = "diurnal"
 
     def __post_init__(self):
-        if self.rate_per_s <= 0:
+        if not self.rate_per_s > 0:
             raise ValueError(f"rate must be positive, got {self.rate_per_s}")
-        if self.period_ms <= 0:
+        if not self.period_ms > 0:
             raise ValueError(f"period must be positive, got {self.period_ms}")
         if not 0.0 <= self.depth <= 1.0:
             raise ValueError(f"depth must be in [0, 1], got {self.depth}")
@@ -276,11 +277,11 @@ class ZipfArrivals(ArrivalProcess):
     kind = "zipf"
 
     def __post_init__(self):
-        if self.rate_per_s <= 0:
+        if not self.rate_per_s > 0:
             raise ValueError(f"rate must be positive, got {self.rate_per_s}")
-        if self.s <= 0:
+        if not self.s > 0:
             raise ValueError(f"zipf exponent must be positive, got {self.s}")
-        if self.tenants < 2:
+        if not self.tenants >= 2:
             raise ValueError(f"need >= 2 tenants, got {self.tenants}")
 
     def _tenant_cdf(self) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Property-based lockdown of the engine's event calendar.
 
-The engine picks the next event with a flat argmin over a ``(5,
-ncores)`` deadline matrix whose C-order flattening encodes the
-documented ``(time, kind_priority, core_id)`` key.  The oracle here is
+The engine picks the next event with ``min`` and ``list.index`` over a
+flat deadline list of ``5 * ncores`` slots whose row-major layout (row =
+kind priority, column = core) encodes the documented ``(time,
+kind_priority, core_id)`` key.  The oracle here is
 the per-core scan the engine used before the calendar: a walk over each
 busy core's five timers keeping the minimum key.  The tests pin the
 equivalence two ways:
@@ -20,6 +21,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernel.contention import ContentionEasingScheduler
 from repro.kernel.sampling import SamplingPolicy
 from repro.kernel.simulator import (
     _CALENDAR_KINDS,
@@ -79,7 +81,7 @@ def reference_scan(sim):
             continue
         for kind in ("phase_end", "quantum_end", "resched", "interrupt",
                      "ratecall"):
-            t = float(sim._dl[_CALENDAR_KINDS.index(kind), cid])
+            t = float(sim._dl[_CALENDAR_KINDS.index(kind) * sim._ncores + cid])
             if t < _INF:
                 key = (t, _EVENT_PRIORITY[kind], cid)
                 if key < best[:3]:
@@ -88,7 +90,7 @@ def reference_scan(sim):
 
 
 class TestNextEventEquivalence:
-    """Flat argmin == per-core scan, for arbitrary calendar states."""
+    """First minimum slot == per-core scan, for arbitrary calendar states."""
 
     @given(calendar)
     @settings(max_examples=400, deadline=None)
@@ -99,13 +101,13 @@ class TestNextEventEquivalence:
             core = sim.cores[cid]
             if column is None:
                 core.task = None
-                sim._dl[:, cid] = _INF
+                sim._dl[cid :: sim._ncores] = [_INF] * len(_CALENDAR_KINDS)
             else:
                 # The reference scan only looks at busy cores; the
                 # calendar instead relies on idle columns being all-INF.
                 core.task = object()
                 for row, value in enumerate(column):
-                    sim._dl[row, cid] = value
+                    sim._dl[row * sim._ncores + cid] = value
         sim._pending_arrivals = [(t, None) for t in sorted(arrivals)]
 
         assert sim._next_event() == reference_scan(sim)
@@ -120,11 +122,11 @@ class TestNextEventEquivalence:
             core = sim.cores[cid]
             if column is None:
                 core.task = None
-                sim._dl[:, cid] = _INF
+                sim._dl[cid :: sim._ncores] = [_INF] * len(_CALENDAR_KINDS)
             else:
                 core.task = object()
                 for row, value in enumerate(column):
-                    sim._dl[row, cid] = value
+                    sim._dl[row * sim._ncores + cid] = value
                 finite.extend(v for v in column if v < _INF)
         sim._pending_arrivals = [(t, None) for t in sorted(arrivals)]
 
@@ -207,3 +209,29 @@ class TestCheckedRuns:
         store = result.latency
         assert store.shed == result.requests_shed
         assert store.completed == len(result.traces)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_contention_easing_resched_row(self, seed):
+        """The one policy that arms the resched row, audited pick by pick."""
+        picked = []
+
+        class Tally(CheckedSimulator):
+            def _next_event(self):
+                event = CheckedSimulator._next_event(self)
+                picked.append(event[2])
+                return event
+
+        config = SimConfig(
+            sampling=SamplingPolicy.interrupt(50.0),
+            scheduler=ContentionEasingScheduler(
+                high_usage_threshold=0.002, resched_interval_us=100.0
+            ),
+            num_requests=10,
+            concurrency=4,
+            seed=seed,
+        )
+        sim = Tally(RandomWorkload(seed), config)
+        result = sim.run()
+        assert "resched" in picked
+        assert len(result.traces) == 10

@@ -35,7 +35,7 @@ def make_sim(**overrides):
 def poke(sim, core_id, kind, t):
     """Make ``core_id`` busy with a ``kind`` deadline at ``t`` in the calendar."""
     sim.cores[core_id].task = object()
-    sim._dl[_CALENDAR_KINDS.index(kind), core_id] = t
+    sim._dl[_CALENDAR_KINDS.index(kind) * sim._ncores + core_id] = t
 
 
 class TestTieBreakKey:

@@ -18,8 +18,14 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hardware.cache import SharedL2Model
 from repro.hardware.cpu import PhaseBehavior
-from repro.hardware.platform import WOODCREST, cluster_machine, serial_machine
+from repro.hardware.platform import (
+    WOODCREST,
+    MachineConfig,
+    cluster_machine,
+    serial_machine,
+)
 from repro.kernel.sampling import SamplingPolicy
 from repro.kernel.simulator import ServerSimulator, SimConfig
 from repro.workloads.registry import make_workload
@@ -85,11 +91,12 @@ def _check(sim) -> None:
         assert _slot_rates(core) == expected[core.cid]
 
 
-def _walk(machine, steps) -> None:
+def _walk(machine, steps) -> ServerSimulator:
     sim = _make_sim(machine)
     for cid, behavior in steps:
         _place(sim, cid, behavior)
         _check(sim)
+    return sim
 
 
 def test_named_transitions():
@@ -139,24 +146,71 @@ behaviors = st.builds(
 )
 
 
+moves = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=7),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _steps(machine, pool, moves) -> list:
+    # Indices into a small shared pool make the same behavior object
+    # recur on one core and land on several cores at once.
+    return [
+        (cid % machine.num_cores, None if pick is None else pool[pick % len(pool)])
+        for cid, pick in moves
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     machine=st.sampled_from(MACHINES),
     pool=st.lists(behaviors, min_size=1, max_size=4),
-    moves=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=7),
-            st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
-        ),
-        min_size=1,
-        max_size=40,
-    ),
+    moves=moves,
 )
 def test_solve_matches_reference_after_every_step(machine, pool, moves):
-    # Indices into a small shared pool make the same behavior object
-    # recur on one core and land on several cores at once.
-    steps = [
-        (cid % machine.num_cores, None if pick is None else pool[pick % len(pool)])
-        for cid, pick in moves
-    ]
-    _walk(machine, steps)
+    _walk(machine, _steps(machine, pool, moves))
+
+
+CAP = SharedL2Model().miss_ratio_cap
+
+#: Behaviors where the solve's clamps bind: solo miss ratios at or above
+#: the cap, where ``max(base, inflated)`` keeps the base, and footprints
+#: of exactly 0 and 1, the ends of the sensitivity clamp.  Heavy
+#: reference rates on cheap CPIs push the co-pressure toward saturation.
+clamp_behaviors = st.builds(
+    PhaseBehavior,
+    base_cpi=st.floats(min_value=0.2, max_value=6.0),
+    l2_refs_per_ins=st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=0.5)
+    ),
+    l2_miss_ratio=st.one_of(
+        st.just(CAP), st.just(1.0), st.floats(min_value=CAP, max_value=1.0)
+    ),
+    cache_footprint=st.sampled_from([0.0, 1.0]),
+)
+
+
+#: At a 220-cycle miss penalty one core's bus traffic stays below
+#: 24/220 of the bus; a 2-cycle penalty lets it reach the 0.9 bound.
+CHEAP_MISSES = MachineConfig(l2_miss_penalty_cycles=2.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    machine=st.sampled_from(MACHINES + [CHEAP_MISSES]),
+    pool=st.lists(
+        st.one_of(clamp_behaviors, behaviors), min_size=1, max_size=4
+    ),
+    moves=moves,
+)
+def test_solve_matches_reference_where_clamps_bind(machine, pool, moves):
+    sim = _walk(machine, _steps(machine, pool, moves))
+    for core in sim.cores:
+        if core.task is not None:
+            base = core.behavior.l2_miss_ratio
+            if base >= CAP:
+                assert core.miss_ratio == base

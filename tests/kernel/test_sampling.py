@@ -49,6 +49,46 @@ class TestSamplingPolicy:
         assert not p.accepts_trigger("read")
 
 
+NAN = float("nan")
+
+
+class TestNanTimingsRefused:
+    """NaN passes a ``<= 0`` test; every timing check must fail it."""
+
+    def test_interrupt_period(self):
+        with pytest.raises(ValueError, match="interrupt_period_us must be positive"):
+            SamplingPolicy.interrupt(NAN)
+
+    @pytest.mark.parametrize("t_min, t_backup", [(NAN, 60.0), (8.0, NAN), (NAN, NAN)])
+    def test_syscall_timings(self, t_min, t_backup):
+        with pytest.raises(ValueError, match="syscall-triggered timings must be positive"):
+            SamplingPolicy.syscall_triggered(t_min, t_backup)
+        with pytest.raises(ValueError, match="syscall-triggered timings must be positive"):
+            SamplingPolicy.transition_signal(t_min, t_backup, {"read"})
+
+    @pytest.mark.parametrize("spec", ["interrupt:nan", "syscall:nan,60", "syscall:8,nan"])
+    def test_simulate_exits_2_before_simulating(self, spec, monkeypatch, capsys):
+        from repro import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli.ServerSimulator, "run", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["tpcc", "--requests", "5", "--sampling", spec])
+        assert excinfo.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_sweep_spec_refused(self):
+        from repro.sweep.spec import SweepSpec
+
+        with pytest.raises(ValueError, match="interrupt_period_us must be positive"):
+            SweepSpec(
+                name="nan", workloads=("tpcc",), sampling=("interrupt:nan",),
+                seeds=(0,), requests=5,
+            )
+
+
 class TestSamplerStats:
     def test_record_by_context(self):
         stats = SamplerStats()

@@ -198,3 +198,94 @@ class TestDamagedPeriodColumns:
         assert trace.core.dtype == np.int64
         for name in ("start", "end", "cycles", "instructions", "l2_refs", "l2_misses"):
             assert getattr(trace, name).dtype == np.float64, name
+
+
+class TestDamagedFields:
+    """A field outside the period columns of the wrong kind fails loudly
+    and names the field; ``load_traces`` adds the path and trace index."""
+
+    @staticmethod
+    def _payload(tpcc_run):
+        return trace_to_dict(tpcc_run.traces[0])
+
+    def _rejects(self, tpcc_run, field, value, message):
+        payload = self._payload(tpcc_run)
+        payload[field] = value
+        with pytest.raises(ValueError, match=message):
+            trace_from_dict(payload)
+
+    def test_request_id(self, tpcc_run):
+        self._rejects(
+            tpcc_run, "request_id", [1, 2],
+            r"field 'request_id' is \[1, 2\], not an integer",
+        )
+
+    def test_app(self, tpcc_run):
+        self._rejects(tpcc_run, "app", None, "field 'app' is None, not a string")
+
+    def test_kind(self, tpcc_run):
+        self._rejects(tpcc_run, "kind", 7, "field 'kind' is 7, not a string")
+
+    def test_arrival_cycle(self, tpcc_run):
+        self._rejects(
+            tpcc_run, "arrival_cycle", "soon",
+            "field 'arrival_cycle' is 'soon', not a finite number",
+        )
+
+    def test_completion_cycle(self, tpcc_run):
+        self._rejects(
+            tpcc_run, "completion_cycle", None,
+            "field 'completion_cycle' is None, not a finite number",
+        )
+
+    def test_frequency_type(self, tpcc_run):
+        self._rejects(
+            tpcc_run, "frequency_ghz", "3",
+            "field 'frequency_ghz' is '3', not a finite number above zero",
+        )
+
+    def test_frequency_zero(self, tpcc_run):
+        self._rejects(
+            tpcc_run, "frequency_ghz", 0.0,
+            "field 'frequency_ghz' is 0.0, not a finite number above zero",
+        )
+
+    def test_total_spec_instructions(self, tpcc_run):
+        self._rejects(
+            tpcc_run, "total_spec_instructions", "many",
+            "field 'total_spec_instructions' is 'many', not a finite number",
+        )
+
+    def test_metadata(self, tpcc_run):
+        self._rejects(
+            tpcc_run, "metadata", [1], r"field 'metadata' is \[1\], not an object"
+        )
+
+    @pytest.mark.parametrize("entry", [[1.0], [1.0, 2.0], "read", [True, "read"]])
+    def test_syscalls(self, tpcc_run, entry):
+        payload = self._payload(tpcc_run)
+        payload["syscalls"] = [[0.0, "read"], entry]
+        with pytest.raises(
+            ValueError, match="field 'syscalls' entry 1 is .*, not a \\[cycle, name\\] pair"
+        ):
+            trace_from_dict(payload)
+
+    def test_load_names_path_and_trace(self, tpcc_run, tmp_path):
+        path = str(tmp_path / "traces.json")
+        save_traces(tpcc_run.traces[:2], path)
+        document = json.loads(open(path).read())
+        document["traces"][1]["kind"] = 7
+        with open(path, "w") as fh:
+            json.dump(document, fh)
+        with pytest.raises(
+            ValueError, match="trace 1: field 'kind' is 7, not a string"
+        ):
+            load_traces(path)
+
+    def test_valid_fields_round_trip(self, tpcc_run):
+        trace = trace_from_dict(self._payload(tpcc_run))
+        original = tpcc_run.traces[0]
+        assert trace.spec.request_id == original.spec.request_id
+        assert trace.arrival_cycle == original.arrival_cycle
+        assert trace.frequency_ghz == original.frequency_ghz
+        assert trace.syscall_events == original.syscall_events

@@ -268,6 +268,59 @@ class TestParseArrivals:
             parse_arrivals(text)
 
 
+NAN = float("nan")
+
+
+class TestNanParametersRefused:
+    """NaN passes ``<= 0`` and ``< 0`` tests; every rate, duration and
+    exponent check must fail it.  Nothing here draws a schedule: a NaN
+    diurnal rate would make the thinning loop run forever."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PoissonArrivals(NAN),
+            lambda: OnOffArrivals(NAN, 100.0, 10.0, 10.0),
+            lambda: OnOffArrivals(4000.0, NAN, 10.0, 10.0),
+            lambda: OnOffArrivals(4000.0, 100.0, NAN, 10.0),
+            lambda: OnOffArrivals(4000.0, 100.0, 10.0, NAN),
+            lambda: DiurnalArrivals(NAN, 100.0, 1.0),
+            lambda: DiurnalArrivals(2000.0, NAN, 1.0),
+            lambda: DiurnalArrivals(2000.0, 100.0, NAN),
+            lambda: ZipfArrivals(NAN, 1.1, 8),
+            lambda: ZipfArrivals(2000.0, NAN, 8),
+            lambda: ZipfArrivals(2000.0, 1.1, NAN),
+        ],
+    )
+    def test_constructor_refuses_nan(self, make):
+        with pytest.raises(ValueError, match="nan|positive"):
+            make()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "poisson:nan",
+            "onoff:nan,100,10,10",
+            "onoff:4000,nan,10,10",
+            "onoff:4000,100,nan,10",
+            "diurnal:nan,100,1",
+            "diurnal:2000,nan,1",
+            "zipf:2000,nan,8",
+        ],
+    )
+    def test_simulate_exits_2_before_simulating(self, spec, monkeypatch, capsys):
+        from repro import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli.ServerSimulator, "run", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["tpcc", "--requests", "5", "--arrivals", spec])
+        assert excinfo.value.code == 2
+        assert "repro-simulate: error:" in capsys.readouterr().err
+
+
 class TestReplayScheduleCheckedAtParse:
     """``replay:FILE`` is read and checked when the spec is parsed: a
     damaged or missing schedule stops every entry point before any
