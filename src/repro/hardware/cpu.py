@@ -28,9 +28,12 @@ class PhaseBehavior:
     cache_footprint: float
 
     def __post_init__(self):
-        if self.base_cpi <= 0:
+        # Written so that NaN fails each check: a NaN rate would put a NaN
+        # deadline in the simulator's event calendar, where that core's
+        # phase would never end.
+        if not self.base_cpi > 0:
             raise ValueError("base_cpi must be positive")
-        if self.l2_refs_per_ins < 0:
+        if not self.l2_refs_per_ins >= 0:
             raise ValueError("l2_refs_per_ins must be non-negative")
         if not 0.0 <= self.l2_miss_ratio <= 1.0:
             raise ValueError("l2_miss_ratio must be in [0, 1]")

@@ -115,6 +115,9 @@ class ClosedLoop(ArrivalProcess):
         )
 
 
+# Every parameter check below is written so that NaN fails it.
+
+
 @dataclass(frozen=True)
 class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals at a fixed rate (the M in M/G/k)."""
@@ -124,7 +127,6 @@ class PoissonArrivals(ArrivalProcess):
     kind = "poisson"
 
     def __post_init__(self):
-        # Every check here is written so that NaN fails it.
         if not self.rate_per_s > 0:
             raise ValueError(f"rate must be positive, got {self.rate_per_s}")
 

@@ -16,6 +16,9 @@ COMPUTE = PhaseBehavior(
 )
 
 
+NAN = float("nan")
+
+
 def rates_for(behaviors, machine=WOODCREST):
     return compute_effective_rates(
         machine, SharedL2Model(), MemoryBusModel(), behaviors
@@ -34,6 +37,8 @@ class TestPhaseBehavior:
             dict(base_cpi=1.0, l2_refs_per_ins=-0.1, l2_miss_ratio=0.0, cache_footprint=0.0),
             dict(base_cpi=1.0, l2_refs_per_ins=0.0, l2_miss_ratio=1.5, cache_footprint=0.0),
             dict(base_cpi=1.0, l2_refs_per_ins=0.0, l2_miss_ratio=0.0, cache_footprint=2.0),
+            dict(base_cpi=NAN, l2_refs_per_ins=0.0, l2_miss_ratio=0.0, cache_footprint=0.0),
+            dict(base_cpi=1.0, l2_refs_per_ins=NAN, l2_miss_ratio=0.0, cache_footprint=0.0),
         ],
     )
     def test_validation(self, kwargs):

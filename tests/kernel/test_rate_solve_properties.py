@@ -146,33 +146,27 @@ behaviors = st.builds(
 )
 
 
-moves = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=7),
-        st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-def _steps(machine, pool, moves) -> list:
-    # Indices into a small shared pool make the same behavior object
-    # recur on one core and land on several cores at once.
-    return [
-        (cid % machine.num_cores, None if pick is None else pool[pick % len(pool)])
-        for cid, pick in moves
-    ]
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     machine=st.sampled_from(MACHINES),
     pool=st.lists(behaviors, min_size=1, max_size=4),
-    moves=moves,
+    moves=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=7),
+            st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
 )
 def test_solve_matches_reference_after_every_step(machine, pool, moves):
-    _walk(machine, _steps(machine, pool, moves))
+    # Indices into a small shared pool make the same behavior object
+    # recur on one core and land on several cores at once.
+    steps = [
+        (cid % machine.num_cores, None if pick is None else pool[pick % len(pool)])
+        for cid, pick in moves
+    ]
+    _walk(machine, steps)
 
 
 CAP = SharedL2Model().miss_ratio_cap
@@ -205,10 +199,21 @@ CHEAP_MISSES = MachineConfig(l2_miss_penalty_cycles=2.0)
     pool=st.lists(
         st.one_of(clamp_behaviors, behaviors), min_size=1, max_size=4
     ),
-    moves=moves,
+    moves=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=7),
+            st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
 )
 def test_solve_matches_reference_where_clamps_bind(machine, pool, moves):
-    sim = _walk(machine, _steps(machine, pool, moves))
+    steps = [
+        (cid % machine.num_cores, None if pick is None else pool[pick % len(pool)])
+        for cid, pick in moves
+    ]
+    sim = _walk(machine, steps)
     for core in sim.cores:
         if core.task is not None:
             base = core.behavior.l2_miss_ratio
