@@ -214,7 +214,7 @@ class TestDistanceEngineBench:
 
     def test_cache_rerun_is_all_hits(self, report):
         assert report["cache_misses"] == 0
-        assert report["cache_hits"] == report["n_pairs"]
+        assert report["cache_hits"] == 1  # one lookup serves the whole matrix
 
     def test_cache_rerun_near_constant_time(self, report):
         # A 100%-hit rerun does no distance arithmetic; it should beat the
@@ -299,7 +299,7 @@ def main() -> None:
     print(f"  cache fill           {r['t_cache_fill']:8.2f} s")
     print(
         f"  cache-hit rerun      {r['t_cached']:8.2f} s "
-        f"({r['cache_hits']}/{r['n_pairs']} hits, "
+        f"({r['cache_hits']} hit for {r['n_pairs']} pairs, "
         f"{r['t_serial'] / r['t_cached']:.0f}x vs serial)"
     )
     print(f"  matrices bit-identical: {identical}")

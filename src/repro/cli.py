@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.cliargs import fault_spec, positive_int
+from repro.cliargs import fault_spec, non_negative_int, positive_int
 from repro.core.clustering import distance_matrix, k_medoids
 from repro.core.distances import l1_distance, unequal_length_penalty
 from repro.core.distengine import DistanceEngine
@@ -87,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--requests", type=positive_int, default=40,
         help="number of requests to simulate (>= 1, default 40)",
     )
-    parser.add_argument("--concurrency", type=int, default=None)
+    parser.add_argument(
+        "--concurrency", type=positive_int, default=None,
+        help="closed-loop clients (>= 1, default 8 on 4 cores, 1 on 1)",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--cores", type=int, choices=(1, 4), default=4,
@@ -128,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stage timings) to this JSON file",
     )
     parser.add_argument(
-        "--top", type=int, default=5, help="how many requests to print"
+        "--top", type=non_negative_int, default=5,
+        help="how many requests to print (>= 0, default 5)",
     )
     parser.add_argument(
         "--classify", type=positive_int, default=None, metavar="K",
@@ -203,7 +207,6 @@ def classify_requests(traces, window_instructions: float, k: int, seed: int,
         series,
         lambda a, b: l1_distance(a, b, penalty=penalty),
         engine=engine,
-        distance_key=f"l1:p={penalty!r}",
     )
     clusters = k_medoids(
         matrix, k=min(k, len(traces)), rng=np.random.default_rng(seed)

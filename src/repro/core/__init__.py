@@ -18,7 +18,7 @@ from repro.core.distances import (
 from repro.core.distengine import DistanceCache, DistanceEngine, sequence_key
 from repro.core.dtw import dtw_distance
 from repro.core.identification import OnlineIdentifier
-from repro.core.kernels import PaddedBank, PenaltyDtw, dtw_one_to_many
+from repro.core.kernels import PaddedBank, PenaltyDtw
 from repro.core.prediction import (
     LastValue,
     RunningAverage,
@@ -48,7 +48,6 @@ __all__ = [
     "captured_variation",
     "detect_change_points",
     "dtw_distance",
-    "dtw_one_to_many",
     "evaluate_predictor",
     "identify_stages",
     "inter_request_variation",

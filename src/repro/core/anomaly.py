@@ -11,6 +11,11 @@ Two detectors from the paper:
   L2 references per instruction (same reference stream to the shared
   resource) yet differ on CPI — the signature of a request hurt by dynamic
   contention on a cache-sharing multicore.
+
+Both detectors compute their distances through the shared serial
+distance engine, which batches a measure with a ``pairwise`` attribute
+(:class:`~repro.core.kernels.PenaltyDtw`) in one call per matrix or pair
+list; that engine has no cache, so no cache key is taken.
 """
 
 from __future__ import annotations
@@ -20,20 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.distengine import DistanceEngine, get_default_engine
-
-
-def _measure_key(distance: Callable, distance_key: Optional[str]) -> Optional[str]:
-    """Explicit cache key, else the one a kernel measure carries.
-
-    Batchable kernels (:class:`~repro.core.kernels.PenaltyDtw`) know
-    their own measure-and-parameter cache key; picking it up here means
-    anomaly scans are memoized without every caller re-deriving the key
-    string.
-    """
-    if distance_key is not None:
-        return distance_key
-    return getattr(distance, "distance_key", None)
+from repro.core.distengine import get_default_engine
 
 
 @dataclass(frozen=True)
@@ -62,8 +54,6 @@ def detect_by_centroid_distance(
     distance: Callable,
     top_per_group: int = 1,
     min_group_size: int = 4,
-    engine: Optional[DistanceEngine] = None,
-    distance_key: Optional[str] = None,
 ) -> List[AnomalyCase]:
     """Centroid-distance anomaly detection over semantic groups.
 
@@ -71,24 +61,17 @@ def detect_by_centroid_distance(
     ``sequences``; for every sufficiently large group the members with the
     highest distance to the group centroid are flagged, with the centroid
     as the reference.  The per-group matrices go through the distance
-    ``engine``, which hands a batchable measure
+    engine, which hands a batchable measure
     (:class:`~repro.core.kernels.PenaltyDtw`) all of a group's pairs in
     one ``pairwise`` call instead of per-pair Python calls.
     """
-    if engine is None:
-        engine = get_default_engine()
-    distance_key = _measure_key(distance, distance_key)
+    engine = get_default_engine()
     cases: List[AnomalyCase] = []
     for key, indices in groups.items():
         indices = list(indices)
         if len(indices) < min_group_size:
             continue
-        matrix = engine.matrix(
-            [sequences[idx] for idx in indices],
-            distance,
-            symmetric=True,
-            distance_key=distance_key,
-        )
+        matrix = engine.matrix([sequences[idx] for idx in indices], distance)
         centroid = group_centroid(matrix)
         n = len(indices)
         order = np.argsort(matrix[centroid])[::-1]
@@ -116,9 +99,6 @@ def detect_multi_metric_pairs(
     ref_similarity_quantile: float = 10.0,
     top_pairs: int = 5,
     candidate_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-    engine: Optional[DistanceEngine] = None,
-    ref_distance_key: Optional[str] = None,
-    cpi_distance_key: Optional[str] = None,
 ) -> List[AnomalyCase]:
     """Multi-metric anomaly search (similar L2-reference streams, different CPI).
 
@@ -126,7 +106,7 @@ def detect_multi_metric_pairs(
     ``ref_similarity_quantile`` percentile are considered same-work pairs;
     among them the largest CPI distances are returned.  Within a flagged
     pair, the request with the higher mean CPI is the anomaly.  Both pair
-    sweeps run through the distance ``engine`` (serial by default).
+    sweeps run through the shared serial distance engine.
     """
     n = len(ref_sequences)
     if n != len(cpi_sequences):
@@ -135,31 +115,15 @@ def detect_multi_metric_pairs(
         candidate_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if not candidate_pairs:
         return []
-    if engine is None:
-        engine = get_default_engine()
-    ref_distance_key = _measure_key(ref_distance, ref_distance_key)
-    cpi_distance_key = _measure_key(cpi_distance, cpi_distance_key)
-
+    engine = get_default_engine()
     candidate_pairs = list(candidate_pairs)
-    ref_d = engine.pair_distances(
-        ref_sequences,
-        candidate_pairs,
-        ref_distance,
-        distance_key=ref_distance_key,
-        symmetric=True,
-    )
+    ref_d = engine.pair_distances(ref_sequences, candidate_pairs, ref_distance)
     threshold = np.percentile(ref_d, ref_similarity_quantile)
     similar = [
         (pair, rd) for pair, rd in zip(candidate_pairs, ref_d) if rd <= threshold
     ]
     similar_pairs = [pair for pair, _ in similar]
-    cpi_d = engine.pair_distances(
-        cpi_sequences,
-        similar_pairs,
-        cpi_distance,
-        distance_key=cpi_distance_key,
-        symmetric=True,
-    )
+    cpi_d = engine.pair_distances(cpi_sequences, similar_pairs, cpi_distance)
     scored = [(pair, float(cd)) for pair, cd in zip(similar_pairs, cpi_d)]
     scored.sort(key=lambda item: item[1], reverse=True)
 

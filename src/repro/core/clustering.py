@@ -31,8 +31,8 @@ def distance_matrix(
 
     Computed through the distance engine (the shared serial one unless
     ``engine`` is given): an engine with ``jobs > 1`` parallelizes the
-    pair evaluations, and one with an attached cache memoizes them under
-    ``distance_key``.  All paths return matrices bit-identical to the
+    pair evaluations, and one with an attached cache memoizes the whole
+    matrix under ``distance_key``.  All paths return matrices bit-identical to the
     serial double loop.
     """
     if engine is None:

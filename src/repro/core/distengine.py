@@ -5,19 +5,19 @@ DTW with asynchrony penalty, L1 with unequal-length penalty, Levenshtein
 over syscall sequences — and the experiments compute O(n^2) of those
 distances per application and measure.  This module centralizes that work:
 
-* :class:`DistanceEngine` computes dense matrices, explicit pair lists,
-  and one-to-many sweeps, optionally fanning the pair computations out
-  to forked workers in ``jobs`` contiguous slices through
-  :func:`repro.parallel.ordered_map`; batchable measures — any callable
-  with a ``pairwise(items_a, items_b, pairs)`` attribute, such as
-  :class:`~repro.core.kernels.PenaltyDtw` and
+* :class:`DistanceEngine` computes dense matrices and explicit pair
+  lists, optionally fanning the pair computations out to forked workers
+  in ``jobs`` contiguous slices through :func:`repro.parallel.ordered_map`;
+  batchable measures — any callable with a ``pairwise(items_a, items_b,
+  pairs)`` attribute, such as :class:`~repro.core.kernels.PenaltyDtw` and
   :func:`~repro.core.distances.levenshtein_distance` — instead get all
   their pairs in one ``pairwise`` call, with no per-pair Python dispatch
   at all;
-* :class:`DistanceCache` memoizes distances keyed by *content* (a stable
-  hash of both operands plus a caller-supplied distance key), optionally
-  persisted as JSON under ``results/.cache/`` so repeated experiments and
-  k-sweeps never recompute a pair; its owner writes it once per run.
+* :class:`DistanceCache` memoizes whole matrices keyed by *content* (the
+  caller-supplied distance key, the symmetric flag and a stable hash of
+  every item, in order), optionally persisted as JSON under
+  ``results/.cache/`` so repeated experiments and k-sweeps over the same
+  item list never recompute a matrix; its owner writes it once per run.
 
 Determinism: each matrix cell is one independent distance evaluation, so
 sliced parallel execution performs exactly the same arithmetic as the
@@ -116,9 +116,10 @@ class ContentCache:
     not a correctness, artifact: loading it silently starts empty.
 
     Subclasses pin down the value type via :meth:`_encode` /
-    :meth:`_decode` — :class:`DistanceCache` stores floats, the sweep
-    orchestrator's :class:`~repro.sweep.cache.ScenarioCache` stores whole
-    result documents.
+    :meth:`_decode` — :class:`DistanceCache` stores one matrix's pair
+    values per entry, the sweep orchestrator's
+    :class:`~repro.sweep.cache.ScenarioCache` stores whole result
+    documents.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -174,33 +175,48 @@ class ContentCache:
 
 
 class DistanceCache(ContentCache):
-    """Content-keyed memo cache: (distance key, operand hashes) -> distance.
+    """Content-keyed memo cache: one entry per matrix.
+
+    The key names the measure, whether the matrix is symmetric, and the
+    content of every item in order; the value is the matrix's pair values
+    in pair order.  A file whose entries are not all lists of numbers
+    (one float per pair, say) is not a matrix cache and loads empty.
 
     The engine only reads and fills it; whoever opens a cache with a
     ``path`` calls ``save`` once its run is done (re-encoding the whole
     cache after every matrix cost more than the matrices it saved).
     """
 
-    _encode = staticmethod(float)
-    _decode = staticmethod(float)
-
     @staticmethod
-    def entry_key(distance_key: str, key_a: str, key_b: str, ordered: bool) -> str:
-        """The cache key for one pair; unordered pairs are normalized."""
-        if not ordered and key_b < key_a:
-            key_a, key_b = key_b, key_a
-        return f"{distance_key}|{key_a}|{key_b}"
+    def _decode(value):
+        if isinstance(value, list) and all(type(v) in (float, int) for v in value):
+            return value
+        raise ValueError("a distance cache entry is a list of numbers")
+
+    def get(self, key: str, count: int) -> Optional[List[float]]:
+        """The ``count`` pair values stored under ``key``, or None.
+
+        An entry of another length (only a damaged file holds one) is a
+        miss like an absent one: the engine recomputes and replaces it.
+        """
+        values = self._entries.get(key)
+        if values is None or len(values) != count:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return values
 
 
 class DistanceEngine:
     """Sliced, multiprocess, memoizing pairwise-distance computer.
 
     ``jobs`` bounds worker processes (1 = serial); ``cache`` attaches a
-    :class:`DistanceCache`.  Caching only activates for calls that supply
-    a ``distance_key`` naming the measure *and its parameters* (e.g.
-    ``"dtw:p=0.41"``): the operands are hashed by content, but the
-    callable cannot be, so an unkeyed call is computed rather than risk a
-    collision between differently-parameterized measures.
+    :class:`DistanceCache` to :meth:`matrix`.  Caching only activates for
+    calls that supply a ``distance_key`` naming the measure *and its
+    parameters* (e.g. ``"dtw:p=0.41"``): the operands are hashed by
+    content, but the callable cannot be, so an unkeyed call is computed
+    rather than risk a collision between differently-parameterized
+    measures.
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[DistanceCache] = None):
@@ -221,7 +237,9 @@ class DistanceEngine:
         """Dense pairwise distance matrix (zero diagonal).
 
         Bit-identical to the serial double loop; ``symmetric=True``
-        computes the upper triangle and mirrors it.
+        computes the upper triangle and mirrors it.  With a cache and a
+        ``distance_key`` the whole matrix is one lookup: a hit computes
+        no pair, a miss computes every pair and stores them.
         """
         n = len(items)
         if symmetric:
@@ -229,9 +247,18 @@ class DistanceEngine:
         else:
             rows, cols = np.nonzero(~np.eye(n, dtype=bool))
         pairs = list(zip(rows.tolist(), cols.tolist()))
-        values = self._pair_values(
-            items, items, pairs, distance, distance_key, ordered=not symmetric
-        )
+        with profiled_stage("distance"):
+            if self.cache is None or distance_key is None or not pairs:
+                values = self._compute(items, pairs, distance)
+            else:
+                key = "|".join(
+                    [distance_key, "symmetric" if symmetric else "ordered"]
+                    + [sequence_key(item) for item in items]
+                )
+                values = self.cache.get(key, len(pairs))
+                if values is None:
+                    values = self._compute(items, pairs, distance)
+                    self.cache.put(key, values)
         matrix = np.zeros((n, n))
         matrix[rows, cols] = values
         if symmetric:
@@ -243,135 +270,40 @@ class DistanceEngine:
         items: Sequence,
         pairs: Sequence[Tuple[int, int]],
         distance: Callable,
-        distance_key: Optional[str] = None,
-        symmetric: bool = False,
     ) -> np.ndarray:
         """Distances for an explicit ``(i, j)`` pair list over ``items``."""
-        values = self._pair_values(
-            items, items, list(pairs), distance, distance_key, ordered=not symmetric
-        )
-        return np.array(values, dtype=float)
-
-    def one_to_many(
-        self,
-        item,
-        others: Sequence,
-        distance: Callable,
-        distance_key: Optional[str] = None,
-    ) -> np.ndarray:
-        """``distance(item, other)`` for every element of ``others``.
-
-        Its one caller is :meth:`~repro.core.signatures.SignatureBank.match`
-        on an ``"average"`` bank (Figure 10's average-value signatures): one
-        partial pattern against every bank signature prefix.
-        """
-        pairs = [(0, j) for j in range(len(others))]
-        values = self._pair_values(
-            [item], others, pairs, distance, distance_key, ordered=True
-        )
+        with profiled_stage("distance"):
+            values = self._compute(items, list(pairs), distance)
         return np.array(values, dtype=float)
 
     # -- internals -----------------------------------------------------
 
-    def _pair_values(
+    def _compute(
         self,
-        items_a: Sequence,
-        items_b: Sequence,
+        items: Sequence,
         pairs: List[Tuple[int, int]],
         distance: Callable,
-        distance_key: Optional[str],
-        ordered: bool,
-    ) -> List[float]:
-        with profiled_stage("distance"):
-            return self._pair_values_inner(
-                items_a, items_b, pairs, distance, distance_key, ordered
-            )
-
-    def _pair_values_inner(
-        self,
-        items_a: Sequence,
-        items_b: Sequence,
-        pairs: List[Tuple[int, int]],
-        distance: Callable,
-        distance_key: Optional[str],
-        ordered: bool,
     ) -> List[float]:
         if not pairs:
             return []
-        use_cache = self.cache is not None and distance_key is not None
-        values: List[Optional[float]] = [None] * len(pairs)
-        cache_keys: List[Optional[str]] = [None] * len(pairs)
-        missing: List[int] = []
-
-        if use_cache:
-            keys_a = {i for i, _ in pairs}
-            keys_b = {j for _, j in pairs}
-            hash_a = {i: sequence_key(items_a[i]) for i in keys_a}
-            hash_b = {j: sequence_key(items_b[j]) for j in keys_b}
-            for idx, (i, j) in enumerate(pairs):
-                key = DistanceCache.entry_key(
-                    distance_key, hash_a[i], hash_b[j], ordered
-                )
-                cache_keys[idx] = key
-                cached = self.cache.get(key)
-                if cached is None:
-                    missing.append(idx)
-                else:
-                    values[idx] = cached
-        else:
-            missing = list(range(len(pairs)))
-
-        if missing:
-            todo = [pairs[idx] for idx in missing]
-            computed = self._compute(items_a, items_b, todo, distance)
-            for idx, value in zip(missing, computed):
-                values[idx] = value
-                if use_cache:
-                    self.cache.put(cache_keys[idx], value)
-        return values  # type: ignore[return-value]
-
-    def _compute(
-        self,
-        items_a: Sequence,
-        items_b: Sequence,
-        pairs: List[Tuple[int, int]],
-        distance: Callable,
-    ) -> List[float]:
-        batched = self._compute_batched(items_a, items_b, pairs, distance)
-        if batched is not None:
-            return batched
+        pairwise = getattr(distance, "pairwise", None)
+        if pairwise is not None and len(pairs) > 1:
+            # All pairs in one call; the attribute's contract is values
+            # equal to the per-pair calls (penalty-DTW and Levenshtein
+            # carry one), and it beats forked workers wherever it exists.
+            return np.asarray(pairwise(items, items, pairs), dtype=float).tolist()
         parts = 1 if len(pairs) < MIN_PARALLEL_PAIRS else self.jobs
         size = -(-len(pairs) // parts)
         slices = [pairs[k : k + size] for k in range(0, len(pairs), size)]
 
         def compute(part: List[Tuple[int, int]]) -> List[float]:
-            return [float(distance(items_a[i], items_b[j])) for i, j in part]
+            return [float(distance(items[i], items[j])) for i, j in part]
 
         return [
             value
             for values in ordered_map(compute, slices, self.jobs)
             for value in values
         ]
-
-    def _compute_batched(
-        self,
-        items_a: Sequence,
-        items_b: Sequence,
-        pairs: List[Tuple[int, int]],
-        distance: Callable,
-    ) -> Optional[List[float]]:
-        """All pairs in one call to ``distance.pairwise``, or None.
-
-        Any distance callable carrying a ``pairwise(items_a, items_b,
-        pairs)`` attribute is batched this way (penalty-DTW and
-        Levenshtein do); the attribute's contract is values equal to the
-        per-pair calls.  It is fast enough to be preferred over forked
-        workers whenever available.
-        """
-        pairwise = getattr(distance, "pairwise", None)
-        if pairwise is None or len(pairs) < 2:
-            return None
-        return np.asarray(pairwise(items_a, items_b, pairs), dtype=float).tolist()
 
 
 #: Shared serial engine for call sites that do not thread one through.

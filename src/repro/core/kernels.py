@@ -3,35 +3,31 @@
 The DTW differencing decisions in the repro — Figure 7 classification and
 the Figure 8/9 anomaly scans — bottom out in the penalty-DTW dynamic
 program of :mod:`repro.core.dtw`.  This module is the batching layer
-between those consumers and the O(m*n) DP:
+between those consumers and the O(m*n) DP: the **lane-scheduled pairwise
+DP** (:func:`dtw_pairwise`) runs every pair of a distance-engine call in
+one sweep of DP rows, pairs dealt to lanes longest second operand first,
+each step one row over the busy lanes and the widest active pair only.
+It is the one batched DTW path: every :class:`PenaltyDtw` matrix and
+pair list goes through it, and so does :meth:`PenaltyDtw.one_to_many`
+(one query against a bank), which no entry point reaches; it stays
+while the benchmark's layer tracer (``benchmarks/e2e/layertrace.py``)
+wraps that method.
 
-* **lane-scheduled pairwise DP** (:func:`dtw_pairwise`): every pair of a
-  distance-engine call in one sweep of DP rows, pairs dealt to lanes
-  longest second operand first, each step one row over the busy lanes
-  and the widest active pair only — the path behind every
-  :class:`PenaltyDtw` matrix, pair list and one-to-many request;
-* **batched one-vs-many DP** (:func:`dtw_one_to_many`): the same row
-  recurrence run vectorized across a zero-padded bank of sequences
-  (:class:`PaddedBank`).  Its one caller, :meth:`PenaltyDtw.one_to_many`,
-  is reached by no entry point; it stays while the benchmark's layer
-  tracer (``benchmarks/e2e/layertrace.py``) wraps that method.
-
-Online signature identification is L1, not DTW: the shared pad-and-mask
-bank machinery also backs its prefix matching,
+Online signature identification is L1, not DTW: a zero-padded bank
+(:class:`PaddedBank`) backs its prefix matching,
 :func:`l1_prefix_distances` behind
 :meth:`~repro.core.signatures.SignatureBank.match` and
 :class:`PrefixL1Sweeper` behind the streaming pipeline on large banks.
 
-Both batched DPs return results *bit-identical* to the serial reference
-DP (``add.accumulate`` and ``fmin.accumulate`` are sequential along the
-last axis).  The one-vs-many DP performs exactly the serial DP's
-IEEE-754 operations per pair, and so does the pairwise DP, except that
-at ``p = 0`` it drops the ``+ 0.0`` and ``- 0.0`` passes, which cannot
-change a value because no DP value is ``-0.0`` (see
-:mod:`repro.core.dtw`).  All three refuse an operand holding NaN or an
+The lane DP returns results *bit-identical* to the serial reference DP
+(``add.accumulate`` and ``fmin.accumulate`` are sequential along the
+last axis): it performs exactly the serial DP's IEEE-754 operations per
+pair, except that at ``p = 0`` it drops the ``+ 0.0`` and ``- 0.0``
+passes, which cannot change a value because no DP value is ``-0.0``
+(see :mod:`repro.core.dtw`).  It refuses an operand holding NaN or an
 infinity, naming it.
 :class:`~repro.core.distengine.DistanceEngine` batches every
-:class:`PenaltyDtw` matrix, pair-list and one-to-many request through
+:class:`PenaltyDtw` matrix and pair-list request through
 :meth:`PenaltyDtw.pairwise`, that is :func:`dtw_pairwise`; the property
 tests pin its results to the per-pair :func:`repro.core.dtw.dtw_distance`
 calls.
@@ -51,7 +47,6 @@ __all__ = [
     "PaddedBank",
     "PenaltyDtw",
     "PrefixL1Sweeper",
-    "dtw_one_to_many",
     "dtw_pairwise",
     "l1_prefix_distances",
 ]
@@ -60,9 +55,7 @@ class PaddedBank:
     """A bank of variable-length sequences as one zero-padded 2-D matrix.
 
     ``matrix[b, :lengths[b]]`` holds sequence ``b``; padding columns are
-    zero and every consumer masks them (or, for the DTW DP, reads its
-    answer at column ``lengths[b] - 1``, which padding cannot reach —
-    column ``j`` of the recurrence depends only on columns ``<= j``).
+    zero and every consumer masks them.
     """
 
     __slots__ = ("matrix", "lengths", "columns")
@@ -83,55 +76,6 @@ class PaddedBank:
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
-
-
-def _as_bank(bank_or_sequences) -> PaddedBank:
-    if isinstance(bank_or_sequences, PaddedBank):
-        return bank_or_sequences
-    return PaddedBank(bank_or_sequences)
-
-
-def dtw_one_to_many(query, bank, asynchrony_penalty: float = 0.0) -> np.ndarray:
-    """Penalty-DTW of ``query`` against every bank row in one batched DP.
-
-    The row recurrence of :func:`repro.core.dtw.dtw_distance` runs over a
-    ``(B, L)`` matrix — one vectorized pass per query element instead of
-    ``B`` interpreter-dispatched DPs.  Per bank row the operations are
-    elementwise identical to the serial DP, so returned distances are
-    bit-identical to ``dtw_distance(query, bank[b])``.  A query or bank
-    row holding NaN or an infinity is refused, naming it.
-    """
-    if asynchrony_penalty < 0:
-        raise ValueError("asynchrony_penalty must be non-negative")
-    bank = _as_bank(bank)
-    x = dtw_operand(query, "query")
-    matrix = bank.matrix
-    if not np.isfinite(matrix).all():
-        for row, values in enumerate(matrix):
-            dtw_operand(values, f"bank row {row}")
-    p = float(asynchrony_penalty)
-    n = matrix.shape[1]
-    jp = np.arange(n) * p
-
-    # Row 0: only asynchronous steps along the bank sequences.
-    row = np.abs(x[0] - matrix)
-    if n > 1:
-        row[:, 1:] = row[:, :1] + np.add.accumulate(row[:, 1:] + p, axis=1)
-
-    scan = np.empty_like(row)
-    for i in range(1, x.size):
-        cost = np.abs(x[i] - matrix)
-        prefix = np.add.accumulate(cost, axis=1)
-        first = row[:, 0] + cost[:, 0] + p
-        scan[:, 0] = first - prefix[:, 0]
-        scan[:, 1:] = (
-            np.minimum(row[:, :-1], row[:, 1:] + p) - prefix[:, :-1] - jp[1:]
-        )
-        np.fmin.accumulate(scan, axis=1, out=scan)
-        row = prefix + jp + scan
-        row[:, 0] = first
-
-    return row[np.arange(len(bank)), bank.lengths - 1]
 
 
 # -- lane-scheduled pairwise DP ---------------------------------------------
@@ -353,8 +297,8 @@ class PenaltyDtw:
     A drop-in distance callable (``kernel(x, y)`` equals
     :func:`repro.core.dtw.dtw_distance`) that additionally exposes the
     batched entry points.  The
-    :class:`~repro.core.distengine.DistanceEngine` hands matrix /
-    pair-list / one-to-many computations to :meth:`pairwise`, one
+    :class:`~repro.core.distengine.DistanceEngine` hands matrix and
+    pair-list computations to :meth:`pairwise`, one
     lane-scheduled :func:`dtw_pairwise` sweep per call instead of
     per-pair Python calls (bit-identical results; see module docstring).
     """
@@ -372,13 +316,11 @@ class PenaltyDtw:
     def __repr__(self) -> str:
         return f"PenaltyDtw({self.penalty!r})"
 
-    @property
-    def distance_key(self) -> str:
-        """Cache key naming the measure and its parameter."""
-        return f"dtw:p={self.penalty!r}"
-
-    def one_to_many(self, query, bank) -> np.ndarray:
-        return dtw_one_to_many(query, bank, self.penalty)
+    def one_to_many(self, query, bank) -> List[float]:
+        """``self(query, row)`` for every row of ``bank``, in one
+        :func:`dtw_pairwise` sweep."""
+        pairs = [(0, j) for j in range(len(bank))]
+        return dtw_pairwise([query], bank, pairs, self.penalty)
 
     def pairwise(self, items_a, items_b, pairs) -> List[float]:
         """``self(items_a[i], items_b[j])`` for every ``(i, j)`` in ``pairs``:

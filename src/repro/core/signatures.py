@@ -8,6 +8,11 @@ matched against same-length prefixes of the bank signatures (L1 distance,
 chosen for its low online cost); the nearest signature's recorded property
 predicts the new request's property (here: whether its CPU consumption will
 land above or below the workload median).
+
+Figure 10's baseline, the prior average-value signature (``method=
+"average"``), compares mean metric values instead: one
+:func:`~repro.core.distances.average_metric_distance` per bank signature,
+computed directly rather than through the distance engine.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.distances import average_metric_distance
-from repro.core.distengine import DistanceEngine, get_default_engine
 from repro.core.kernels import PaddedBank, PrefixL1Sweeper, l1_prefix_distances
 
 
@@ -53,22 +57,16 @@ class BankMatch:
 class SignatureBank:
     """A bank of representative request signatures."""
 
-    def __init__(
-        self,
-        penalty: float,
-        method: str = "variation",
-        engine: Optional[DistanceEngine] = None,
-    ):
+    def __init__(self, penalty: float, method: str = "variation"):
         """``method`` selects the differencing used for identification:
 
         * ``"variation"`` — L1 distance of metric variation patterns
-          (the paper's contribution);
+          (the paper's contribution), one vectorized numpy pass over the
+          whole bank (:func:`~repro.core.kernels.l1_prefix_distances`);
         * ``"average"`` — difference of average metric values (the prior
-          signature form the paper compares against).
-
-        ``engine`` routes ``"average"`` matching through a shared distance
-        engine; ``"variation"`` matching runs one vectorized numpy pass
-        over the whole bank (:func:`~repro.core.kernels.l1_prefix_distances`).
+          signature form the paper compares against), one
+          :func:`~repro.core.distances.average_metric_distance` per
+          signature.
         """
         if method not in ("variation", "average"):
             raise ValueError(f"unknown method {method!r}")
@@ -77,13 +75,8 @@ class SignatureBank:
         self._signatures: List[Signature] = []
         self._penalty = penalty
         self._method = method
-        self._engine = engine if engine is not None else get_default_engine()
         self._stack: Optional[PaddedBank] = None
         self._rows: Optional[list] = None
-        if method == "variation":
-            self._distance_key = f"sigbank-l1:p={penalty!r}"
-        else:
-            self._distance_key = "sigbank-avg"
 
     def __len__(self) -> int:
         return len(self._signatures)
@@ -146,15 +139,11 @@ class SignatureBank:
         if self._method == "variation":
             distances = self._variation_distances(partial)
         else:
-            prefixes = [s.values[: partial.size] for s in self._signatures]
-            distances = np.asarray(
-                self._engine.one_to_many(
-                    partial,
-                    prefixes,
-                    average_metric_distance,
-                    distance_key=self._distance_key,
-                ),
-                dtype=float,
+            distances = np.array(
+                [
+                    average_metric_distance(partial, s.values[: partial.size])
+                    for s in self._signatures
+                ]
             )
         # First minimum — the same tie-breaking as a strict `<` scan.
         best = int(np.argmin(distances))
@@ -223,12 +212,8 @@ class SignatureBank:
         }
 
     @classmethod
-    def from_state(
-        cls, state: dict, engine: Optional[DistanceEngine] = None
-    ) -> "SignatureBank":
-        bank = cls(
-            penalty=float(state["penalty"]), method=state["method"], engine=engine
-        )
+    def from_state(cls, state: dict) -> "SignatureBank":
+        bank = cls(penalty=float(state["penalty"]), method=state["method"])
         for entry in state["signatures"]:
             bank.add(entry["values"], entry["cpu_time_us"], label=entry["label"])
         return bank

@@ -22,6 +22,7 @@ paying context-switch cache pollution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -65,6 +66,11 @@ class ContentionEasingScheduler(SchedulerPolicy):
     _quantile: OnlineQuantile = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        threshold = self.high_usage_threshold
+        if not (math.isfinite(threshold) and threshold >= 0):  # fails NaN
+            raise ValueError(
+                f"high_usage_threshold must be finite and >= 0, got {threshold!r}"
+            )
         self._quantile = OnlineQuantile(q=self.threshold_percentile)
 
     def _predictor(self, task: Task) -> VaEwma:

@@ -53,7 +53,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from math import exp
+from math import exp, isfinite
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -425,12 +425,25 @@ class ServerSimulator:
                         f"the platform has {machine.num_machines}"
                     )
         self._timeline = np.zeros(num_cores + 1)
-        # Cached cycle conversions.
-        self._quantum_cycles = machine.us_to_cycles(self.scheduler.quantum_us)
+        # Cached cycle conversions, the scheduler timings' one reader.
+        # Each check fails NaN: a quantum <= 0 never lets the clock pass
+        # its expiry, and a NaN one never expires.
+        quantum_us = self.scheduler.quantum_us
+        if not (isfinite(quantum_us) and quantum_us > 0):
+            raise ValueError(
+                f"scheduler quantum_us must be finite and > 0, got {quantum_us!r}"
+            )
+        resched_us = self.scheduler.resched_interval_us
+        if resched_us is not None and not (
+            isfinite(resched_us) and resched_us > 0
+        ):
+            raise ValueError(
+                "scheduler resched_interval_us must be None, or finite and "
+                f"> 0, got {resched_us!r}"
+            )
+        self._quantum_cycles = machine.us_to_cycles(quantum_us)
         self._resched_cycles = (
-            machine.us_to_cycles(self.scheduler.resched_interval_us)
-            if self.scheduler.resched_interval_us
-            else None
+            machine.us_to_cycles(resched_us) if resched_us is not None else None
         )
         self._t_syscall_min_cycles = machine.us_to_cycles(
             self.policy.t_syscall_min_us

@@ -115,7 +115,9 @@ class ClosedLoop(ArrivalProcess):
         )
 
 
-# Every parameter check below is written so that NaN fails it.
+# Every parameter check below is written so that NaN fails it, and each
+# rate, duration, period and exponent must be finite: an infinite rate
+# puts every arrival at cycle 0.
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,10 @@ class PoissonArrivals(ArrivalProcess):
     kind = "poisson"
 
     def __post_init__(self):
-        if not self.rate_per_s > 0:
-            raise ValueError(f"rate must be positive, got {self.rate_per_s}")
+        if not 0 < self.rate_per_s < math.inf:
+            raise ValueError(
+                f"rate must be positive and finite, got {self.rate_per_s}"
+            )
 
     def schedule(self, rng, n, frequency_ghz):
         gap = _rate_to_gap_cycles(self.rate_per_s, frequency_ghz)
@@ -160,14 +164,17 @@ class OnOffArrivals(ArrivalProcess):
     kind = "onoff"
 
     def __post_init__(self):
-        if not self.rate_on_per_s > 0:
-            raise ValueError(f"ON rate must be positive, got {self.rate_on_per_s}")
-        if not self.rate_off_per_s >= 0:
+        if not 0 < self.rate_on_per_s < math.inf:
             raise ValueError(
-                f"OFF rate must be non-negative, got {self.rate_off_per_s}"
+                f"ON rate must be positive and finite, got {self.rate_on_per_s}"
             )
-        if not (self.on_ms > 0 and self.off_ms > 0):
-            raise ValueError("ON/OFF mean durations must be positive")
+        if not 0 <= self.rate_off_per_s < math.inf:
+            raise ValueError(
+                "OFF rate must be non-negative and finite, "
+                f"got {self.rate_off_per_s}"
+            )
+        if not (0 < self.on_ms < math.inf and 0 < self.off_ms < math.inf):
+            raise ValueError("ON/OFF mean durations must be positive and finite")
 
     def schedule(self, rng, n, frequency_ghz):
         out: List[Arrival] = []
@@ -227,12 +234,23 @@ class DiurnalArrivals(ArrivalProcess):
     kind = "diurnal"
 
     def __post_init__(self):
-        if not self.rate_per_s > 0:
-            raise ValueError(f"rate must be positive, got {self.rate_per_s}")
-        if not self.period_ms > 0:
-            raise ValueError(f"period must be positive, got {self.period_ms}")
+        if not 0 < self.rate_per_s < math.inf:
+            raise ValueError(
+                f"rate must be positive and finite, got {self.rate_per_s}"
+            )
+        if not 0 < self.period_ms < math.inf:
+            raise ValueError(
+                f"period must be positive and finite, got {self.period_ms}"
+            )
         if not 0.0 <= self.depth <= 1.0:
             raise ValueError(f"depth must be in [0, 1], got {self.depth}")
+        # Thinning draws at the peak rate; an infinite peak makes every
+        # gap 0 and accepts no candidate, so the schedule never fills.
+        peak = self.rate_per_s * (1.0 + self.depth)
+        if not peak < math.inf:
+            raise ValueError(
+                f"peak rate rate * (1 + depth) must be finite, got {peak}"
+            )
 
     def schedule(self, rng, n, frequency_ghz):
         peak = self.rate_per_s * (1.0 + self.depth)
@@ -279,11 +297,15 @@ class ZipfArrivals(ArrivalProcess):
     kind = "zipf"
 
     def __post_init__(self):
-        if not self.rate_per_s > 0:
-            raise ValueError(f"rate must be positive, got {self.rate_per_s}")
-        if not self.s > 0:
-            raise ValueError(f"zipf exponent must be positive, got {self.s}")
-        if not self.tenants >= 2:
+        if not 0 < self.rate_per_s < math.inf:
+            raise ValueError(
+                f"rate must be positive and finite, got {self.rate_per_s}"
+            )
+        if not 0 < self.s < math.inf:
+            raise ValueError(
+                f"zipf exponent must be positive and finite, got {self.s}"
+            )
+        if not 2 <= self.tenants < math.inf:
             raise ValueError(f"need >= 2 tenants, got {self.tenants}")
 
     def _tenant_cdf(self) -> np.ndarray:
@@ -458,7 +480,7 @@ def parse_arrivals(text: str) -> ArrivalProcess:
         return DiurnalArrivals(rate_per_s=rate, period_ms=period_ms, depth=depth)
     if kind == "zipf":
         rate, s, tenants = _floats(args, text, 3)
-        if tenants != int(tenants):
+        if not (math.isfinite(tenants) and tenants == int(tenants)):
             raise ValueError(f"tenant count must be an integer in {text!r}")
         return ZipfArrivals(rate_per_s=rate, s=s, tenants=int(tenants))
     if kind == "replay":

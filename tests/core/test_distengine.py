@@ -134,7 +134,7 @@ class TestCaching:
         d_ab = engine.matrix([a, b], fn, distance_key="k")[0, 1]
         d_ba = engine.matrix([b, a], fn, distance_key="k")[0, 1]
         assert d_ab == d_ba
-        assert len(cache) == 1
+        assert len(cache) == 2  # a reordered item list is its own entry
 
     def test_non_symmetric_cache_is_ordered(self):
         a, b = np.array([1.0, 2.0]), np.array([3.0])
@@ -143,7 +143,7 @@ class TestCaching:
         fn = lambda x, y: float(x.sum() - y.sum())
         matrix = engine.matrix([a, b], fn, symmetric=False, distance_key="k")
         assert matrix[0, 1] == -matrix[1, 0]
-        assert len(cache) == 2
+        assert len(cache) == 1
 
     def test_distinct_keys_do_not_collide(self):
         items = [np.array([0.0, 4.0]), np.array([1.0])]
@@ -185,7 +185,7 @@ class TestCaching:
                           distance_key=f"l1:p={p}")
         assert not os.path.exists(path)
         cache.save()
-        assert len(DistanceCache(path=path)) == 12
+        assert len(DistanceCache(path=path)) == 2
 
     def test_fig7_writes_its_cache_once_per_run(self, tmp_path):
         from repro.experiments import fig7_classification
@@ -205,6 +205,92 @@ class TestCaching:
         cache = DistanceCache(path=str(path))
         assert len(cache) == 0
 
+    def test_per_pair_cache_file_loads_empty(self, tmp_path):
+        # The former format: one float per pair under a per-pair key.
+        path = tmp_path / "distances.json"
+        path.write_text(json.dumps(
+            {"version": 1, "entries": {"k|aa|bb": 1.5, "k|aa|cc": 2.0}}
+        ))
+        cache = DistanceCache(path=str(path))
+        assert len(cache) == 0
+        items = make_series(4, np.random.default_rng(7))
+        fn = lambda a, b: l1_distance(a, b, penalty=0.3)
+        DistanceEngine(jobs=1, cache=cache).matrix(items, fn, distance_key="k")
+        cache.save()
+        entries = json.loads(path.read_text())["entries"]
+        assert [len(v) for v in entries.values()] == [6]
+        assert all(type(v) is float for v in next(iter(entries.values())))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda values: values[:-1],
+            lambda values: values + [0.0],
+            lambda values: [str(v) for v in values],
+            lambda values: {"values": values},
+            lambda values: [values],
+        ],
+        ids=["short", "long", "strings", "object", "nested"],
+    )
+    def test_damaged_entry_is_a_miss(self, tmp_path, damage):
+        path = tmp_path / "distances.json"
+        items = make_series(5, np.random.default_rng(8))
+        fn = lambda a, b: l1_distance(a, b, penalty=0.6)
+        cache = DistanceCache(path=str(path))
+        DistanceEngine(jobs=1, cache=cache).matrix(items, fn, distance_key="k")
+        cache.save()
+        payload = json.loads(path.read_text())
+        (key, values), = payload["entries"].items()
+        payload["entries"][key] = damage(values)
+        path.write_text(json.dumps(payload))
+
+        cache = DistanceCache(path=str(path))
+        got = DistanceEngine(jobs=1, cache=cache).matrix(
+            items, fn, distance_key="k"
+        )
+        assert np.array_equal(got, serial_reference(items, fn))
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_symmetric_and_ordered_matrices_are_two_entries(self):
+        items = make_series(3, np.random.default_rng(9))
+        fn = lambda x, y: float(x.sum() - 0.5 * y.sum())
+        cache = DistanceCache()
+        engine = DistanceEngine(jobs=1, cache=cache)
+        for _ in range(2):
+            assert np.array_equal(
+                engine.matrix(items, fn, distance_key="k"),
+                serial_reference(items, fn),
+            )
+            assert np.array_equal(
+                engine.matrix(items, fn, symmetric=False, distance_key="k"),
+                serial_reference(items, fn, symmetric=False),
+            )
+        assert len(cache) == 2
+        assert (cache.hits, cache.misses) == (2, 2)
+
+    def test_uncached_matrix_hashes_no_item(self):
+        items = make_series(4, np.random.default_rng(10))
+        fn = lambda a, b: l1_distance(a, b, penalty=0.1)
+
+        def refuse(item):
+            raise AssertionError("item hashed without a cache")
+
+        with mock.patch.object(distengine, "sequence_key", refuse):
+            DistanceEngine(jobs=1).matrix(items, fn, distance_key="k")
+            DistanceEngine(jobs=1, cache=DistanceCache()).matrix(items, fn)
+
+    def test_warm_fig7_run_computes_no_pair(self, tmp_path):
+        from repro.experiments import fig7_classification
+
+        cold = fig7_classification.run(scale=0.05, cache_dir=str(tmp_path))
+
+        def refuse(self, items, pairs, distance):
+            raise AssertionError("warm fig7 run computed a pair")
+
+        with mock.patch.object(DistanceEngine, "_compute", refuse):
+            warm = fig7_classification.run(scale=0.05, cache_dir=str(tmp_path))
+        assert warm.render() == cold.render()
+
     def test_default_cache_path_layout(self):
         assert default_cache_path().endswith(
             os.path.join("results", ".cache", "distances.json")
@@ -220,15 +306,6 @@ class TestPairAPIs:
         assert np.array_equal(
             engine.pair_distances(items, pairs, fn), np.array([4.0, 2.0, 0.0])
         )
-
-    def test_one_to_many_matches_loop(self):
-        rng = np.random.default_rng(6)
-        probe = rng.normal(size=10)
-        others = make_series(7, rng, min_len=5, max_len=15)
-        fn = lambda a, b: l1_distance(a, b, penalty=0.4)
-        engine = DistanceEngine(jobs=1)
-        expected = np.array([float(fn(probe, o)) for o in others])
-        assert np.array_equal(engine.one_to_many(probe, others, fn), expected)
 
 
 class TestSequenceKey:

@@ -1,9 +1,9 @@
 """Property and fuzz tests for the batched DTW kernel layer.
 
 The exactness contract under test (see :mod:`repro.core.kernels`): the
-batched one-vs-many DP is *bit-identical* to :func:`repro.core.dtw.
-dtw_distance` per bank row, and the bank machinery's L1 prefix kernels
-equal their scalar definitions.
+batched one-vs-many entry point :meth:`PenaltyDtw.one_to_many` is
+*bit-identical* to :func:`repro.core.dtw.dtw_distance` per bank row, and
+the bank machinery's L1 prefix kernels equal their scalar definitions.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from repro.core.kernels import (
     PaddedBank,
     PenaltyDtw,
     PrefixL1Sweeper,
-    dtw_one_to_many,
     l1_prefix_distances,
 )
 
@@ -42,7 +41,7 @@ class TestBatchedOneToMany:
     @example([1.0, 3.0, 2.0], [[2.0, 2.0, 5.0], [0.5], [0.0, 0.0]], 0.0)
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_serial_loop(self, x, rows, p):
-        batched = dtw_one_to_many(x, rows, p)
+        batched = PenaltyDtw(p).one_to_many(x, rows)
         serial = np.array(
             [dtw_distance(x, row, asynchrony_penalty=p) for row in rows]
         )
@@ -53,7 +52,7 @@ class TestBatchedOneToMany:
         rows = random_bank(rng, n_rows=50)
         for p in (0.0, 0.3, 2.0):
             query = rng.normal(2.0, 1.0, size=25)
-            batched = dtw_one_to_many(query, rows, p)
+            batched = PenaltyDtw(p).one_to_many(query, rows)
             serial = np.array(
                 [dtw_distance(query, r, asynchrony_penalty=p) for r in rows]
             )
@@ -74,10 +73,10 @@ class TestNonFiniteOperands:
         items = [np.array(v) for v in (good, [2.0, 1.0], spoiled, [0.5])]
         with pytest.raises(ValueError, match=r"DTW operand items_a\[2\] holds"):
             DistanceEngine().matrix(items, PenaltyDtw(0.3))
-        with pytest.raises(ValueError, match="DTW operand bank row 1 holds"):
-            dtw_one_to_many(good, [good, spoiled], 0.3)
-        with pytest.raises(ValueError, match="DTW operand query holds"):
-            dtw_one_to_many(spoiled, [good], 0.0)
+        with pytest.raises(ValueError, match=r"DTW operand items_b\[1\] holds"):
+            PenaltyDtw(0.3).one_to_many(good, [good, spoiled])
+        with pytest.raises(ValueError, match=r"DTW operand items_a\[0\] holds"):
+            PenaltyDtw(0.0).one_to_many(spoiled, [good])
 
 
 class TestPaddedBank:
@@ -106,10 +105,6 @@ class TestPenaltyDtw:
         y = rng.normal(size=9)
         kernel = PenaltyDtw(0.6)
         assert kernel(x, y) == dtw_distance(x, y, asynchrony_penalty=0.6)
-
-    def test_distance_key_round_trips_penalty(self):
-        assert PenaltyDtw(0.4).distance_key == f"dtw:p={0.4!r}"
-        assert PenaltyDtw(0.0).distance_key != PenaltyDtw(0.5).distance_key
 
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):

@@ -13,9 +13,8 @@ exactly —
   :meth:`~repro.core.kernels.PenaltyDtw.pairwise` delegates to) against
   :func:`repro.core.dtw.dtw_distance`, over arbitrary pair lists with
   heavy-tailed lengths, for any number of lanes;
-* the engine's ``matrix`` / ``pair_distances`` / ``one_to_many`` with
-  these measures against the serial loop, for any ``jobs`` and with a
-  half-warm cache, where only the missing pairs reach the kernel.
+* the engine's ``matrix`` / ``pair_distances`` with these measures
+  against the serial loop, for any ``jobs``.
 """
 
 from unittest import mock
@@ -27,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core import distances, kernels
 from repro.core.distances import levenshtein_distance, levenshtein_pairwise
-from repro.core.distengine import DistanceCache, DistanceEngine
+from repro.core.distengine import DistanceEngine
 from repro.core.dtw import dtw_distance
 from repro.core.kernels import PenaltyDtw, dtw_pairwise
 
@@ -172,20 +171,6 @@ def syscall_items(rng, n, min_len=0, max_len=40):
         [names[k] for k in rng.integers(0, len(names), size=length)]
         for length in rng.integers(min_len, max_len + 1, size=n)
     ]
-
-
-class RecordingLevenshtein:
-    """Levenshtein that records every pair its ``pairwise`` receives."""
-
-    def __init__(self):
-        self.seen = []
-
-    def __call__(self, a, b):
-        return levenshtein_distance(a, b)
-
-    def pairwise(self, items_a, items_b, pairs):
-        self.seen.extend(pairs)
-        return levenshtein_pairwise(items_a, items_b, pairs)
 
 
 class TestLevenshteinPairwise:
@@ -370,8 +355,8 @@ class TestEngineRouting:
 
     @given(pair_problems())
     @settings(max_examples=60, deadline=None)
-    def test_pair_distances_and_one_to_many(self, problem):
-        items, others, raw_pairs = problem
+    def test_pair_distances_equal_serial_loop(self, problem):
+        items, _, raw_pairs = problem
         pairs = [(i, j % len(items)) for i, j in raw_pairs]
         for jobs in (1, 4):
             engine = DistanceEngine(jobs=jobs)
@@ -379,31 +364,6 @@ class TestEngineRouting:
             assert got.tolist() == [
                 float(d) for d in serial_levenshtein(items, items, pairs)
             ]
-            sweep = engine.one_to_many(items[0], others, levenshtein_distance)
-            assert sweep.tolist() == [
-                float(levenshtein_distance(items[0], other)) for other in others
-            ]
-
-    def test_half_warm_cache_sends_only_missing_pairs(self):
-        rng = np.random.default_rng(8)
-        n = 14
-        items = syscall_items(rng, n)
-        expected = serial_matrix(items, levenshtein_distance)
-        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        warm = [pair for pair in upper if sum(pair) % 2]
-        missing = [pair for pair in upper if not sum(pair) % 2]
-        for jobs in (1, 4):
-            cache = DistanceCache()
-            DistanceEngine(cache=cache).pair_distances(
-                items, warm, levenshtein_distance, distance_key="lev",
-                symmetric=True,
-            )
-            recording = RecordingLevenshtein()
-            got = DistanceEngine(jobs=jobs, cache=cache).matrix(
-                items, recording, distance_key="lev"
-            )
-            assert np.array_equal(got, expected)
-            assert recording.seen == missing
 
     def test_penalty_dtw_matrix_equals_per_pair_dtw(self):
         rng = np.random.default_rng(9)

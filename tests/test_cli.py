@@ -285,3 +285,25 @@ class TestArgumentValidation:
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--concurrency", "0"], "must be >= 1"),
+            (["--concurrency", "-3"], "must be >= 1"),
+            (["--top", "-3"], "must be >= 0"),
+        ],
+    )
+    def test_rejects_out_of_range_counts_before_simulating(
+        self, argv, message, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli.ServerSimulator, "run", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tpcc", "--requests", "5", *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err

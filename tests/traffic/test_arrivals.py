@@ -321,6 +321,63 @@ class TestNanParametersRefused:
         assert "repro-simulate: error:" in capsys.readouterr().err
 
 
+class TestInfiniteParametersRefused:
+    """An infinite rate puts every arrival at cycle 0, and an infinite
+    diurnal peak makes the thinning loop run forever; rates, durations,
+    periods, exponents and the peak must be finite.  Nothing here draws a
+    schedule."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PoissonArrivals(math.inf),
+            lambda: OnOffArrivals(math.inf, 100.0, 10.0, 10.0),
+            lambda: OnOffArrivals(4000.0, math.inf, 10.0, 10.0),
+            lambda: OnOffArrivals(4000.0, 100.0, math.inf, 10.0),
+            lambda: OnOffArrivals(4000.0, 100.0, 10.0, math.inf),
+            lambda: DiurnalArrivals(math.inf, 100.0, 1.0),
+            lambda: DiurnalArrivals(2000.0, math.inf, 1.0),
+            lambda: DiurnalArrivals(1e308, 1000.0, 1.0),
+            lambda: ZipfArrivals(math.inf, 1.1, 8),
+            lambda: ZipfArrivals(2000.0, math.inf, 8),
+            lambda: ZipfArrivals(2000.0, 1.1, math.inf),
+        ],
+    )
+    def test_constructor_refuses_inf(self, make):
+        with pytest.raises(ValueError, match="finite|tenants"):
+            make()
+
+    def test_finite_peak_is_accepted(self):
+        assert DiurnalArrivals(1e308, 1000.0, 0.0).mean_rate_per_s() == 1e308
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--arrivals", "poisson:1e309"],
+            ["--arrivals", "onoff:inf,1,1,1"],
+            ["--arrivals", "onoff:1,inf,1,1"],
+            ["--arrivals", "onoff:1,1,inf,1"],
+            ["--arrivals", "diurnal:1,inf,1"],
+            ["--arrivals", "diurnal:1e308,1000,1"],
+            ["--arrivals", "zipf:inf,1.2,4"],
+            ["--arrivals", "zipf:1,inf,4"],
+            ["--arrivals", "zipf:1,1.2,inf"],
+            ["--offered-load", "inf"],
+        ],
+    )
+    def test_simulate_exits_2_before_simulating(self, argv, monkeypatch, capsys):
+        from repro import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli.ServerSimulator, "run", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["tpcc", "--requests", "5", *argv])
+        assert excinfo.value.code == 2
+        assert "repro-simulate: error:" in capsys.readouterr().err
+
+
 class TestReplayScheduleCheckedAtParse:
     """``replay:FILE`` is read and checked when the spec is parsed: a
     damaged or missing schedule stops every entry point before any
