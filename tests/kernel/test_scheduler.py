@@ -51,8 +51,8 @@ def construct(scheduler):
 class TestTimingsChecked:
     """The simulator converts the scheduler timings to cycles once, at
     construction; a timing no run can use is refused there, naming the
-    field.  Nothing here runs a simulation: a negative quantum at the
-    parent made ``run`` loop forever."""
+    field.  Nothing here runs a simulation: an unchecked negative quantum
+    makes ``run`` loop forever."""
 
     @pytest.mark.parametrize("quantum_us", [-5.0, 0.0, NAN, INF])
     def test_quantum_must_be_finite_and_positive(self, quantum_us):
@@ -85,7 +85,8 @@ class TestContentionThresholdChecked:
             ContentionEasingScheduler(high_usage_threshold=threshold)
 
     def test_zero_is_a_threshold(self):
-        assert ContentionEasingScheduler(high_usage_threshold=0.0)
+        sched = ContentionEasingScheduler(high_usage_threshold=0.0)
+        assert sched.current_threshold() == 0.0
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
     def test_simulate_exits_2_before_simulating(
