@@ -318,7 +318,11 @@ def main(argv=None) -> int:
             collector=collector,
             traffic=traffic,
         )
-        result = ServerSimulator(workload, config).run()
+        try:
+            simulator = ServerSimulator(workload, config)
+        except ValueError as error:
+            parser.error(str(error))
+        result = simulator.run()
 
     cpis = result.request_cpis()
     cpu_times = np.array([t.cpu_time_us() for t in result.traces])

@@ -12,10 +12,10 @@ Two detectors from the paper:
   resource) yet differ on CPI — the signature of a request hurt by dynamic
   contention on a cache-sharing multicore.
 
-Both detectors compute their distances through the shared serial
+Both detectors compute their distances through a serial, uncached
 distance engine, which batches a measure with a ``pairwise`` attribute
 (:class:`~repro.core.kernels.PenaltyDtw`) in one call per matrix or pair
-list; that engine has no cache, so no cache key is taken.
+list.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.distengine import get_default_engine
+from repro.core.distengine import DistanceEngine
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def detect_by_centroid_distance(
     (:class:`~repro.core.kernels.PenaltyDtw`) all of a group's pairs in
     one ``pairwise`` call instead of per-pair Python calls.
     """
-    engine = get_default_engine()
+    engine = DistanceEngine()
     cases: List[AnomalyCase] = []
     for key, indices in groups.items():
         indices = list(indices)
@@ -106,7 +106,7 @@ def detect_multi_metric_pairs(
     ``ref_similarity_quantile`` percentile are considered same-work pairs;
     among them the largest CPI distances are returned.  Within a flagged
     pair, the request with the higher mean CPI is the anomaly.  Both pair
-    sweeps run through the shared serial distance engine.
+    sweeps run through the distance engine.
     """
     n = len(ref_sequences)
     if n != len(cpi_sequences):
@@ -115,7 +115,7 @@ def detect_multi_metric_pairs(
         candidate_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if not candidate_pairs:
         return []
-    engine = get_default_engine()
+    engine = DistanceEngine()
     candidate_pairs = list(candidate_pairs)
     ref_d = engine.pair_distances(ref_sequences, candidate_pairs, ref_distance)
     threshold = np.percentile(ref_d, ref_similarity_quantile)

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.distengine import DistanceEngine, get_default_engine
+from repro.core.distengine import DistanceEngine
 from repro.obs.profiling import profiled_stage
 
 
@@ -29,14 +29,14 @@ def distance_matrix(
 ) -> np.ndarray:
     """Dense pairwise distance matrix for ``items``.
 
-    Computed through the distance engine (the shared serial one unless
-    ``engine`` is given): an engine with ``jobs > 1`` parallelizes the
-    pair evaluations, and one with an attached cache memoizes the whole
-    matrix under ``distance_key``.  All paths return matrices bit-identical to the
+    Computed through ``engine`` (a serial, uncached one by default): an
+    engine with ``jobs > 1`` forks a per-pair loop that outlasts its fork
+    budget, and one with a cache memoizes the whole matrix under
+    ``distance_key``.  All paths return matrices bit-identical to the
     serial double loop.
     """
     if engine is None:
-        engine = get_default_engine()
+        engine = DistanceEngine()
     return engine.matrix(
         items, distance, symmetric=symmetric, distance_key=distance_key
     )

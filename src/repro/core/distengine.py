@@ -1,4 +1,4 @@
-"""Parallel + cached pairwise-distance engine.
+"""Cached pairwise-distance engine that forks only heavy work.
 
 Every modeling technique in Section 4 is built on pairwise differencing —
 DTW with asynchrony penalty, L1 with unequal-length penalty, Levenshtein
@@ -6,13 +6,12 @@ over syscall sequences — and the experiments compute O(n^2) of those
 distances per application and measure.  This module centralizes that work:
 
 * :class:`DistanceEngine` computes dense matrices and explicit pair
-  lists, optionally fanning the pair computations out to forked workers
-  in ``jobs`` contiguous slices through :func:`repro.parallel.ordered_map`;
-  batchable measures — any callable with a ``pairwise(items_a, items_b,
-  pairs)`` attribute, such as :class:`~repro.core.kernels.PenaltyDtw` and
-  :func:`~repro.core.distances.levenshtein_distance` — instead get all
-  their pairs in one ``pairwise`` call, with no per-pair Python dispatch
-  at all;
+  lists.  A batchable measure — any callable with a ``pairwise(items_a,
+  items_b, pairs)`` attribute, such as :class:`~repro.core.kernels.PenaltyDtw`
+  and :func:`~repro.core.distances.levenshtein_distance` — gets all its
+  pairs in one call.  Any other runs per pair, serially until the loop
+  outlasts :data:`FORK_AFTER_S`, then in ``jobs`` contiguous slices
+  forked through :func:`repro.parallel.ordered_map`;
 * :class:`DistanceCache` memoizes whole matrices keyed by *content* (the
   caller-supplied distance key, the symmetric flag and a stable hash of
   every item, in order), optionally persisted as JSON under
@@ -20,18 +19,14 @@ distances per application and measure.  This module centralizes that work:
   item list never recompute a matrix; its owner writes it once per run.
 
 Determinism: each matrix cell is one independent distance evaluation, so
-sliced parallel execution performs exactly the same arithmetic as the
-serial loop and the assembled matrix is bit-identical to it (given a
-deterministic distance callable).  There is no cross-pair reduction whose
-order could differ.  The batched path is likewise bit-identical: the
+forked slices perform exactly the serial loop's arithmetic and the
+assembled matrix is bit-identical to it (given a deterministic distance
+callable).  The batched path is likewise bit-identical: the
 lane-scheduled DTW performs exactly the serial DP's elementwise
 operations per pair (see :func:`repro.core.kernels.dtw_pairwise`), and
-batched Levenshtein is integer arithmetic.
-
-Workers are forked, so non-picklable distance callables (the experiments
-use parameter-capturing lambdas) and large item lists are inherited
-instead of serialized; when ``fork`` is unavailable, or the pair count
-is too small to amortize a fork, the slices run in-process.
+batched Levenshtein is integer arithmetic.  Forked workers inherit the
+distance callable (the experiments pass parameter-capturing lambdas) and
+the items instead of unpickling them.
 """
 
 from __future__ import annotations
@@ -40,6 +35,7 @@ import hashlib
 import json
 import os
 import struct
+import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,9 +52,13 @@ __all__ = [
     "sequence_key",
 ]
 
-#: Below this many uncached pairs forked workers cannot pay for their own
-#: startup; the engine stays serial regardless of ``jobs``.
-MIN_PARALLEL_PAIRS = 32
+#: Seconds a per-pair loop runs serially before it forks the pairs it has
+#: not reached (``jobs > 1`` only).  On a 2-vCPU VM two trivial forked
+#: tasks cost 5-9 ms and splitting a figure 7 matrix in two 8-40 ms, and
+#: figure 7's slowest per-pair matrix (120 average-CPI series) ran 40-72
+#: ms serially: none of them forks, even at half host speed, and heavy
+#: work gives up at most FORK_AFTER_S * (1 - 1/jobs) of parallel time.
+FORK_AFTER_S = 0.25
 
 
 def default_cache_path(directory: str = os.path.join("results", ".cache")) -> str:
@@ -208,15 +208,15 @@ class DistanceCache(ContentCache):
 
 
 class DistanceEngine:
-    """Sliced, multiprocess, memoizing pairwise-distance computer.
+    """Memoizing pairwise-distance computer.
 
-    ``jobs`` bounds worker processes (1 = serial); ``cache`` attaches a
-    :class:`DistanceCache` to :meth:`matrix`.  Caching only activates for
-    calls that supply a ``distance_key`` naming the measure *and its
-    parameters* (e.g. ``"dtw:p=0.41"``): the operands are hashed by
-    content, but the callable cannot be, so an unkeyed call is computed
-    rather than risk a collision between differently-parameterized
-    measures.
+    ``jobs`` is the width of a fork (see :data:`FORK_AFTER_S`; 1 = never
+    fork); ``cache`` attaches a :class:`DistanceCache` to :meth:`matrix`.
+    Caching only activates for calls that supply a ``distance_key``
+    naming the measure *and its parameters* (e.g. ``"dtw:p=0.41"``): the
+    operands are hashed by content, but the callable cannot be, so an
+    unkeyed call is computed rather than risk a collision between
+    differently-parameterized measures.
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[DistanceCache] = None):
@@ -292,23 +292,22 @@ class DistanceEngine:
             # equal to the per-pair calls (penalty-DTW and Levenshtein
             # carry one), and it beats forked workers wherever it exists.
             return np.asarray(pairwise(items, items, pairs), dtype=float).tolist()
-        parts = 1 if len(pairs) < MIN_PARALLEL_PAIRS else self.jobs
-        size = -(-len(pairs) // parts)
-        slices = [pairs[k : k + size] for k in range(0, len(pairs), size)]
 
         def compute(part: List[Tuple[int, int]]) -> List[float]:
             return [float(distance(items[i], items[j])) for i, j in part]
 
-        return [
-            value
-            for values in ordered_map(compute, slices, self.jobs)
-            for value in values
-        ]
-
-
-#: Shared serial engine for call sites that do not thread one through.
-_DEFAULT_ENGINE = DistanceEngine(jobs=1)
-
-
-def get_default_engine() -> DistanceEngine:
-    return _DEFAULT_ENGINE
+        if self.jobs == 1:
+            return compute(pairs)
+        values = []
+        deadline = time.perf_counter() + FORK_AFTER_S
+        for i, j in pairs:
+            values.append(float(distance(items[i], items[j])))
+            if time.perf_counter() >= deadline:
+                break
+        rest = pairs[len(values) :]
+        if rest:
+            size = -(-len(rest) // self.jobs)
+            slices = [rest[k : k + size] for k in range(0, len(rest), size)]
+            for part in ordered_map(compute, slices, self.jobs):
+                values += part
+        return values

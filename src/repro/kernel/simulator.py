@@ -441,7 +441,9 @@ class ServerSimulator:
                 "scheduler resched_interval_us must be None, or finite and "
                 f"> 0, got {resched_us!r}"
             )
-        self._quantum_cycles = machine.us_to_cycles(quantum_us)
+        self._quantum_cycles = self._outlasting_sample(
+            "scheduler quantum_us", quantum_us, SamplingContext.IN_KERNEL
+        )
         self._resched_cycles = (
             machine.us_to_cycles(resched_us) if resched_us is not None else None
         )
@@ -453,12 +455,16 @@ class ServerSimulator:
         # Delay from a sample to the core's next interrupt row: the
         # sampling period, the syscall modes' backup interrupt, or never.
         if self.policy.mode is SamplingMode.INTERRUPT:
-            self._sampler_delay = machine.us_to_cycles(
-                self.policy.interrupt_period_us
+            self._sampler_delay = self._outlasting_sample(
+                "sampling interrupt_period_us",
+                self.policy.interrupt_period_us,
+                SamplingContext.INTERRUPT,
             )
         elif self._wants_syscall:
-            self._sampler_delay = machine.us_to_cycles(
-                self.policy.t_backup_int_us
+            self._sampler_delay = self._outlasting_sample(
+                "sampling t_backup_int_us",
+                self.policy.t_backup_int_us,
+                SamplingContext.INTERRUPT,
             )
         else:
             self._sampler_delay = None
@@ -497,6 +503,23 @@ class ServerSimulator:
         #: tenant-targeted clauses can see it before sampling.
         self._fault_drain = getattr(workload, "drain_fault_events", None)
         self._fault_note_tenant = getattr(workload, "note_tenant", None)
+
+    def _outlasting_sample(
+        self, name: str, value_us: float, context: SamplingContext
+    ) -> float:
+        """``value_us`` in cycles, refused unless it outlasts the cost of
+        one ``context`` sample at full pollution.  The timing's event
+        would otherwise land inside the stall the previous sample
+        injected, leave the task no progress, and never end the run."""
+        cycles = self.machine.us_to_cycles(value_us)
+        bound = self.config.cost_model.cost(context, 1.0).cycles
+        if not cycles > bound:
+            raise ValueError(
+                f"{name} must be above the cost of one {context.value} "
+                f"sample at full pollution, "
+                f"{self.machine.cycles_to_us(bound):.3f} us; got {value_us!r}"
+            )
+        return cycles
 
     # ------------------------------------------------------------------ API
 

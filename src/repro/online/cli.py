@@ -180,7 +180,11 @@ def main(argv=None) -> int:
             seed=args.seed,
             collector=collector,
         )
-        ServerSimulator(workload, config).run()
+        try:
+            simulator = ServerSimulator(workload, config)
+        except ValueError as error:
+            parser.error(str(error))
+        simulator.run()
         if args.events_out:
             save_events(collector, args.events_out)
             print(f"event stream written to {args.events_out}")

@@ -120,6 +120,18 @@ class ClosedLoop(ArrivalProcess):
 # puts every arrival at cycle 0.
 
 
+def _check_rate(name: str, rate_per_s: float) -> None:
+    """Refuse a rate that is not positive and finite, or whose mean gap
+    ``1/rate`` is not a finite number of picoseconds (finite in cycles on
+    any clock up to 1 THz): a gap of inf cycles puts every arrival at
+    cycle inf."""
+    if not (0 < rate_per_s < math.inf and 1e12 / rate_per_s < math.inf):
+        raise ValueError(
+            f"{name} must be positive and finite, with a finite mean gap "
+            f"1/rate in picoseconds, got {rate_per_s}"
+        )
+
+
 @dataclass(frozen=True)
 class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals at a fixed rate (the M in M/G/k)."""
@@ -129,10 +141,7 @@ class PoissonArrivals(ArrivalProcess):
     kind = "poisson"
 
     def __post_init__(self):
-        if not 0 < self.rate_per_s < math.inf:
-            raise ValueError(
-                f"rate must be positive and finite, got {self.rate_per_s}"
-            )
+        _check_rate("rate", self.rate_per_s)
 
     def schedule(self, rng, n, frequency_ghz):
         gap = _rate_to_gap_cycles(self.rate_per_s, frequency_ghz)
@@ -164,15 +173,9 @@ class OnOffArrivals(ArrivalProcess):
     kind = "onoff"
 
     def __post_init__(self):
-        if not 0 < self.rate_on_per_s < math.inf:
-            raise ValueError(
-                f"ON rate must be positive and finite, got {self.rate_on_per_s}"
-            )
-        if not 0 <= self.rate_off_per_s < math.inf:
-            raise ValueError(
-                "OFF rate must be non-negative and finite, "
-                f"got {self.rate_off_per_s}"
-            )
+        _check_rate("ON rate", self.rate_on_per_s)
+        if self.rate_off_per_s != 0:
+            _check_rate("a non-zero OFF rate", self.rate_off_per_s)
         if not (0 < self.on_ms < math.inf and 0 < self.off_ms < math.inf):
             raise ValueError("ON/OFF mean durations must be positive and finite")
 
@@ -234,10 +237,7 @@ class DiurnalArrivals(ArrivalProcess):
     kind = "diurnal"
 
     def __post_init__(self):
-        if not 0 < self.rate_per_s < math.inf:
-            raise ValueError(
-                f"rate must be positive and finite, got {self.rate_per_s}"
-            )
+        _check_rate("rate", self.rate_per_s)
         if not 0 < self.period_ms < math.inf:
             raise ValueError(
                 f"period must be positive and finite, got {self.period_ms}"
@@ -297,10 +297,7 @@ class ZipfArrivals(ArrivalProcess):
     kind = "zipf"
 
     def __post_init__(self):
-        if not 0 < self.rate_per_s < math.inf:
-            raise ValueError(
-                f"rate must be positive and finite, got {self.rate_per_s}"
-            )
+        _check_rate("rate", self.rate_per_s)
         if not 0 < self.s < math.inf:
             raise ValueError(
                 f"zipf exponent must be positive and finite, got {self.s}"

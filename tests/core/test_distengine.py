@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 from repro.core import distengine
-from repro.core.distances import l1_distance
+from repro.core.distances import l1_distance, levenshtein_distance
 from repro.core.distengine import (
-    MIN_PARALLEL_PAIRS,
     DistanceCache,
     DistanceEngine,
     default_cache_path,
     sequence_key,
 )
 from repro.core.dtw import dtw_distance
+from repro.core.kernels import PenaltyDtw
+from repro.parallel import ordered_map as parallel_ordered_map
 
 
 def serial_reference(items, distance, symmetric=True):
@@ -54,17 +55,18 @@ class TestBitIdentity:
         engine = DistanceEngine(jobs=1)
         assert np.array_equal(engine.matrix(items, fn), serial_reference(items, fn))
 
-    def test_parallel_engine_matches_reference(self):
+    def test_parallel_engine_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(1)
-        # Enough pairs to clear MIN_PARALLEL_PAIRS and actually fork.
+        # A zero budget forks every pair after the first.
+        monkeypatch.setattr(distengine, "FORK_AFTER_S", 0.0)
         items = make_series(16, rng)
-        assert 16 * 15 // 2 >= MIN_PARALLEL_PAIRS
         fn = lambda a, b: dtw_distance(a, b, asynchrony_penalty=0.3)
         engine = DistanceEngine(jobs=4)
         assert np.array_equal(engine.matrix(items, fn), serial_reference(items, fn))
 
-    def test_parallel_non_symmetric_matches_reference(self):
+    def test_parallel_non_symmetric_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(2)
+        monkeypatch.setattr(distengine, "FORK_AFTER_S", 0.0)
         items = make_series(14, rng)
         # Deliberately order-sensitive: d(a, b) != d(b, a).
         fn = lambda a, b: float(a.sum() - 0.5 * b.sum())
@@ -295,6 +297,96 @@ class TestCaching:
         assert default_cache_path().endswith(
             os.path.join("results", ".cache", "distances.json")
         )
+
+
+def refuse_fork(*args, **kwargs):
+    raise AssertionError("the engine forked")
+
+
+class TestForkDecision:
+    """A per-pair loop forks only once it has run for ``FORK_AFTER_S``;
+    figure 7's and ``--classify``'s matrices never run that long."""
+
+    def test_fig7_at_two_jobs_never_forks(self, monkeypatch):
+        from repro.experiments import fig7_classification
+
+        monkeypatch.setattr(distengine, "ordered_map", refuse_fork)
+        fig7_classification.run(scale=0.05, jobs=2)
+
+    def test_readme_classify_at_two_jobs_never_forks(self, monkeypatch):
+        from repro.cli import classify_requests
+        from repro.kernel.simulator import ServerSimulator, SimConfig
+        from repro.workloads.registry import make_workload
+
+        workload = make_workload("tpcc")
+        config = SimConfig(num_requests=80, seed=0)
+        traces = ServerSimulator(workload, config).run().traces
+        monkeypatch.setattr(distengine, "ordered_map", refuse_fork)
+        classify_requests(traces, workload.window_instructions, k=4, seed=0,
+                          jobs=2)
+
+    @pytest.mark.parametrize("call", ["symmetric", "ordered", "pairs"])
+    def test_spent_budget_forks_the_rest_in_contiguous_slices(
+        self, call, monkeypatch
+    ):
+        items = [np.array([float(i)]) for i in range(7)]
+        if call == "pairs":
+            pairs = [(6, 0), (2, 2), (1, 5), (3, 4), (0, 1), (5, 3), (4, 6)]
+        else:
+            n = len(items)
+            pairs = [
+                (i, j)
+                for i in range(n)
+                for j in range(i + 1 if call == "symmetric" else 0, n)
+                if i != j
+            ]
+        computed = []
+
+        def fn(a, b):
+            computed.append((int(a[0]), int(b[0])))
+            return float(a[0] * 10.0 - b[0] / 3.0)
+
+        slices = []
+
+        def recording_map(compute, parts, jobs):
+            slices.extend(parts)
+            return parallel_ordered_map(compute, parts, jobs)
+
+        monkeypatch.setattr(distengine, "FORK_AFTER_S", 0.0)
+        monkeypatch.setattr(distengine, "ordered_map", recording_map)
+        engine = DistanceEngine(jobs=3)
+        if call == "pairs":
+            got = engine.pair_distances(items, pairs, fn).tolist()
+        else:
+            got = engine.matrix(items, fn, symmetric=call == "symmetric")
+            got = [got[i, j] for i, j in pairs]
+        # Forked children record nothing here: only the serial pair shows.
+        assert computed == [pairs[0]]
+        assert 1 <= len(slices) <= 3
+        assert [pair for part in slices for pair in part] == pairs[1:]
+        assert got == [float(items[i][0] * 10.0 - items[j][0] / 3.0)
+                       for i, j in pairs]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_batched_measures_never_fork(self, jobs, monkeypatch):
+        monkeypatch.setattr(distengine, "FORK_AFTER_S", 0.0)
+        monkeypatch.setattr(distengine, "ordered_map", refuse_fork)
+        engine = DistanceEngine(jobs=jobs)
+        series = make_series(8, np.random.default_rng(11))
+        dtw = PenaltyDtw(0.3)
+        assert np.array_equal(
+            engine.matrix(series, dtw),
+            serial_reference(series, lambda a, b: dtw_distance(a, b, 0.3)),
+        )
+        words = [["read", "write"] * k + ["poll"] for k in range(6)]
+        assert np.array_equal(
+            engine.matrix(words, levenshtein_distance, symmetric=False),
+            serial_reference(words, levenshtein_distance, symmetric=False),
+        )
+        assert engine.pair_distances(series, [(0, 1), (2, 3)], dtw).tolist() == [
+            dtw_distance(series[0], series[1], 0.3),
+            dtw_distance(series[2], series[3], 0.3),
+        ]
 
 
 class TestPairAPIs:

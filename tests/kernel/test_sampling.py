@@ -109,3 +109,83 @@ class TestSamplerStats:
     def test_mandatory_samples_excluded_from_overhead(self):
         stats = SamplerStats(context_switch_samples=100)
         assert stats.overhead_cycles(SamplingCostModel()) == 0.0
+
+
+def construct(sampling):
+    """A simulator over ``sampling``; constructing it runs nothing."""
+    from repro.kernel.simulator import ServerSimulator, SimConfig
+    from repro.workloads.registry import make_workload
+
+    config = SimConfig(sampling=sampling, num_requests=5, seed=1)
+    return ServerSimulator(make_workload("tpcc"), config)
+
+
+class TestTimingsOutlastTheirSample:
+    """An interrupt sample injects 2,276 + 112 x footprint cycles under
+    the default cost model: 2,388 at full pollution, 0.796 us at 3 GHz.
+    A period or backup interval no longer than that fires inside the
+    stall its previous sample injected, so a run never ends; the
+    simulator refuses it at construction, naming the field and the
+    bound.  Nothing here runs a simulation."""
+
+    @pytest.mark.parametrize("period_us", [0.1, 0.79])
+    def test_interrupt_period_is_refused(self, period_us):
+        with pytest.raises(ValueError) as excinfo:
+            construct(SamplingPolicy.interrupt(period_us))
+        message = str(excinfo.value)
+        assert "interrupt_period_us" in message
+        assert f"got {period_us!r}" in message
+        assert "0.796 us" in message
+
+    def test_backup_interval_is_refused(self):
+        with pytest.raises(ValueError, match=r"t_backup_int_us .*0\.796 us; got 0\.1"):
+            construct(SamplingPolicy.syscall_triggered(0.01, 0.1))
+
+    def test_period_past_the_cost_is_accepted(self):
+        construct(SamplingPolicy.interrupt(0.8))
+
+    def test_bound_follows_the_runs_cost_model(self):
+        from repro.kernel.simulator import ServerSimulator, SimConfig
+        from repro.workloads.registry import make_workload
+
+        cheap = SamplingCostModel(interrupt_cycles=100.0)
+        config = SimConfig(
+            sampling=SamplingPolicy.interrupt(0.1),
+            cost_model=cheap,
+            num_requests=5,
+            seed=1,
+        )
+        ServerSimulator(make_workload("tpcc"), config)
+
+    @pytest.mark.parametrize(
+        "spec", ["interrupt:0.1", "interrupt:0.75", "syscall:0.01,0.1"]
+    )
+    def test_simulate_exits_2_before_simulating(self, spec, monkeypatch, capsys):
+        from repro import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli.ServerSimulator, "run", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["tpcc", "--requests", "5", "--sampling", spec])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro-simulate: error:" in err
+        assert "0.796 us" in err
+
+    def test_online_live_mode_exits_2_before_simulating(
+        self, monkeypatch, capsys
+    ):
+        from repro.online import cli
+        from repro.workloads.tpcc import TpccWorkload
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli.ServerSimulator, "run", refuse)
+        monkeypatch.setattr(TpccWorkload, "sampling_period_us", 0.5)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["tpcc", "--requests", "5", "--train", "0"])
+        assert excinfo.value.code == 2
+        assert "interrupt_period_us" in capsys.readouterr().err

@@ -78,6 +78,25 @@ class TestTimingsChecked:
                 construct(sched)
 
 
+class TestQuantumOutlastsItsSample:
+    """Every dispatch injects an in-kernel sample of 1,270 + 104 x
+    footprint cycles under the default cost model: 1,374 at full
+    pollution, 0.458 us at 3 GHz.  A quantum no longer than that expires
+    before its task retires anything, so a run never ends."""
+
+    @pytest.mark.parametrize("quantum_us", [0.1, 0.45])
+    def test_refused(self, quantum_us):
+        with pytest.raises(ValueError) as excinfo:
+            construct(RoundRobinScheduler(quantum_us=quantum_us))
+        message = str(excinfo.value)
+        assert "quantum_us" in message
+        assert f"got {quantum_us!r}" in message
+        assert "0.458 us" in message
+
+    def test_quantum_past_the_cost_is_accepted(self):
+        construct(RoundRobinScheduler(quantum_us=0.46))
+
+
 class TestContentionThresholdChecked:
     @pytest.mark.parametrize("threshold", [NAN, INF, -1.0])
     def test_constructor_refuses(self, threshold):

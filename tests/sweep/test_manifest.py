@@ -170,6 +170,26 @@ class TestExecutorSettlement:
         ]
         assert "'slowdown:1%tenant=1': 'closed' arrivals tag no tenants" in error
 
+    def test_sampling_period_inside_its_sample_cost_is_quarantined(
+        self, monkeypatch
+    ):
+        """``interrupt:0.1`` passes spec validation, then quarantines its
+        scenario with the simulator's message before any simulation
+        (such a run never ends)."""
+        from repro.kernel.simulator import ServerSimulator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(ServerSimulator, "run", refuse)
+        manifest = SweepManifest.plan(
+            tiny_spec(sampling=("interrupt:0.1",), seeds=(0,))
+        )
+        run_sweep(manifest, options=SweepOptions(retries=0))
+        (entry,) = manifest.scenarios.values()
+        assert entry["status"] == "quarantined"
+        assert "ValueError: sampling interrupt_period_us" in entry["error"]
+
     def test_retry_recovers_flaky_scenario(self, monkeypatch):
         manifest = SweepManifest.plan(tiny_spec())
         flaky_id = manifest.order[0]

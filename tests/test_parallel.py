@@ -139,7 +139,11 @@ def test_child_that_exits_early_is_a_lost_worker():
 
 def test_closing_early_kills_live_children(tmp_path):
     def task(x):
-        (tmp_path / f"pid-{x}").write_text(str(os.getpid()))
+        # Written under another name and renamed, so the wait below never
+        # sees a pid file without its pid.
+        partial = tmp_path / f"partial-{x}"
+        partial.write_text(str(os.getpid()))
+        os.replace(partial, tmp_path / f"pid-{x}")
         if x:
             time.sleep(30.0)
         return x

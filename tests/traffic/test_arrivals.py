@@ -378,6 +378,76 @@ class TestInfiniteParametersRefused:
         assert "repro-simulate: error:" in capsys.readouterr().err
 
 
+class TestTinyRatesRefused:
+    """A positive rate whose mean gap overflows puts every arrival at
+    cycle inf: the run dies in a deadlock, a math domain error or a
+    schedule loop that never ends.  Each rate a process divides by must
+    have a finite mean gap in picoseconds.  Nothing here draws a
+    schedule."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PoissonArrivals(1e-300),
+            lambda: OnOffArrivals(1e-300, 0.0, 1.0, 1.0),
+            lambda: OnOffArrivals(4000.0, 1e-300, 10.0, 10.0),
+            lambda: DiurnalArrivals(1e-300, 1000.0, 0.5),
+            lambda: ZipfArrivals(1e-300, 1.2, 4),
+        ],
+    )
+    def test_constructor_refuses_an_overflowing_gap(self, make):
+        with pytest.raises(ValueError, match="finite mean gap"):
+            make()
+
+    def test_small_rates_with_a_finite_gap_are_accepted(self):
+        assert PoissonArrivals(1e-3).mean_rate_per_s() == 1e-3
+        assert OnOffArrivals(4000.0, 0.0, 10.0, 10.0).rate_off_per_s == 0.0
+
+    SPECS = [
+        "poisson:1e-300",
+        "zipf:1e-300,1.2,4",
+        "diurnal:1e-300,1000,0.5",
+        "onoff:1e-300,0,1,1",
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_simulate_exits_2_before_simulating(self, spec, monkeypatch, capsys):
+        from repro import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli.ServerSimulator, "run", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["tpcc", "--requests", "5", "--arrivals", spec])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro-simulate: error:" in err
+        assert "rate must be positive and finite, with a finite mean gap" in err
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_load_test_exits_2_before_starting(self, spec, monkeypatch, capsys):
+        from repro.serve import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load test started")
+
+        monkeypatch.setattr(cli, "run_load_test", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["load-test", "--workload", "tpcc", "--requests", "5",
+                      "--arrivals", spec])
+        assert excinfo.value.code == 2
+        assert "finite mean gap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_sweep_spec_refuses(self, spec):
+        from repro.sweep.spec import SweepSpec
+
+        with pytest.raises(ValueError, match="finite mean gap"):
+            SweepSpec(name="x", workloads=("tpcc",), sampling=("interrupt:100",),
+                      seeds=(0,), arrivals=(spec,))
+
+
 class TestReplayScheduleCheckedAtParse:
     """``replay:FILE`` is read and checked when the spec is parsed: a
     damaged or missing schedule stops every entry point before any
