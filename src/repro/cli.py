@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=positive_int, default=1,
-        help="worker processes for the --classify pairwise-distance "
-        "matrix (default 1)",
+        help="fork width for the --classify pairwise-distance matrix, "
+        "used only if it is still computing after 0.25 s (default 1)",
     )
     parser.add_argument(
         "--faults", type=fault_spec, default=None, metavar="SPEC",

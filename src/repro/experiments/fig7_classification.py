@@ -128,9 +128,10 @@ def run(
     jobs: int = 1,
     cache_dir: str = None,
 ) -> ExperimentResult:
-    """``jobs`` parallelizes the pairwise-distance matrices; ``cache_dir``
-    persists them (e.g. ``results/.cache``) so reruns and k-sweeps skip
-    recomputation.  Results are bit-identical either way."""
+    """``jobs`` is the distance engine's fork width (no matrix here runs
+    long enough to fork); ``cache_dir`` persists the matrices (e.g.
+    ``results/.cache``) so reruns and k-sweeps skip recomputation.
+    Results are bit-identical either way."""
     cache = (
         DistanceCache(path=default_cache_path(cache_dir))
         if cache_dir is not None

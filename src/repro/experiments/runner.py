@@ -80,7 +80,8 @@ def run_experiments(exp_ids, scale: float, jobs: int = 1, cache_dir=None,
     forked workers through :func:`repro.parallel.ordered_map` (one
     experiment each, so inner distance work stays serial); a single
     experiment instead runs in-process and receives the whole ``jobs``
-    budget for its pairwise-distance matrices.  Yield order always
+    budget for its own fan-out (loadsweep's cells, the distance engine's
+    fork width).  Yield order always
     follows ``exp_ids``.  ``profile`` attaches per-stage wall-clock
     timings to each result (captured inside the worker for parallel runs,
     so timings stay per-experiment).
@@ -137,8 +138,10 @@ def main(argv=None) -> int:
         "--jobs",
         type=positive_int,
         default=1,
-        help="worker processes: parallelizes independent experiment ids, or "
-        "the pairwise-distance matrices of a single experiment (default 1)",
+        help="worker processes: parallelizes independent experiment ids; a "
+        "single experiment gets them all for its own fan-out (loadsweep "
+        "cells, or a distance matrix still computing after 0.25 s) "
+        "(default 1)",
     )
     parser.add_argument(
         "--cache",
