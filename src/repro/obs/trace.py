@@ -24,6 +24,7 @@ Design constraints, in priority order:
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
@@ -61,6 +62,10 @@ _KIND_SET = frozenset(EVENT_KINDS)
 #: The counters a ``period_sample`` must carry as numbers: the online
 #: pipeline folds each one into its windows.
 PERIOD_COUNTERS = ("instructions", "cycles", "l2_refs", "l2_misses")
+
+#: The injected-sample counts a ``period_sample`` may carry (absent
+#: means none): the pipeline subtracts their observer cost.
+INJECTED_COUNTS = ("injected_in_kernel", "injected_interrupt")
 
 
 @dataclass(slots=True)
@@ -102,13 +107,23 @@ class ObsEvent:
         seq = int(payload["seq"])
         kind = str(payload["kind"])
         if kind == "period_sample":
-            for name in PERIOD_COUNTERS:
+            for name in PERIOD_COUNTERS + INJECTED_COUNTS:
+                if name not in data and name in INJECTED_COUNTS:
+                    continue
                 value = data.get(name)
                 if type(value) is not float and type(value) is not int:
                     found = repr(value) if name in data else "missing"
                     raise ValueError(
                         f"period_sample seq {seq}: {name!r} must be a "
                         f"number, got {found}"
+                    )
+                # json.loads reads NaN and Infinity: an infinite count
+                # would window forever, a NaN or negative one fold in as
+                # a silent floor.
+                if not 0 <= value <= sys.float_info.max:
+                    raise ValueError(
+                        f"period_sample seq {seq}: {name!r} must be a "
+                        f"finite number >= 0, got {value!r}"
                     )
         return cls(
             seq=seq,

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.core.centroids import GroupCentroids, IncrementalCentroid
 from repro.core.identification import OnlineIdentifier
-from repro.core.prediction import VaEwma
 from repro.core.quantile import OnlineQuantile
 from repro.hardware.counters import SamplingContext, SamplingCostModel
 from repro.online.windows import IncrementalWindower
@@ -58,7 +57,7 @@ SUBSCRIBED_KINDS = frozenset(
 )
 
 #: Bank size at which the per-window identification sweep switches from
-#: the plain-Python accumulation to the vectorized
+#: the plain-Python column sweep to the vectorized
 #: :class:`~repro.core.kernels.PrefixL1Sweeper`.  Below this, interpreter
 #: arithmetic beats numpy dispatch; above it the O(bank) numpy update
 #: wins.  Both paths produce bit-identical distances, so the threshold
@@ -152,7 +151,7 @@ class _OpenRequest:
         "streak",
         "committed_label",
         "commit_windows",
-        "predictor",
+        "estimate",
         "dist_sum",
         "dist_windows",
         "flagged",
@@ -165,15 +164,15 @@ class _OpenRequest:
     )
 
     def __init__(self, request_id: int, kind: str, injected_fault, admitted_cycle,
-                 windower: IncrementalWindower, predictor: VaEwma):
+                 windower: IncrementalWindower):
         self.request_id = request_id
         self.kind = kind
         self.injected_fault = injected_fault
         self.admitted_cycle = admitted_cycle
         self.windower = windower
         self.pattern: List[float] = []
-        # Running per-signature prefix distances (a list on the Python
-        # path, an ndarray under the vectorized sweeper); derived from
+        # Running per-signature prefix distances (a list on the column
+        # sweep, an ndarray under the vectorized sweeper); derived from
         # `pattern`, so not checkpointed — rebuilt on the first poll
         # after restore.
         self.ident_dists = None
@@ -182,7 +181,9 @@ class _OpenRequest:
         self.streak = 0
         self.committed_label: Optional[str] = None
         self.commit_windows: Optional[int] = None
-        self.predictor = predictor
+        # The vaEWMA estimate of the next period's CPI (None before the
+        # first period), updated with VaEwma.observe's expressions.
+        self.estimate: Optional[float] = None
         self.dist_sum = 0.0
         self.dist_windows = 0
         self.flagged = False
@@ -215,7 +216,7 @@ class _OpenRequest:
             "streak": self.streak,
             "committed_label": self.committed_label,
             "commit_windows": self.commit_windows,
-            "predictor_estimate": self.predictor._estimate,
+            "predictor_estimate": self.estimate,
             "dist_sum": self.dist_sum,
             "dist_windows": self.dist_windows,
             "flagged": self.flagged,
@@ -227,19 +228,15 @@ class _OpenRequest:
         return state
 
     @classmethod
-    def from_state(
-        cls, state: dict, window_instructions: float
-    ) -> "_OpenRequest":
-        predictor = VaEwma(alpha=EWMA_ALPHA, unit_length=window_instructions)
-        predictor._estimate = state["predictor_estimate"]
+    def from_state(cls, state: dict) -> "_OpenRequest":
         request = cls(
             request_id=int(state["request_id"]),
             kind=state["kind"],
             injected_fault=state["injected_fault"],
             admitted_cycle=state["admitted_cycle"],
             windower=IncrementalWindower.from_state(state["windower"]),
-            predictor=predictor,
         )
+        request.estimate = state["predictor_estimate"]
         request.pattern = [float(v) for v in state["pattern"]]
         request.windows = int(state["windows"])
         request.streak_label = state["streak_label"]
@@ -268,11 +265,39 @@ class _ClassErrors:
     sq_sum: float = 0.0
     weight: float = 0.0
 
-    def add(self, error: float, length: float) -> None:
-        self.n += 1
-        self.abs_sum += abs(error) * length
-        self.sq_sum += error * error * length
-        self.weight += length
+
+class _BankColumns:
+    """A signature bank below :data:`SWEEP_MIN_BANK` rows, as per-window
+    columns for the incremental identification sweep.
+
+    Column ``w`` holds every row's value at window ``w``, in bank order,
+    or None where the row is shorter.  :meth:`extend` makes the per-row
+    accumulation's additions, ``|x - values[w]|`` while ``w < length``
+    and the penalty beyond, in one comprehension per window.
+    """
+
+    __slots__ = ("columns", "penalty")
+
+    def __init__(self, rows, penalty: float):
+        self.columns = [
+            [values[w] if w < length else None for values, length, _ in rows]
+            for w in range(max(length for _, length, _ in rows))
+        ]
+        self.penalty = penalty
+
+    def extend(self, dists: List[float], w: int, x: float) -> List[float]:
+        """``dists`` with window ``w``'s value ``x`` added to every row.
+
+        For x and v not NaN, ``x - v if x >= v else v - x`` is the value,
+        signed zero included, of the row loop's ``d if d >= 0.0 else -d``.
+        """
+        penalty = self.penalty
+        if w < len(self.columns):
+            return [
+                d + (penalty if v is None else x - v if x >= v else v - x)
+                for d, v in zip(dists, self.columns[w])
+            ]
+        return [d + penalty for d in dists]
 
 
 class OnlinePipeline:
@@ -312,13 +337,13 @@ class OnlinePipeline:
         self.windows_seen = 0
         self.workload_name: Optional[str] = None
         self.seed: Optional[int] = None
-        # Bank rows for the incremental identification sweep, fetched on
-        # first use (the identifier may be attached before it is fitted).
-        self._prefix_rows: Optional[tuple] = None
-        # Vectorized sweeper + labels, installed instead of the Python
-        # accumulation when the bank reaches SWEEP_MIN_BANK rows.
+        # The bank for the incremental identification sweep, fetched on
+        # first use (the identifier may be attached before it is fitted):
+        # its labels, then per-window columns, or the vectorized sweeper
+        # once the bank reaches SWEEP_MIN_BANK rows.
+        self._labels: Optional[List[str]] = None
+        self._columns: Optional[_BankColumns] = None
         self._sweeper = None
-        self._sweep_labels: Optional[List[Optional[str]]] = None
         # Instruments resolved once: registry lookups are get-or-create
         # with name-collision checks, too heavy for the per-event path.
         if self.registry is not None:
@@ -360,6 +385,17 @@ class OnlinePipeline:
 
     # -- stage plumbing --------------------------------------------------
 
+    def _load_bank(self) -> List[str]:
+        """Fetch the identifier's bank on first use: its labels, and its
+        columns, or the vectorized sweeper at SWEEP_MIN_BANK rows or more."""
+        rows, penalty = self.identifier.prefix_rows()
+        if len(rows) >= SWEEP_MIN_BANK:
+            self._sweeper = self.identifier.prefix_sweeper()[0]
+        else:
+            self._columns = _BankColumns(rows, penalty)
+        self._labels = [label for _, _, label in rows]
+        return self._labels
+
     def _on_admitted(self, event) -> None:
         config = self.config
         self.open[event.request_id] = _OpenRequest(
@@ -368,9 +404,6 @@ class OnlinePipeline:
             injected_fault=event.data.get("injected_fault"),
             admitted_cycle=event.cycle,
             windower=IncrementalWindower(config.window_instructions),
-            predictor=VaEwma(
-                alpha=EWMA_ALPHA, unit_length=config.window_instructions
-            ),
         )
 
     def _on_period(self, event) -> None:
@@ -404,23 +437,43 @@ class OnlinePipeline:
         l2_misses = l2_misses if l2_misses > 0.0 else 0.0
 
         # Stage 2: per-period vaEWMA prediction of CPI, scored one step
-        # ahead (the floor above keeps instructions positive).
+        # ahead, then aged by the period's length in windows (Equation 5:
+        # VaEwma.observe's expressions; the floor above keeps the length
+        # positive).
         value = cycles / instructions
-        predictor = request.predictor
-        predicted = predictor._estimate
-        if predicted is not None:
-            error = predicted - value
+        estimate = request.estimate
+        if estimate is None:
+            request.estimate = value
+        else:
+            error = estimate - value
             label = request.committed_label or request.kind
-            accumulator = self.class_errors.get(label)
-            if accumulator is None:
-                accumulator = self.class_errors[label] = _ClassErrors()
-            accumulator.add(error, instructions)
+            errors = self.class_errors.get(label)
+            if errors is None:
+                errors = self.class_errors[label] = _ClassErrors()
+            errors.n += 1
+            errors.abs_sum += abs(error) * instructions
+            errors.sq_sum += error * error * instructions
+            errors.weight += instructions
             if self.registry is not None:
                 self._h_pred_error.observe(abs(error), weight=instructions)
-        predictor.observe(value, instructions)
+            aging = EWMA_ALPHA ** (instructions / self.config.window_instructions)
+            request.estimate = aging * estimate + (1 - aging) * value
 
-        # Stages 1 + 3 run per completed fixed-instruction window.
-        for window in request.windower.feed_counters(
+        # Stages 1 + 3 run per completed fixed-instruction window.  A
+        # period that completes none is one chunk of the open window:
+        # feed_counters' first step, which takes the whole period at
+        # fraction 1.0 (x / x), without its loop.
+        windower = request.windower
+        fill = windower.fill + instructions
+        if fill < windower.edge:
+            windower.fill = fill
+            carry = windower.carry
+            carry[0] += instructions
+            carry[1] += cycles
+            carry[2] += l2_refs
+            carry[3] += l2_misses
+            return
+        for window in windower.feed_counters(
             instructions, cycles, l2_refs, l2_misses
         ):
             self._on_window(request, window)
@@ -447,14 +500,9 @@ class OnlinePipeline:
         # per-signature prefix distance grows with the pattern — one
         # O(bank) update per window, never a full re-sweep.
         if request.committed_label is None and self.identifier is not None:
-            rows_penalty = self._prefix_rows
-            if rows_penalty is None:
-                rows_penalty = self._prefix_rows = self.identifier.prefix_rows()
-                if len(rows_penalty[0]) >= SWEEP_MIN_BANK:
-                    self._sweeper, self._sweep_labels = (
-                        self.identifier.prefix_sweeper()
-                    )
-            rows, penalty = rows_penalty
+            labels = self._labels
+            if labels is None:
+                labels = self._load_bank()
             pattern = request.pattern
             appended = False
             if len(pattern) < MAX_WINDOWS:
@@ -464,44 +512,29 @@ class OnlinePipeline:
             sweeper = self._sweeper
             if sweeper is not None:
                 # Large bank: vectorized O(bank) kernel update per window
-                # (bit-identical to the scalar accumulation below).
+                # (bit-identical to the column sweep below).
                 if dists is None:
                     dists = request.ident_dists = sweeper.start(pattern)
                 elif appended:
                     sweeper.extend(dists, len(pattern) - 1, refs_per_ins)
                 best = int(np.argmin(dists))
             else:
+                columns = self._columns
                 if dists is None:
                     # First poll, or first poll after a checkpoint
-                    # restore: accumulate the whole pattern in the same
-                    # element order the incremental updates use, so a
+                    # restore: accumulate the whole pattern window by
+                    # window, as the incremental updates do, so a
                     # restored run stays byte-identical to an
                     # uninterrupted one.
-                    dists = request.ident_dists = [0.0] * len(rows)
-                    for index, (values, length, _) in enumerate(rows):
-                        total = 0.0
-                        for w, x in enumerate(pattern):
-                            if w < length:
-                                d = x - values[w]
-                                total += d if d >= 0.0 else -d
-                            else:
-                                total += penalty
-                        dists[index] = total
+                    dists = [0.0] * len(labels)
+                    for w, x in enumerate(pattern):
+                        dists = columns.extend(dists, w, x)
                 elif appended:
-                    w = len(pattern) - 1
-                    for index, (values, length, _) in enumerate(rows):
-                        if w < length:
-                            d = refs_per_ins - values[w]
-                            dists[index] += d if d >= 0.0 else -d
-                        else:
-                            dists[index] += penalty
-                best = 0
-                best_distance = dists[0]
-                for index in range(1, len(dists)):
-                    if dists[index] < best_distance:
-                        best_distance = dists[index]
-                        best = index
-            label = rows[best][2]
+                    dists = columns.extend(dists, len(pattern) - 1, refs_per_ins)
+                request.ident_dists = dists
+                # The first minimum, as np.argmin picks it.
+                best = dists.index(min(dists))
+            label = labels[best]
             if label == request.streak_label:
                 request.streak += 1
             else:
@@ -520,13 +553,22 @@ class OnlinePipeline:
 
         # Stage 3: streaming centroid-deviation anomaly detection.  The
         # window's CPI is scored against the kind's pre-existing
-        # population, then joins it as evidence.
+        # population, then joins it as evidence: IncrementalCentroid.
+        # observe's score-then-fold, inline where the index has evidence.
         centroid = request.centroid
         if centroid is None:
             centroid = request.centroid = self.centroids.group(request.kind)
-        deviation = centroid.observe(window_index, cpi)
-        if deviation is not None:
-            request.dist_sum += deviation
+        means = centroid._means
+        counts = centroid._counts
+        if not 0 <= window_index < len(means) or not counts[window_index]:
+            # No evidence at this index yet: nothing to score against.
+            centroid.observe(window_index, cpi)
+        else:
+            mean = means[window_index]
+            count = counts[window_index] + 1
+            counts[window_index] = count
+            means[window_index] = mean + (cpi - mean) / count
+            request.dist_sum += abs(cpi - mean)
             request.dist_windows += 1
             score = request.dist_sum / request.dist_windows
             quantile = request.quantile
@@ -676,9 +718,7 @@ class OnlinePipeline:
             for key, errors in state["class_errors"].items()
         }
         pipeline.open = {
-            request_state["request_id"]: _OpenRequest.from_state(
-                request_state, config.window_instructions
-            )
+            request_state["request_id"]: _OpenRequest.from_state(request_state)
             for request_state in state["open"]
         }
         pipeline.records = list(state["records"])

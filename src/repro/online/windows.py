@@ -12,7 +12,9 @@ retired instructions.
 :meth:`IncrementalWindower.feed_counters` works on four bare floats and
 emits ``(instructions, cycles, l2_refs, l2_misses)`` tuples — the
 pipeline consumes thousands of periods per run and per-period dict
-construction was a measurable share of its overhead.
+construction was a measurable share of its overhead.  For the same
+reason the pipeline adds a period that completes no window to ``fill``
+and ``carry`` itself, as the first step of :meth:`feed_counters` would.
 """
 
 from __future__ import annotations
@@ -33,14 +35,17 @@ _NO_WINDOWS: List[Window] = []
 class IncrementalWindower:
     """Streams period counter deltas into fixed-instruction windows."""
 
-    __slots__ = ("window_instructions", "_fill", "_carry", "windows_emitted")
+    __slots__ = ("window_instructions", "edge", "fill", "carry", "windows_emitted")
 
     def __init__(self, window_instructions: float):
         if window_instructions <= 0:
             raise ValueError("window_instructions must be positive")
         self.window_instructions = float(window_instructions)
-        self._fill = 0.0  # instructions accumulated in the open window
-        self._carry = [0.0, 0.0, 0.0, 0.0]
+        # The fill at which the open window is complete: its size, less a
+        # tolerance for float drift when a period lands exactly on an edge.
+        self.edge = self.window_instructions - 1e-9
+        self.fill = 0.0  # instructions accumulated in the open window
+        self.carry = [0.0, 0.0, 0.0, 0.0]  # counter sums of the open window
         self.windows_emitted = 0
 
     def feed_counters(
@@ -56,7 +61,7 @@ class IncrementalWindower:
         span it covers (the incremental equivalent of interpolating the
         cumulative-counter curve at window edges).
         """
-        carry = self._carry
+        carry = self.carry
         if instructions <= 0.0:
             # No instruction progress: fold the activity into the open
             # window without advancing the fill position.
@@ -66,7 +71,8 @@ class IncrementalWindower:
             return _NO_WINDOWS
         completed: Optional[List[Window]] = None
         window_instructions = self.window_instructions
-        fill = self._fill
+        edge = self.edge
+        fill = self.fill
         consumed = 0.0
         while instructions - consumed > 0.0:
             room = window_instructions - fill
@@ -79,15 +85,14 @@ class IncrementalWindower:
             carry[3] += l2_misses * fraction
             fill += take
             consumed += take
-            # Tolerate float drift when a period lands exactly on an edge.
-            if fill >= window_instructions - 1e-9:
+            if fill >= edge:
                 if completed is None:
                     completed = []
                 completed.append(tuple(carry))
                 self.windows_emitted += 1
                 fill = 0.0
                 carry[0] = carry[1] = carry[2] = carry[3] = 0.0
-        self._fill = fill
+        self.fill = fill
         return _NO_WINDOWS if completed is None else completed
 
     def flush_counters(self) -> List[Window]:
@@ -97,11 +102,11 @@ class IncrementalWindower:
         request shorter than one window still yields a single (short)
         window; otherwise the partial tail is dropped.
         """
-        if self.windows_emitted == 0 and self._fill > 0.0:
-            window = tuple(self._carry)
+        if self.windows_emitted == 0 and self.fill > 0.0:
+            window = tuple(self.carry)
             self.windows_emitted += 1
-            self._fill = 0.0
-            self._carry = [0.0, 0.0, 0.0, 0.0]
+            self.fill = 0.0
+            self.carry = [0.0, 0.0, 0.0, 0.0]
             return [window]
         return []
 
@@ -110,16 +115,16 @@ class IncrementalWindower:
     def to_state(self) -> dict:
         return {
             "window_instructions": self.window_instructions,
-            "fill": self._fill,
-            "carry": dict(zip(COUNTER_FIELDS, self._carry)),
+            "fill": self.fill,
+            "carry": dict(zip(COUNTER_FIELDS, self.carry)),
             "windows_emitted": self.windows_emitted,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "IncrementalWindower":
         windower = cls(float(state["window_instructions"]))
-        windower._fill = float(state["fill"])
-        windower._carry = [
+        windower.fill = float(state["fill"])
+        windower.carry = [
             float(state["carry"][field]) for field in COUNTER_FIELDS
         ]
         windower.windows_emitted = int(state["windows_emitted"])

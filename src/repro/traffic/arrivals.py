@@ -132,6 +132,15 @@ def _check_rate(name: str, rate_per_s: float) -> None:
         )
 
 
+#: Fewest arrivals an ON/OFF process may expect per ON/OFF cycle, one ON
+#: period and one OFF period (``rate_on * on + rate_off * off``).  A
+#: schedule draws two period lengths per cycle, so it costs about
+#: ``2 / expected`` draws per arrival: this keeps that near 200 or fewer.
+#: Every ON/OFF spec the package ships, documents or tests expects 4.5
+#: arrivals per cycle or more.
+MIN_ONOFF_ARRIVALS_PER_CYCLE = 0.01
+
+
 @dataclass(frozen=True)
 class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals at a fixed rate (the M in M/G/k)."""
@@ -178,6 +187,16 @@ class OnOffArrivals(ArrivalProcess):
             _check_rate("a non-zero OFF rate", self.rate_off_per_s)
         if not (0 < self.on_ms < math.inf and 0 < self.off_ms < math.inf):
             raise ValueError("ON/OFF mean durations must be positive and finite")
+        expected = (
+            self.rate_on_per_s * self.on_ms + self.rate_off_per_s * self.off_ms
+        ) / 1e3
+        if not expected >= MIN_ONOFF_ARRIVALS_PER_CYCLE:
+            raise ValueError(
+                "an ON/OFF cycle must expect at least "
+                f"{MIN_ONOFF_ARRIVALS_PER_CYCLE:g} arrivals (rate_on * on + "
+                f"rate_off * off), got {expected:g}: its schedule would "
+                "practically never fill"
+            )
 
     def schedule(self, rng, n, frequency_ghz):
         out: List[Arrival] = []

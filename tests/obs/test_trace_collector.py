@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.obs.trace import (
     EVENT_KINDS,
+    INJECTED_COUNTS,
     NULL_COLLECTOR,
+    PERIOD_COUNTERS,
     NullCollector,
     ObsEvent,
     TraceCollector,
@@ -277,6 +280,51 @@ class TestMalformedInput:
             parse_events_jsonl(
                 header + "\n" + json.dumps(record) + "\n", where="run.jsonl"
             )
+
+
+    @pytest.mark.parametrize("field", PERIOD_COUNTERS + INJECTED_COUNTS)
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, -1, -0.5, 10**400]
+    )
+    def test_period_sample_counts_must_be_finite_and_non_negative(
+        self, field, value
+    ):
+        """An infinite instruction count would make the pipeline window
+        forever, and a NaN or negative one would fold in as a silent
+        floor: the decoder refuses each, naming the seq and the field."""
+        data = {"instructions": 10, "cycles": 20.5, "l2_refs": 3,
+                "l2_misses": 1, "injected_in_kernel": 0,
+                "injected_interrupt": 2}
+        data[field] = value
+        record = {"seq": 7, "cycle": 1.0, "kind": "period_sample", "data": data}
+        with pytest.raises(
+            ValueError,
+            match=rf"^period_sample seq 7: '{field}' must be a finite "
+            r"number >= 0, got ",
+        ):
+            ObsEvent.from_dict(record)
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999", "-3"])
+    def test_damaged_jsonl_counter_is_refused_on_decode(self, literal):
+        """``json.loads`` reads NaN and Infinity; the replay decoder must
+        not pass them on to a pipeline."""
+        line = (
+            '{"seq":7,"cycle":1.0,"kind":"period_sample","data":'
+            f'{{"instructions":{literal},"cycles":2.0,"l2_refs":0,"l2_misses":0}}}}'
+        )
+        header = '{"format":"repro-obs-events","version":1}'
+        with pytest.raises(
+            ValueError,
+            match=r"^run\.jsonl, line 2: period_sample seq 7: 'instructions' "
+            r"must be a finite number >= 0, got ",
+        ):
+            parse_events_jsonl(header + "\n" + line + "\n", where="run.jsonl")
+
+    def test_zero_and_absent_injected_counts_decode(self):
+        data = {"instructions": 0, "cycles": -0.0, "l2_refs": 0.0,
+                "l2_misses": 1e300}
+        record = {"seq": 7, "cycle": 1.0, "kind": "period_sample", "data": data}
+        assert ObsEvent.from_dict(record).data == data
 
 
 class TestSubscribers:

@@ -1,15 +1,27 @@
-"""End-to-end streaming pipeline behavior on a live faulted run."""
+"""End-to-end streaming pipeline behavior on a live faulted run.
+
+The period and window steps inline what they used to call: the
+per-window identification sweep, :meth:`VaEwma.observe`, the first step
+of :meth:`IncrementalWindower.feed_counters`.  Each inline step is
+checked here against the code it replaced, kept in the test as the
+oracle, bit for bit.
+"""
 
 import dataclasses
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.prediction import VaEwma
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_COLLECTOR
+from repro.obs.trace import NULL_COLLECTOR, ObsEvent
 from repro.online import pipeline as pipeline_module
 from repro.online.checkpoint import checkpoint_from_json, checkpoint_to_json
 from repro.online.pipeline import OnlineConfig, OnlinePipeline
 from repro.online.report import build_report
+from repro.online.windows import IncrementalWindower
 
 
 class TestConfig:
@@ -178,6 +190,283 @@ class TestVectorizedIdentification:
         assert vectorized._sweeper is not None
         assert build_report(vectorized).to_json() == build_report(scalar).to_json()
         assert checkpoint_to_json(vectorized) == checkpoint_to_json(scalar)
+
+
+def bits(value):
+    return None if value is None else struct.pack("<d", value)
+
+
+def row_loop_extend(dists, rows, penalty, w, x):
+    """Add window ``w``'s value ``x`` to each row's running distance, row
+    by row: the per-row accumulation the column sweep replaced."""
+    for index, (values, length, _) in enumerate(rows):
+        if w < length:
+            d = x - values[w]
+            dists[index] += d if d >= 0.0 else -d
+        else:
+            dists[index] += penalty
+
+
+def row_loop_pick(dists):
+    """The first minimum, found by the loop the column sweep replaced."""
+    best = 0
+    best_distance = dists[0]
+    for index in range(1, len(dists)):
+        if dists[index] < best_distance:
+            best_distance = dists[index]
+            best = index
+    return best
+
+
+#: Bank and pattern values: a small pool (so distances tie), signed
+#: zeros, extremes and arbitrary finite floats.
+SWEEP_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+
+
+@st.composite
+def banks_and_patterns(draw):
+    """``(rows, penalty, pattern)``: 1-63 signatures of 1-8 windows, some
+    repeated, and a pattern that may run past every signature."""
+    signatures = draw(
+        st.lists(st.lists(SWEEP_VALUES, min_size=1, max_size=8),
+                 min_size=1, max_size=63)
+    )
+    for index in draw(st.lists(st.integers(0, len(signatures) - 1), max_size=3)):
+        if len(signatures) < 63:
+            signatures.append(list(signatures[index]))
+    rows = [(values, len(values), f"k{i % 4}") for i, values in enumerate(signatures)]
+    penalty = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                             st.floats(0.0, 10.0)))
+    longest = max(len(values) for values in signatures)
+    pattern = draw(st.lists(SWEEP_VALUES, min_size=1, max_size=longest + 4))
+    return rows, penalty, pattern
+
+
+class StubIdentifier:
+    """A fitted bank of given rows at the pipeline's window."""
+
+    window_instructions = OnlineConfig().window_instructions
+
+    def __init__(self, rows, penalty):
+        self.rows, self.penalty = rows, penalty
+
+    def prefix_rows(self):
+        return self.rows, self.penalty
+
+
+class TestColumnSweep:
+    """Below ``SWEEP_MIN_BANK`` signatures, identification extends each
+    row's running distance from per-window columns, one comprehension per
+    window, and picks the first minimum with ``min``/``list.index``."""
+
+    @staticmethod
+    def identify(rows, penalty, pattern, restore_at=None):
+        """Feed ``pattern`` to a pipeline's window step, one value per
+        window (a window of 1 instruction carrying ``x`` references), and
+        check its distances and pick against the row loop's after each
+        window until the label commits.  Each row's label is its index.
+        ``restore_at`` drops the running distances before that window, as
+        a checkpoint restore does."""
+        rows = [(values, length, i) for i, (values, length, _) in enumerate(rows)]
+        pipeline = OnlinePipeline(identifier=StubIdentifier(rows, penalty))
+        pipeline.process_event(admitted(0, 1))
+        request = pipeline.open[1]
+        expected = [0.0] * len(rows)
+        for w, x in enumerate(pattern):
+            if w == restore_at:
+                request.ident_dists = None
+            pipeline._on_window(request, (1.0, 1.0, x, 0.0))
+            row_loop_extend(expected, rows, penalty, w, x)
+            assert request.streak_label == row_loop_pick(expected)
+            if request.committed_label is not None:
+                break
+            assert [bits(d) for d in request.ident_dists] == [
+                bits(d) for d in expected
+            ]
+        assert pipeline._columns is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(banks_and_patterns(), st.one_of(st.none(), st.integers(0, 12)))
+    def test_equals_row_loop(self, case, restore_at):
+        rows, penalty, pattern = case
+        self.identify(rows, penalty, pattern, restore_at)
+
+    def test_ties_pick_the_first_row(self):
+        rows = [([1.0, 2.0], 2, "a"), ([3.0], 1, "b"), ([1.0, 2.0], 2, "c")]
+        self.identify(rows, 0.5, [1.0, 2.0, 2.0])
+        self.identify(rows, 0.0, [-0.0, 2.0, 7.0], restore_at=1)
+
+
+def admitted(seq, request_id, kind="q"):
+    return ObsEvent(seq=seq, cycle=0.0, kind="request_admitted",
+                    request_id=request_id, data={"request_kind": kind})
+
+
+def period(seq, request_id, instructions, cycles, l2_refs=0.0, l2_misses=0.0):
+    """A period with no injected samples: compensation subtracts nothing,
+    so the pipeline sees these counters, floored."""
+    return ObsEvent(
+        seq=seq, cycle=float(seq), kind="period_sample", request_id=request_id,
+        data={"instructions": instructions, "cycles": cycles,
+              "l2_refs": l2_refs, "l2_misses": l2_misses,
+              "injected_in_kernel": 0, "injected_interrupt": 0},
+    )
+
+
+#: Period counters: a small pool (floors, window-sized periods) and
+#: arbitrary values up to several windows.
+COUNTS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 50_000.0, 100_000.0, 99_999.5]),
+    st.floats(min_value=0.0, max_value=1e6),
+)
+
+
+class TestInlinePeriodStep:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(COUNTS, COUNTS), min_size=1, max_size=40))
+    def test_vaewma_and_class_errors_equal_observe(self, periods):
+        """The float vaEWMA slot moves as ``VaEwma.observe`` moves the
+        estimate, and the class-error sums as ``_ClassErrors.add`` did."""
+        pipeline = OnlinePipeline()
+        pipeline.process_event(admitted(0, 1))
+        oracle = VaEwma(alpha=pipeline_module.EWMA_ALPHA,
+                        unit_length=pipeline.config.window_instructions)
+        n, abs_sum, sq_sum, weight = 0, 0.0, 0.0, 0.0
+        for seq, (instructions, cycles) in enumerate(periods, start=1):
+            pipeline.process_event(period(seq, 1, instructions, cycles))
+            length = max(1.0, instructions)
+            value = max(1.0, cycles) / length
+            if oracle.predict() is not None:
+                error = oracle.predict() - value
+                n += 1
+                abs_sum += abs(error) * length
+                sq_sum += error * error * length
+                weight += length
+            oracle.observe(value, length)
+            assert bits(pipeline.open[1].estimate) == bits(oracle.predict())
+        errors = pipeline.class_errors.get("q")
+        if n:
+            assert (errors.n, bits(errors.abs_sum), bits(errors.sq_sum),
+                    bits(errors.weight)) == (n, bits(abs_sum), bits(sq_sum),
+                                             bits(weight))
+        else:
+            assert errors is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([100.0, 100_000.0, 1e6]),
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.one_of(
+                    st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10,
+                                     1e-9, 2e-9]),
+                    st.floats(-3e-9, 3e-9),
+                    COUNTS,
+                ),
+                COUNTS, COUNTS, COUNTS,
+            ),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_window_step_equals_feed_counters(self, window, steps):
+        """A period that completes no window adds its chunk without
+        ``feed_counters``; the windows, fill and counter sums must equal
+        ``feed_counters`` run on every period, periods ending within 1e-9
+        of a window edge included."""
+        pipeline = OnlinePipeline(
+            config=OnlineConfig(window_instructions=window)
+        )
+        pipeline.process_event(admitted(0, 1))
+        seen = []
+        on_window = pipeline._on_window
+
+        def record(request, completed):
+            seen.append(completed)
+            on_window(request, completed)
+
+        pipeline._on_window = record
+        oracle = IncrementalWindower(window)
+        expected = []
+        for seq, (to_edge, amount, cycles, refs, misses) in enumerate(
+            steps, start=1
+        ):
+            # An edge step lands the fill `amount` away from the edge.
+            instructions = window - oracle.fill + amount if to_edge else amount
+            pipeline.process_event(
+                period(seq, 1, max(0.0, instructions), cycles, refs, misses)
+            )
+            expected.extend(oracle.feed_counters(
+                max(1.0, instructions), max(1.0, cycles), refs, misses
+            ))
+            windower = pipeline.open[1].windower
+            assert [tuple(map(bits, w)) for w in seen] == [
+                tuple(map(bits, w)) for w in expected
+            ]
+            assert bits(windower.fill) == bits(oracle.fill)
+            assert list(map(bits, windower.carry)) == list(map(bits, oracle.carry))
+            assert windower.windows_emitted == oracle.windows_emitted
+
+    def test_period_completing_no_window_skips_feed_counters(self, monkeypatch):
+        calls = []
+        feed = IncrementalWindower.feed_counters
+
+        def counted(self, *counters):
+            calls.append(counters)
+            return feed(self, *counters)
+
+        monkeypatch.setattr(IncrementalWindower, "feed_counters", counted)
+        pipeline = OnlinePipeline()
+        pipeline.process_event(admitted(0, 1))
+        pipeline.process_event(period(1, 1, 40_000.0, 80_000.0))
+        pipeline.process_event(period(2, 1, 40_000.0, 80_000.0))
+        assert calls == []
+        assert pipeline.open[1].windower.fill == 80_000.0
+        pipeline.process_event(period(3, 1, 40_000.0, 80_000.0))
+        assert calls == [(40_000.0, 80_000.0, 0.0, 0.0)]
+        assert pipeline.windows_seen == 1
+
+
+class TestAttributedRestore:
+    """With attribution on, every inline step runs, including the
+    attribution baselines' fold; a restore mid-stream must still end in
+    the uninterrupted replay's bytes."""
+
+    @staticmethod
+    def replay(identifier, events, cut=None):
+        pipeline = checkpoint_from_json(
+            checkpoint_to_json(
+                OnlinePipeline(
+                    config=OnlineConfig(attribute=True), identifier=identifier
+                )
+            )
+        )
+        if cut is not None:
+            pipeline.process_events(events[:cut])
+            assert pipeline.open, "the cut landed between requests"
+            pipeline = checkpoint_from_json(checkpoint_to_json(pipeline))
+        pipeline.process_events(events)
+        return pipeline
+
+    @pytest.mark.parametrize("fraction", [0.4, 0.75])
+    def test_restore_is_byte_identical(
+        self, streamed_run, trained_identifier, fraction
+    ):
+        _, events, _, _ = streamed_run
+        uninterrupted = self.replay(trained_identifier, events)
+        assert uninterrupted._columns is not None
+        assert any(r["attributed_cause"] for r in uninterrupted.records)
+        restored = self.replay(
+            trained_identifier, events, int(len(events) * fraction)
+        )
+        assert build_report(restored).to_json() == (
+            build_report(uninterrupted).to_json()
+        )
+        assert checkpoint_to_json(restored) == checkpoint_to_json(uninterrupted)
 
 
 class TestDetection:

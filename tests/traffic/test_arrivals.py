@@ -448,6 +448,77 @@ class TestTinyRatesRefused:
                       seeds=(0,), arrivals=(spec,))
 
 
+class TestOnOffCyclesMustExpectArrivals:
+    """An ON/OFF process whose ON/OFF cycle expects practically no
+    arrival (``rate_on * on + rate_off * off``, rates per second and
+    durations in ms) has a schedule that never fills, with every rate,
+    gap and duration finite.  Nothing here draws a schedule."""
+
+    SPECS = ["onoff:1,0,1e-300,1", "onoff:4000,0,1e-6,10", "onoff:9,0,1,1"]
+    MESSAGE = "ON/OFF cycle must expect at least 0.01 arrivals"
+
+    def test_bound(self):
+        from repro.traffic.arrivals import MIN_ONOFF_ARRIVALS_PER_CYCLE
+
+        assert MIN_ONOFF_ARRIVALS_PER_CYCLE == 0.01
+        # 10/s for 1 ms is 0.01 arrivals: at the bound, accepted.
+        assert OnOffArrivals(10.0, 0.0, 1.0, 1.0).on_ms == 1.0
+        # OFF traffic counts too.
+        assert OnOffArrivals(1e-3, 10.0, 1e-9, 1.0).off_ms == 1.0
+        with pytest.raises(ValueError, match=self.MESSAGE + r".*got 0\.0099"):
+            OnOffArrivals(9.9, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_parse_refuses(self, spec):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            parse_arrivals(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["onoff:800,100,5,5", "onoff:4000,200,5,5", "onoff:4000,0,10,10",
+         "onoff:8000,500,5,5", "onoff:8000,200,2,2", "onoff:6000,500,4,4",
+         "onoff:5000,50,3,12"],
+    )
+    def test_shipped_and_tested_specs_parse(self, spec):
+        assert parse_arrivals(spec).kind == "onoff"
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_simulate_exits_2_before_simulating(self, spec, monkeypatch, capsys):
+        from repro import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli.ServerSimulator, "run", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["tpcc", "--requests", "5", "--arrivals", spec])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro-simulate: error:" in err and self.MESSAGE in err
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_load_test_exits_2_before_starting(self, spec, monkeypatch, capsys):
+        from repro.serve import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load test started")
+
+        monkeypatch.setattr(cli, "run_load_test", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["load-test", "--workload", "tpcc", "--requests", "5",
+                      "--arrivals", spec])
+        assert excinfo.value.code == 2
+        assert self.MESSAGE in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_sweep_spec_refuses(self, spec):
+        from repro.sweep.spec import SweepSpec
+
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            SweepSpec(name="x", workloads=("tpcc",), sampling=("interrupt:100",),
+                      seeds=(0,), arrivals=(spec,))
+
+
 class TestReplayScheduleCheckedAtParse:
     """``replay:FILE`` is read and checked when the spec is parsed: a
     damaged or missing schedule stops every entry point before any
