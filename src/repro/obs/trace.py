@@ -117,9 +117,9 @@ class ObsEvent:
                         f"period_sample seq {seq}: {name!r} must be a "
                         f"number, got {found}"
                     )
-                # json.loads reads NaN and Infinity: an infinite count
-                # would window forever, a NaN or negative one fold in as
-                # a silent floor.
+                # json.loads reads NaN and Infinity: an infinite
+                # instruction count would window forever, and a NaN or
+                # negative count would fold in as a silent floor.
                 if not 0 <= value <= sys.float_info.max:
                     raise ValueError(
                         f"period_sample seq {seq}: {name!r} must be a "

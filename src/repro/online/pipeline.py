@@ -385,17 +385,6 @@ class OnlinePipeline:
 
     # -- stage plumbing --------------------------------------------------
 
-    def _load_bank(self) -> List[str]:
-        """Fetch the identifier's bank on first use: its labels, and its
-        columns, or the vectorized sweeper at SWEEP_MIN_BANK rows or more."""
-        rows, penalty = self.identifier.prefix_rows()
-        if len(rows) >= SWEEP_MIN_BANK:
-            self._sweeper = self.identifier.prefix_sweeper()[0]
-        else:
-            self._columns = _BankColumns(rows, penalty)
-        self._labels = [label for _, _, label in rows]
-        return self._labels
-
     def _on_admitted(self, event) -> None:
         config = self.config
         self.open[event.request_id] = _OpenRequest(
@@ -447,13 +436,13 @@ class OnlinePipeline:
         else:
             error = estimate - value
             label = request.committed_label or request.kind
-            errors = self.class_errors.get(label)
-            if errors is None:
-                errors = self.class_errors[label] = _ClassErrors()
-            errors.n += 1
-            errors.abs_sum += abs(error) * instructions
-            errors.sq_sum += error * error * instructions
-            errors.weight += instructions
+            accumulator = self.class_errors.get(label)
+            if accumulator is None:
+                accumulator = self.class_errors[label] = _ClassErrors()
+            accumulator.n += 1
+            accumulator.abs_sum += abs(error) * instructions
+            accumulator.sq_sum += error * error * instructions
+            accumulator.weight += instructions
             if self.registry is not None:
                 self._h_pred_error.observe(abs(error), weight=instructions)
             aging = EWMA_ALPHA ** (instructions / self.config.window_instructions)
@@ -502,7 +491,12 @@ class OnlinePipeline:
         if request.committed_label is None and self.identifier is not None:
             labels = self._labels
             if labels is None:
-                labels = self._load_bank()
+                rows, penalty = self.identifier.prefix_rows()
+                if len(rows) >= SWEEP_MIN_BANK:
+                    self._sweeper = self.identifier.prefix_sweeper()[0]
+                else:
+                    self._columns = _BankColumns(rows, penalty)
+                labels = self._labels = [label for _, _, label in rows]
             pattern = request.pattern
             appended = False
             if len(pattern) < MAX_WINDOWS:

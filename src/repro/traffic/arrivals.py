@@ -134,10 +134,11 @@ def _check_rate(name: str, rate_per_s: float) -> None:
 
 #: Fewest arrivals an ON/OFF process may expect per ON/OFF cycle, one ON
 #: period and one OFF period (``rate_on * on + rate_off * off``).  A
-#: schedule draws two period lengths per cycle, so it costs about
-#: ``2 / expected`` draws per arrival: this keeps that near 200 or fewer.
-#: Every ON/OFF spec the package ships, documents or tests expects 4.5
-#: arrivals per cycle or more.
+#: schedule makes three or four draws per cycle, so about
+#: ``4 / expected`` per arrival: this keeps that to a few hundred (about
+#: 0.4 s for 1,000 arrivals on a 2-vCPU Xeon VM).  Every ON/OFF spec the
+#: package ships, documents or tests expects 4.5 arrivals per cycle or
+#: more.
 MIN_ONOFF_ARRIVALS_PER_CYCLE = 0.01
 
 

@@ -1,10 +1,10 @@
 """End-to-end streaming pipeline behavior on a live faulted run.
 
-The period and window steps inline what they used to call: the
-per-window identification sweep, :meth:`VaEwma.observe`, the first step
-of :meth:`IncrementalWindower.feed_counters`.  Each inline step is
-checked here against the code it replaced, kept in the test as the
-oracle, bit for bit.
+The period and window steps do inline what a per-row identification
+loop, :meth:`VaEwma.observe` and the first step of
+:meth:`IncrementalWindower.feed_counters` do.  Each inline step is
+checked here against that code, kept in the test as the oracle, bit for
+bit.
 """
 
 import dataclasses
