@@ -62,20 +62,6 @@ class IncrementalCentroid:
         means[window_index] = mean + (value - mean) / count
         return deviation
 
-    def fold(self, window_index: int, value: float) -> None:
-        """Fold one window value into the mean without scoring it: the
-        fold of :meth:`observe`, for callers that would discard the
-        deviation."""
-        means = self._means
-        if 0 <= window_index < len(means):
-            counts = self._counts
-            count = counts[window_index] + 1
-            counts[window_index] = count
-            mean = means[window_index]
-            means[window_index] = mean + (value - mean) / count
-        else:
-            self.observe(window_index, value)
-
     def mean_at(self, window_index: int) -> Optional[float]:
         """Centroid value at a window index (None without evidence)."""
         if 0 <= window_index < len(self._means) and self._counts[window_index] > 0:

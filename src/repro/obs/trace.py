@@ -68,6 +68,26 @@ PERIOD_COUNTERS = ("instructions", "cycles", "l2_refs", "l2_misses")
 INJECTED_COUNTS = ("injected_in_kernel", "injected_interrupt")
 
 
+def _check_count(seq: int, name: str, data: dict) -> None:
+    """Refuse a ``period_sample`` count that is not a finite number >= 0.
+
+    ``json.loads`` reads ``NaN`` and ``Infinity``: an infinite
+    instruction count would window forever, and a NaN or negative count
+    would fold in as a silent floor.
+    """
+    value = data.get(name)
+    if type(value) is not float and type(value) is not int:
+        found = repr(value) if name in data else "missing"
+        raise ValueError(
+            f"period_sample seq {seq}: {name!r} must be a number, got {found}"
+        )
+    if not 0 <= value <= sys.float_info.max:
+        raise ValueError(
+            f"period_sample seq {seq}: {name!r} must be a finite number "
+            f">= 0, got {value!r}"
+        )
+
+
 @dataclass(slots=True)
 class ObsEvent:
     """One structured trace record."""
@@ -107,24 +127,11 @@ class ObsEvent:
         seq = int(payload["seq"])
         kind = str(payload["kind"])
         if kind == "period_sample":
-            for name in PERIOD_COUNTERS + INJECTED_COUNTS:
-                if name not in data and name in INJECTED_COUNTS:
-                    continue
-                value = data.get(name)
-                if type(value) is not float and type(value) is not int:
-                    found = repr(value) if name in data else "missing"
-                    raise ValueError(
-                        f"period_sample seq {seq}: {name!r} must be a "
-                        f"number, got {found}"
-                    )
-                # json.loads reads NaN and Infinity: an infinite
-                # instruction count would window forever, and a NaN or
-                # negative count would fold in as a silent floor.
-                if not 0 <= value <= sys.float_info.max:
-                    raise ValueError(
-                        f"period_sample seq {seq}: {name!r} must be a "
-                        f"finite number >= 0, got {value!r}"
-                    )
+            for name in PERIOD_COUNTERS:
+                _check_count(seq, name, data)
+            for name in INJECTED_COUNTS:
+                if name in data:
+                    _check_count(seq, name, data)
         return cls(
             seq=seq,
             cycle=float(payload["cycle"]),

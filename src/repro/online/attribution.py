@@ -187,13 +187,12 @@ class CauseAttributor:
                        cpi: float, refs_per_ins: float) -> None:
         """Fold one unflagged window into its kind's running baselines
         (and the pooled cross-kind fallback), as :meth:`baselines`
-        returned them.  Nothing here scores the window, so each baseline
-        only folds it."""
+        returned them."""
         cpi_kind, refs_kind, cpi_pooled, refs_pooled = baselines
-        cpi_kind.fold(window_index, cpi)
-        refs_kind.fold(window_index, refs_per_ins)
-        cpi_pooled.fold(window_index, cpi)
-        refs_pooled.fold(window_index, refs_per_ins)
+        cpi_kind.observe(window_index, cpi)
+        refs_kind.observe(window_index, refs_per_ins)
+        cpi_pooled.observe(window_index, cpi)
+        refs_pooled.observe(window_index, refs_per_ins)
 
     def warm(self, kind: str) -> bool:
         """Whether the kind's baselines have absorbed enough requests."""

@@ -448,21 +448,8 @@ class OnlinePipeline:
             aging = EWMA_ALPHA ** (instructions / self.config.window_instructions)
             request.estimate = aging * estimate + (1 - aging) * value
 
-        # Stages 1 + 3 run per completed fixed-instruction window.  A
-        # period that completes none is one chunk of the open window:
-        # feed_counters' first step, which takes the whole period at
-        # fraction 1.0 (x / x), without its loop.
-        windower = request.windower
-        fill = windower.fill + instructions
-        if fill < windower.edge:
-            windower.fill = fill
-            carry = windower.carry
-            carry[0] += instructions
-            carry[1] += cycles
-            carry[2] += l2_refs
-            carry[3] += l2_misses
-            return
-        for window in windower.feed_counters(
+        # Stages 1 + 3 run per completed fixed-instruction window.
+        for window in request.windower.feed_counters(
             instructions, cycles, l2_refs, l2_misses
         ):
             self._on_window(request, window)
@@ -547,22 +534,13 @@ class OnlinePipeline:
 
         # Stage 3: streaming centroid-deviation anomaly detection.  The
         # window's CPI is scored against the kind's pre-existing
-        # population, then joins it as evidence: IncrementalCentroid.
-        # observe's score-then-fold, inline where the index has evidence.
+        # population, then joins it as evidence.
         centroid = request.centroid
         if centroid is None:
             centroid = request.centroid = self.centroids.group(request.kind)
-        means = centroid._means
-        counts = centroid._counts
-        if not 0 <= window_index < len(means) or not counts[window_index]:
-            # No evidence at this index yet: nothing to score against.
-            centroid.observe(window_index, cpi)
-        else:
-            mean = means[window_index]
-            count = counts[window_index] + 1
-            counts[window_index] = count
-            means[window_index] = mean + (cpi - mean) / count
-            request.dist_sum += abs(cpi - mean)
+        deviation = centroid.observe(window_index, cpi)
+        if deviation is not None:
+            request.dist_sum += deviation
             request.dist_windows += 1
             score = request.dist_sum / request.dist_windows
             quantile = request.quantile

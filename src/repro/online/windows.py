@@ -12,9 +12,7 @@ retired instructions.
 :meth:`IncrementalWindower.feed_counters` works on four bare floats and
 emits ``(instructions, cycles, l2_refs, l2_misses)`` tuples — the
 pipeline consumes thousands of periods per run and per-period dict
-construction was a measurable share of its overhead.  For the same
-reason the pipeline adds a period that completes no window to ``fill``
-and ``carry`` itself, as the first step of :meth:`feed_counters` would.
+construction was a measurable share of its overhead.
 """
 
 from __future__ import annotations
@@ -35,7 +33,9 @@ _NO_WINDOWS: List[Window] = []
 class IncrementalWindower:
     """Streams period counter deltas into fixed-instruction windows."""
 
-    __slots__ = ("window_instructions", "edge", "fill", "carry", "windows_emitted")
+    __slots__ = (
+        "window_instructions", "_edge", "_fill", "_carry", "windows_emitted"
+    )
 
     def __init__(self, window_instructions: float):
         if window_instructions <= 0:
@@ -43,9 +43,9 @@ class IncrementalWindower:
         self.window_instructions = float(window_instructions)
         # The fill at which the open window is complete: its size, less a
         # tolerance for float drift when a period lands exactly on an edge.
-        self.edge = self.window_instructions - 1e-9
-        self.fill = 0.0  # instructions accumulated in the open window
-        self.carry = [0.0, 0.0, 0.0, 0.0]  # counter sums of the open window
+        self._edge = self.window_instructions - 1e-9
+        self._fill = 0.0  # instructions accumulated in the open window
+        self._carry = [0.0, 0.0, 0.0, 0.0]
         self.windows_emitted = 0
 
     def feed_counters(
@@ -61,7 +61,7 @@ class IncrementalWindower:
         span it covers (the incremental equivalent of interpolating the
         cumulative-counter curve at window edges).
         """
-        carry = self.carry
+        carry = self._carry
         if instructions <= 0.0:
             # No instruction progress: fold the activity into the open
             # window without advancing the fill position.
@@ -69,10 +69,20 @@ class IncrementalWindower:
             carry[2] += l2_refs
             carry[3] += l2_misses
             return _NO_WINDOWS
+        fill = self._fill + instructions
+        if fill < self._edge:
+            # The period completes no window: the loop's one step, which
+            # takes the whole period at fraction x / x = 1.0.
+            self._fill = fill
+            carry[0] += instructions
+            carry[1] += cycles
+            carry[2] += l2_refs
+            carry[3] += l2_misses
+            return _NO_WINDOWS
         completed: Optional[List[Window]] = None
         window_instructions = self.window_instructions
-        edge = self.edge
-        fill = self.fill
+        edge = self._edge
+        fill = self._fill
         consumed = 0.0
         while instructions - consumed > 0.0:
             room = window_instructions - fill
@@ -92,7 +102,7 @@ class IncrementalWindower:
                 self.windows_emitted += 1
                 fill = 0.0
                 carry[0] = carry[1] = carry[2] = carry[3] = 0.0
-        self.fill = fill
+        self._fill = fill
         return _NO_WINDOWS if completed is None else completed
 
     def flush_counters(self) -> List[Window]:
@@ -102,11 +112,11 @@ class IncrementalWindower:
         request shorter than one window still yields a single (short)
         window; otherwise the partial tail is dropped.
         """
-        if self.windows_emitted == 0 and self.fill > 0.0:
-            window = tuple(self.carry)
+        if self.windows_emitted == 0 and self._fill > 0.0:
+            window = tuple(self._carry)
             self.windows_emitted += 1
-            self.fill = 0.0
-            self.carry = [0.0, 0.0, 0.0, 0.0]
+            self._fill = 0.0
+            self._carry = [0.0, 0.0, 0.0, 0.0]
             return [window]
         return []
 
@@ -115,16 +125,16 @@ class IncrementalWindower:
     def to_state(self) -> dict:
         return {
             "window_instructions": self.window_instructions,
-            "fill": self.fill,
-            "carry": dict(zip(COUNTER_FIELDS, self.carry)),
+            "fill": self._fill,
+            "carry": dict(zip(COUNTER_FIELDS, self._carry)),
             "windows_emitted": self.windows_emitted,
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "IncrementalWindower":
         windower = cls(float(state["window_instructions"]))
-        windower.fill = float(state["fill"])
-        windower.carry = [
+        windower._fill = float(state["fill"])
+        windower._carry = [
             float(state["carry"][field]) for field in COUNTER_FIELDS
         ]
         windower.windows_emitted = int(state["windows_emitted"])

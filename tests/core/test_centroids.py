@@ -122,29 +122,6 @@ class TestFusedObserve:
         assert restored.to_state() == live.to_state()
 
 
-class TestFold:
-    """:meth:`IncrementalCentroid.fold` is :meth:`observe` without the
-    score: the attribution baselines fold every window and discard it."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(window_streams())
-    def test_equals_reference_observe(self, stream):
-        max_windows, steps = stream
-        folded = IncrementalCentroid(max_windows)
-        reference = ReferenceCentroid(max_windows)
-        for window_index, value in steps:
-            reference.observe(window_index, value)
-            assert folded.fold(window_index, value) is None
-            assert [bits(m) for m in folded._means] == [
-                bits(m) for m in reference._means
-            ]
-            assert folded._counts == reference._counts
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            IncrementalCentroid().fold(-1, 1.0)
-
-
 class TestGroupCentroids:
     def test_group_is_created_once_and_kept(self):
         groups = GroupCentroids(max_windows=3)

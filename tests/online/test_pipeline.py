@@ -1,10 +1,8 @@
 """End-to-end streaming pipeline behavior on a live faulted run.
 
 The period and window steps do inline what a per-row identification
-loop, :meth:`VaEwma.observe` and the first step of
-:meth:`IncrementalWindower.feed_counters` do.  Each inline step is
-checked here against that code, kept in the test as the oracle, bit for
-bit.
+loop and :meth:`VaEwma.observe` do.  Each inline step is checked here
+against that code, kept in the test as the oracle, bit for bit.
 """
 
 import dataclasses
@@ -21,7 +19,6 @@ from repro.online import pipeline as pipeline_module
 from repro.online.checkpoint import checkpoint_from_json, checkpoint_to_json
 from repro.online.pipeline import OnlineConfig, OnlinePipeline
 from repro.online.report import build_report
-from repro.online.windows import IncrementalWindower
 
 
 class TestConfig:
@@ -356,85 +353,11 @@ class TestInlinePeriodStep:
         else:
             assert errors is None
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.sampled_from([100.0, 100_000.0, 1e6]),
-        st.lists(
-            st.tuples(
-                st.booleans(),
-                st.one_of(
-                    st.sampled_from([-2e-9, -1e-9, -5e-10, 0.0, 5e-10,
-                                     1e-9, 2e-9]),
-                    st.floats(-3e-9, 3e-9),
-                    COUNTS,
-                ),
-                COUNTS, COUNTS, COUNTS,
-            ),
-            min_size=1, max_size=30,
-        ),
-    )
-    def test_window_step_equals_feed_counters(self, window, steps):
-        """A period that completes no window adds its chunk without
-        ``feed_counters``; the windows, fill and counter sums must equal
-        ``feed_counters`` run on every period, periods ending within 1e-9
-        of a window edge included."""
-        pipeline = OnlinePipeline(
-            config=OnlineConfig(window_instructions=window)
-        )
-        pipeline.process_event(admitted(0, 1))
-        seen = []
-        on_window = pipeline._on_window
-
-        def record(request, completed):
-            seen.append(completed)
-            on_window(request, completed)
-
-        pipeline._on_window = record
-        oracle = IncrementalWindower(window)
-        expected = []
-        for seq, (to_edge, amount, cycles, refs, misses) in enumerate(
-            steps, start=1
-        ):
-            # An edge step lands the fill `amount` away from the edge.
-            instructions = window - oracle.fill + amount if to_edge else amount
-            pipeline.process_event(
-                period(seq, 1, max(0.0, instructions), cycles, refs, misses)
-            )
-            expected.extend(oracle.feed_counters(
-                max(1.0, instructions), max(1.0, cycles), refs, misses
-            ))
-            windower = pipeline.open[1].windower
-            assert [tuple(map(bits, w)) for w in seen] == [
-                tuple(map(bits, w)) for w in expected
-            ]
-            assert bits(windower.fill) == bits(oracle.fill)
-            assert list(map(bits, windower.carry)) == list(map(bits, oracle.carry))
-            assert windower.windows_emitted == oracle.windows_emitted
-
-    def test_period_completing_no_window_skips_feed_counters(self, monkeypatch):
-        calls = []
-        feed = IncrementalWindower.feed_counters
-
-        def counted(self, *counters):
-            calls.append(counters)
-            return feed(self, *counters)
-
-        monkeypatch.setattr(IncrementalWindower, "feed_counters", counted)
-        pipeline = OnlinePipeline()
-        pipeline.process_event(admitted(0, 1))
-        pipeline.process_event(period(1, 1, 40_000.0, 80_000.0))
-        pipeline.process_event(period(2, 1, 40_000.0, 80_000.0))
-        assert calls == []
-        assert pipeline.open[1].windower.fill == 80_000.0
-        pipeline.process_event(period(3, 1, 40_000.0, 80_000.0))
-        assert calls == [(40_000.0, 80_000.0, 0.0, 0.0)]
-        assert pipeline.windows_seen == 1
-
 
 class TestAttributedRestore:
-    """With attribution on, every inline step runs, including the
-    attribution baselines' fold; a restore mid-stream must still end in
-    the uninterrupted replay's bytes."""
+    """With attribution on, every step runs, the attribution baselines
+    included; a restore mid-stream must still end in the uninterrupted
+    replay's bytes."""
 
     @staticmethod
     def replay(identifier, events, cut=None):
